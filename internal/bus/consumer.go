@@ -157,6 +157,12 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Message, error) {
 	}
 }
 
+// Wait blocks until the subscription may have unread messages, a short
+// re-check interval has passed, or ctx is done — without consuming
+// anything. A caller that must mark itself busy before offsets move polls
+// with TryPoll and parks here between empty polls.
+func (c *Consumer) Wait(ctx context.Context) error { return c.waitAny(ctx) }
+
 // waitAny blocks until any subscribed partition has data past the read
 // offset or ctx is done.
 func (c *Consumer) waitAny(ctx context.Context) error {

@@ -222,6 +222,9 @@ type Pipeline struct {
 	commitsOn        atomic.Bool
 	pumpPaused       atomic.Bool
 	pumpIdle         atomic.Bool
+	// pumpBusy is the parsed pump's counterpart of logmanager.Busy: up
+	// from before a poll until the polled batch is forwarded.
+	pumpBusy atomic.Bool
 	killed           atomic.Bool
 	engineCancel     context.CancelFunc
 	ckptMu           sync.Mutex // serializes Checkpoint calls
@@ -855,8 +858,11 @@ func (p *Pipeline) Drain(timeout time.Duration) error {
 	// rebuilt in-memory topic (heartbeats interleave on the data topic,
 	// so absolute offsets are not stable across a re-streamed run), and
 	// a consumer ahead of the log has nothing left to read.
+	// The log manager's poll commits offsets before it forwards the batch,
+	// so zero lag alone can precede the forwarded count it is about to
+	// raise; not busy, read after the lag, closes that window.
 	for {
-		if p.logmgrLag() <= 0 {
+		if p.logmgrLag() <= 0 && !p.logmgr.Busy() {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -881,7 +887,7 @@ func (p *Pipeline) Drain(timeout time.Duration) error {
 	// Staged phases: the parsed topic drained into the detector stage,
 	// and the detector stage has processed everything.
 	for {
-		if p.parsedLag() <= 0 {
+		if p.parsedLag() <= 0 && !p.pumpBusy.Load() {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -259,13 +259,16 @@ func (p *Pipeline) pumpParsed(done <-chan struct{}) {
 		default:
 		}
 		if p.pumpPaused.Load() {
+			p.pumpBusy.Store(false)
 			p.pumpIdle.Store(true)
 			time.Sleep(time.Millisecond)
 			continue
 		}
 		p.pumpIdle.Store(false)
+		p.pumpBusy.Store(true)
 		msgs := consumer.TryPoll(1024)
 		if len(msgs) == 0 {
+			p.pumpBusy.Store(false)
 			time.Sleep(time.Millisecond)
 			continue
 		}

@@ -74,6 +74,11 @@ type Pattern struct {
 	sig        []datatype.Type
 	hasAny     int8 // 0 unknown, 1 no wildcard, 2 has wildcard
 	generality int  // valid when hasAny != 0
+
+	// owner is the Set the pattern was added to, so a structural edit
+	// drops that set's compiled view (which buckets members by token
+	// count and wildcard-ness).
+	owner *Set
 }
 
 // precompute fills the derived-state caches. Callers must hold the only
@@ -101,6 +106,9 @@ func (p *Pattern) precompute() {
 		p.hasAny = 2
 	} else {
 		p.hasAny = 1
+	}
+	if p.owner != nil {
+		p.owner.compiled.Store(nil)
 	}
 }
 
@@ -168,14 +176,15 @@ func (p *Pattern) Signature() string {
 	return strings.Join(parts, " ")
 }
 
-// SignatureTypes returns the signature as a datatype slice. The caller
-// owns the returned slice.
+// SignatureTypes returns the signature as a datatype slice. For a pattern
+// with caches (every member of a Set) it is the cached slice itself, so
+// the parser's group builds borrow it instead of copying one per pattern:
+// callers must not modify it.
 func (p *Pattern) SignatureTypes() []datatype.Type {
-	out := make([]datatype.Type, len(p.Tokens))
 	if p.sig != nil {
-		copy(out, p.sig)
-		return out
+		return p.sig
 	}
+	out := make([]datatype.Type, len(p.Tokens))
 	for i, t := range p.Tokens {
 		out[i] = t.SignatureType()
 	}
@@ -293,14 +302,16 @@ func (p *Pattern) appendMatchExact(dst []logtypes.Field, tokens []string) ([]log
 	if len(tokens) != len(p.Tokens) {
 		return dst, false
 	}
-	for i, pt := range p.Tokens {
-		if pt.IsField {
-			if !datatype.Matches(pt.Type, tokens[i]) {
-				return dst, false
-			}
-			continue
+	// Literals before datatype checks: a string compare is far cheaper
+	// than a DATETIME or IP check, and literals are what tell the
+	// patterns of one candidate group apart.
+	for i := range p.Tokens {
+		if pt := &p.Tokens[i]; !pt.IsField && pt.Literal != tokens[i] {
+			return dst, false
 		}
-		if pt.Literal != tokens[i] {
+	}
+	for i := range p.Tokens {
+		if pt := &p.Tokens[i]; pt.IsField && !datatype.Matches(pt.Type, tokens[i]) {
 			return dst, false
 		}
 	}
@@ -317,11 +328,58 @@ func (p *Pattern) appendMatchExact(dst []logtypes.Field, tokens []string) ([]log
 	return dst, true
 }
 
+// tokenMatches reports whether a non-wildcard pattern token accepts one
+// log token.
+func (pt *Token) tokenMatches(tok string) bool {
+	if pt.IsField {
+		return datatype.Matches(pt.Type, tok)
+	}
+	return pt.Literal == tok
+}
+
+// anchorsMatch is the wildcard matcher's fail-fast: the necessary
+// conditions that need no table. Every non-ANYDATA token consumes exactly
+// one log token, so the log must have at least that many; the tokens
+// before the first ANYDATA align one to one with the log's head and the
+// tokens after the last with its tail. A rejected attempt allocates
+// nothing.
+func (p *Pattern) anchorsMatch(tokens []string) bool {
+	r, s := len(tokens), len(p.Tokens)
+	first, last, fixed := -1, -1, 0
+	for j := range p.Tokens {
+		if pt := &p.Tokens[j]; pt.IsField && pt.Type == datatype.AnyData {
+			if first < 0 {
+				first = j
+			}
+			last = j
+		} else {
+			fixed++
+		}
+	}
+	if r < fixed {
+		return false
+	}
+	for j := 0; j < first; j++ {
+		if !p.Tokens[j].tokenMatches(tokens[j]) {
+			return false
+		}
+	}
+	for k := 1; k < s-last; k++ {
+		if !p.Tokens[s-k].tokenMatches(tokens[r-k]) {
+			return false
+		}
+	}
+	return true
+}
+
 // matchDP is the wildcard-aware matcher. T[i][j] is true when the first i
 // log tokens are matched by the first j pattern tokens; ANYDATA admits
 // T[i][j] = T[i][j-1] || T[i-1][j] (absorb nothing / absorb one more).
 func (p *Pattern) matchDP(tokens []string) ([]logtypes.Field, bool) {
 	r, s := len(tokens), len(p.Tokens)
+	if !p.anchorsMatch(tokens) {
+		return nil, false
+	}
 	t := make([][]bool, r+1)
 	for i := range t {
 		t[i] = make([]bool, s+1)
@@ -338,10 +396,8 @@ func (p *Pattern) matchDP(tokens []string) ([]logtypes.Field, bool) {
 			switch {
 			case pt.IsField && pt.Type == datatype.AnyData:
 				t[i][j] = t[i][j-1] || t[i-1][j]
-			case pt.IsField:
-				t[i][j] = t[i-1][j-1] && datatype.Matches(pt.Type, tokens[i-1])
 			default:
-				t[i][j] = t[i-1][j-1] && pt.Literal == tokens[i-1]
+				t[i][j] = t[i-1][j-1] && pt.tokenMatches(tokens[i-1])
 			}
 		}
 	}

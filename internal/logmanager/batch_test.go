@@ -1,6 +1,7 @@
 package logmanager
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -127,5 +128,48 @@ func TestBatchBufferRecycled(t *testing.T) {
 		if l != (logtypes.Log{}) {
 			t.Fatalf("recycled batch buffer retains %+v", l)
 		}
+	}
+}
+
+// TestBusyCoversPollToForward: the poll commits a batch's offsets before
+// the batch goes downstream, so committed lag alone reads "drained" while
+// the batch is still in hand; Busy stays up across that window and drops
+// once the loop has forwarded the batch and polled empty.
+func TestBusyCoversPollToForward(t *testing.T) {
+	b := bus.New()
+	entered, release := make(chan struct{}), make(chan struct{})
+	m := New(b, store.New(), Config{ForwardBatch: func([]logtypes.Log) {
+		close(entered)
+		<-release
+	}}, nil)
+	a, err := agent.New(b, agent.Config{Source: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- m.Run(ctx) }()
+
+	a.Send("one line")
+	<-entered
+	lag, err := b.Subscribe("log-manager", agent.LogsTopic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lag.Lag() != 0 || !m.Busy() {
+		t.Fatalf("mid-forward: lag %d busy %v, want 0 and true", lag.Lag(), m.Busy())
+	}
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Busy() {
+		if time.Now().After(deadline) {
+			t.Fatal("Busy never dropped after the batch was forwarded")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Errorf("Run returned %v", err)
 	}
 }

@@ -100,6 +100,10 @@ type Manager struct {
 	paused atomic.Bool
 	idle   atomic.Bool
 
+	// busy covers the auto-committing loop from just before a poll until
+	// the polled batch has been forwarded (see Run).
+	busy atomic.Bool
+
 	recvCounter *metrics.Counter
 	hbCounter   *metrics.Counter
 	dropCounter *metrics.Counter
@@ -140,6 +144,12 @@ func (m *Manager) Resume() { m.paused.Store(false) }
 // being consumed or forwarded, so upstream counters are final.
 func (m *Manager) Idle() bool { return m.idle.Load() }
 
+// Busy reports that the auto-committing loop may hold a polled batch it has
+// not yet forwarded. Read it after observing a committed lag of zero: not
+// busy then means everything consumed so far has gone downstream. Always
+// false under ManualCommit, where commits already trail the sink.
+func (m *Manager) Busy() bool { return m.busy.Load() }
+
 // Run consumes the logs topic until the context is done.
 func (m *Manager) Run(ctx context.Context) error {
 	consumer, err := m.bus.Subscribe(m.cfg.Group, agent.LogsTopic)
@@ -155,13 +165,34 @@ func (m *Manager) Run(ctx context.Context) error {
 		consumer.DisableAutoCommit()
 		return m.runPausable(ctx, consumer, limiter)
 	}
+	// A poll commits the offsets of what it returns, before any of it is
+	// forwarded. busy is raised before the poll and lowered only after an
+	// empty one, so "committed lag 0, then not busy" proves that every
+	// polled batch has been forwarded. The in-process consumer can wait
+	// for data without consuming; other readers fall back to the blocking
+	// poll, where busy rises only once the poll has returned.
+	waiter, _ := consumer.(interface{ Wait(context.Context) error })
 	for {
-		msgs, err := consumer.Poll(ctx, pollBatchMax)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil
+		m.busy.Store(true)
+		msgs := consumer.TryPoll(pollBatchMax)
+		if len(msgs) == 0 {
+			m.busy.Store(false)
+			var err error
+			if waiter != nil {
+				err = waiter.Wait(ctx)
+			} else {
+				msgs, err = consumer.Poll(ctx, pollBatchMax)
+				m.busy.Store(true)
 			}
-			return err
+			if err != nil {
+				if ctx.Err() != nil {
+					return nil
+				}
+				return err
+			}
+			if len(msgs) == 0 {
+				continue
+			}
 		}
 		for _, msg := range msgs {
 			if limiter != nil {

@@ -7,10 +7,17 @@
 // The parser proceeds in the paper's three steps: (1) compute the log's
 // signature (concatenated token datatypes) and look up its
 // candidate-pattern-group; (2) on a miss, build the group by matching the
-// log-signature against every pattern-signature with the dynamic
-// programming of Algorithm 1 (wildcard-aware), sorting candidates in
-// ascending datatype generality and length; (3) scan the group's patterns
-// until one parses the log.
+// log-signature against every pattern-signature that could parse a log of
+// that length with the dynamic programming of Algorithm 1
+// (wildcard-aware), sorting candidates in ascending datatype generality
+// and length; (3) scan the group's patterns until one parses the log.
+//
+// On large models a signature is shared by hundreds of patterns that
+// differ only in a literal, so each group also carries a discrimination
+// index, built with the group: the scan of step 3 visits only the
+// candidates whose literal at one chosen token position equals the log's
+// token there, plus those that have no literal there, still in the
+// group's order — the first match is the one the full scan would find.
 package parser
 
 import (
@@ -41,7 +48,9 @@ type Stats struct {
 	GroupBuilds uint64
 	// GroupEvictions counts group-index entries evicted at the cap.
 	GroupEvictions uint64
-	// CandidateScans counts full pattern-match attempts inside groups.
+	// CandidateScans counts pattern-match attempts inside groups:
+	// candidates the discrimination index rules out are never attempted
+	// and are not counted.
 	CandidateScans uint64
 }
 
@@ -77,8 +86,11 @@ type Parser struct {
 	maxGroups int
 	sortOff   bool
 	stats     Stats
-	perPat    map[int]uint64
-	instr     *parserInstr
+	// perPat holds the per-pattern parse counts of groups no longer in the
+	// index (evicted, dropped by SetPatterns, restored from a checkpoint);
+	// live groups count in their own hits slots, off the map.
+	perPat map[int]uint64
+	instr  *parserInstr
 
 	// Per-goroutine hot-path scratch, reused across Parse calls.
 	scratch preprocess.Scratch
@@ -92,8 +104,77 @@ type Parser struct {
 // the oldest node first.
 type groupEntry struct {
 	types []datatype.Type
+	// group is the candidates in scan order; a candidate's position in it
+	// is its rank. hits counts the logs each rank has parsed.
 	group []*grok.Pattern
-	next  *groupEntry
+	hits  []uint64
+
+	// The discrimination index. byLiteral maps each literal the
+	// wildcard-free candidates carry at token position pos to their ranks;
+	// rest lists the ranks of every other candidate (a field at pos, or an
+	// ANYDATA pattern, whose tokens do not align with the log's). Both are
+	// ascending, so merging the two visits, in scan order, exactly the
+	// candidates that can still match. A group with nothing to
+	// discriminate has a nil byLiteral and every rank in rest: the merge
+	// is then the plain scan.
+	pos       int
+	byLiteral map[string][]int32
+	rest      []int32
+
+	next *groupEntry
+}
+
+// minIndexedGroup is the smallest group that gets a discrimination index:
+// below it the hash of the lookup costs as much as the failed literal
+// compares it saves.
+const minIndexedGroup = 4
+
+// newGroupEntry wraps a sorted group, choosing as the discriminating
+// position the first one at which the wildcard-free candidates (all of the
+// log's length, so positions align) carry the most distinct literals.
+func newGroupEntry(types []datatype.Type, group []*grok.Pattern) *groupEntry {
+	e := &groupEntry{
+		types: append([]datatype.Type(nil), types...),
+		group: group,
+		hits:  make([]uint64, len(group)),
+	}
+	aligned := 0
+	for _, pat := range group {
+		if !pat.HasAnyData() {
+			aligned++
+		}
+	}
+	best := 1
+	if len(group) >= minIndexedGroup {
+		seen := make(map[string]struct{}, aligned)
+		for pos := 0; pos < len(types) && best < aligned; pos++ {
+			clear(seen)
+			for _, pat := range group {
+				if pat.HasAnyData() {
+					continue
+				}
+				if t := &pat.Tokens[pos]; !t.IsField {
+					seen[t.Literal] = struct{}{}
+				}
+			}
+			if len(seen) > best {
+				best, e.pos = len(seen), pos
+			}
+		}
+	}
+	if best > 1 {
+		e.byLiteral = make(map[string][]int32, best)
+	}
+	for rank, pat := range group {
+		if e.byLiteral != nil && !pat.HasAnyData() {
+			if t := &pat.Tokens[e.pos]; !t.IsField {
+				e.byLiteral[t.Literal] = append(e.byLiteral[t.Literal], int32(rank))
+				continue
+			}
+		}
+		e.rest = append(e.rest, int32(rank))
+	}
+	return e
 }
 
 // fnv1aOffset and fnv1aPrime are the 64-bit FNV-1a parameters.
@@ -126,7 +207,9 @@ func typesEqual(a, b []datatype.Type) bool {
 
 // parserInstr mirrors the per-Parse counters into a shared registry.
 // Clones share the same handles: clones are the per-partition copies of
-// one logical parser, so their registry counters aggregate.
+// one logical parser, so their registry counters aggregate. The handles
+// are atomics every partition contends on, so ParseInto adds to them once
+// per line, never once per candidate.
 type parserInstr struct {
 	parsed    *metrics.Counter
 	unmatched *metrics.Counter
@@ -200,8 +283,10 @@ func (p *Parser) Instrument(reg *metrics.Registry) {
 }
 
 // SetPatterns swaps in a new pattern set (a model update) and drops the
-// group index, which is rebuilt lazily against the new model.
+// group index, which is rebuilt lazily against the new model; the dropped
+// groups' parse counts move to perPat.
 func (p *Parser) SetPatterns(set *grok.Set) {
+	p.eachGroup(func(e *groupEntry) { e.addHits(p.perPat) })
 	p.set = set
 	p.groups = make(map[uint64]*groupEntry)
 	p.order = p.order[:0]
@@ -222,7 +307,27 @@ func (p *Parser) PatternCounts() map[int]uint64 {
 	for id, n := range p.perPat {
 		out[id] = n
 	}
+	p.eachGroup(func(e *groupEntry) { e.addHits(out) })
 	return out
+}
+
+// eachGroup visits every live group, collision chains included.
+func (p *Parser) eachGroup(fn func(*groupEntry)) {
+	for _, e := range p.groups {
+		for ; e != nil; e = e.next {
+			fn(e)
+		}
+	}
+}
+
+// addHits adds the group's per-candidate parse counts to a per-pattern
+// map.
+func (e *groupEntry) addHits(counts map[int]uint64) {
+	for rank, n := range e.hits {
+		if n > 0 {
+			counts[e.group[rank].ID] += n
+		}
+	}
 }
 
 // ResetStats zeroes the work counters.
@@ -249,47 +354,75 @@ func (p *Parser) ParseInto(l logtypes.Log, pl *logtypes.ParsedLog) error {
 	h := sigHash(res.Types)
 
 	entry := p.lookup(h, res.Types)
-	if entry != nil {
+	hit := entry != nil
+	if hit {
 		p.stats.GroupHits++
-		if p.instr != nil {
-			p.instr.hits.Inc()
-		}
 	} else {
 		entry = p.cacheGroup(h, res.Types, p.buildGroup(res.Types))
 		p.stats.GroupBuilds++
-		if p.instr != nil {
-			p.instr.builds.Inc()
-		}
 	}
 
-	for _, pat := range entry.group {
-		p.stats.CandidateScans++
-		if p.instr != nil {
-			p.instr.scans.Inc()
-		}
-		fields, ok := pat.AppendMatch(pl.Fields[:0], res.Tokens)
-		if !ok {
-			continue
-		}
-		p.stats.Parsed++
-		if p.instr != nil {
-			p.instr.parsed.Inc()
-		}
-		p.perPat[pat.ID]++
-		*pl = logtypes.ParsedLog{
-			Log:          l,
-			PatternID:    pat.ID,
-			Fields:       fields,
-			Timestamp:    res.Time,
-			HasTimestamp: res.HasTime,
-		}
-		return nil
+	// §III-B step 3, narrowed by the discrimination index: merge the ranks
+	// filed under the log's token at the discriminating position with the
+	// ranks the index cannot rule out, ascending, and stop at the first
+	// candidate that parses the log.
+	var byLiteral []int32
+	if entry.byLiteral != nil {
+		byLiteral = entry.byLiteral[res.Tokens[entry.pos]]
 	}
-	p.stats.Unmatched++
+	rest := entry.rest
+	var scans uint64
+	matched := int32(-1)
+	var fields []logtypes.Field
+	for matched < 0 && (len(byLiteral) > 0 || len(rest) > 0) {
+		var rank int32
+		if len(rest) == 0 || (len(byLiteral) > 0 && byLiteral[0] < rest[0]) {
+			rank, byLiteral = byLiteral[0], byLiteral[1:]
+		} else {
+			rank, rest = rest[0], rest[1:]
+		}
+		scans++
+		var ok bool
+		if fields, ok = entry.group[rank].AppendMatch(pl.Fields[:0], res.Tokens); ok {
+			matched = rank
+		}
+	}
+	p.stats.CandidateScans += scans
 	if p.instr != nil {
-		p.instr.unmatched.Inc()
+		p.instr.line(hit, scans, matched >= 0)
 	}
-	return ErrNoMatch
+
+	if matched < 0 {
+		p.stats.Unmatched++
+		return ErrNoMatch
+	}
+	p.stats.Parsed++
+	entry.hits[matched]++
+	*pl = logtypes.ParsedLog{
+		Log:          l,
+		PatternID:    entry.group[matched].ID,
+		Fields:       fields,
+		Timestamp:    res.Time,
+		HasTimestamp: res.HasTime,
+	}
+	return nil
+}
+
+// line publishes one ParseInto's counts.
+func (in *parserInstr) line(hit bool, scans uint64, parsed bool) {
+	if hit {
+		in.hits.Inc()
+	} else {
+		in.builds.Inc()
+	}
+	if scans > 0 {
+		in.scans.Add(scans)
+	}
+	if parsed {
+		in.parsed.Inc()
+	} else {
+		in.unmatched.Inc()
+	}
 }
 
 // lookup walks the hash bucket's collision chain, verifying the type
@@ -306,23 +439,33 @@ func (p *Parser) lookup(h uint64, types []datatype.Type) *groupEntry {
 // buildGroup assembles the candidate-pattern-group for a log-signature:
 // all patterns whose pattern-signature can parse it (Algorithm 1), sorted
 // in ascending datatype generality then token count, so the most specific
-// pattern is tried first.
+// pattern is tried first; ties keep pattern-ID order. Only patterns that
+// can parse a log of this length are visited.
 func (p *Parser) buildGroup(logSig []datatype.Type) []*grok.Pattern {
+	exact, wild := p.set.Candidates(len(logSig))
 	var group []*grok.Pattern
-	for _, pat := range p.set.Patterns() {
+	for _, pat := range exact {
+		if isMatchedExact(logSig, pat.SignatureTypes()) {
+			group = append(group, pat)
+		}
+	}
+	for _, pat := range wild {
 		if p.isMatched(logSig, pat.SignatureTypes()) {
 			group = append(group, pat)
 		}
 	}
-	if !p.sortOff {
-		sort.SliceStable(group, func(i, j int) bool {
-			gi, gj := group[i].Generality(), group[j].Generality()
-			if gi != gj {
-				return gi < gj
+	sort.Slice(group, func(i, j int) bool {
+		a, b := group[i], group[j]
+		if !p.sortOff {
+			if ga, gb := a.Generality(), b.Generality(); ga != gb {
+				return ga < gb
 			}
-			return len(group[i].Tokens) < len(group[j].Tokens)
-		})
-	}
+			if len(a.Tokens) != len(b.Tokens) {
+				return len(a.Tokens) < len(b.Tokens)
+			}
+		}
+		return a.ID < b.ID
+	})
 	return group
 }
 
@@ -339,6 +482,7 @@ func (p *Parser) cacheGroup(h uint64, types []datatype.Type, group []*grok.Patte
 			old := p.order[p.head]
 			p.head++
 			if e := p.groups[old]; e != nil {
+				e.addHits(p.perPat)
 				if e.next != nil {
 					p.groups[old] = e.next
 				} else {
@@ -357,9 +501,7 @@ func (p *Parser) cacheGroup(h uint64, types []datatype.Type, group []*grok.Patte
 			p.head = 0
 		}
 	}
-	owned := make([]datatype.Type, len(types))
-	copy(owned, types)
-	e := &groupEntry{types: owned, group: group}
+	e := newGroupEntry(types, group)
 	if head := p.groups[h]; head != nil {
 		tail := head
 		for tail.next != nil {

@@ -192,3 +192,106 @@ func TestParseIntoMatchesParse(t *testing.T) {
 		}
 	}
 }
+
+// indexedFixture is a model whose "svc <name> <n>" signature holds enough
+// literal-distinct candidates to be indexed.
+var indexedFixture = []string{
+	"svc alpha %{NUMBER:n}",
+	"svc beta %{NUMBER:n}",
+	"svc gamma %{NUMBER:n}",
+	"svc delta %{NUMBER:n}",
+}
+
+// TestSetPatternsDropsIndex: a model swap drops every group together with
+// its discrimination index — the next line is judged by the new model, not
+// by ranks filed against the old one — and keeps the per-pattern counts.
+func TestSetPatternsDropsIndex(t *testing.T) {
+	p := New(mustSet(t, indexedFixture...), nil)
+	for i := 0; i < 3; i++ {
+		if pl, err := p.Parse(raw("svc gamma 7")); err != nil || pl.PatternID != 3 {
+			t.Fatalf("before swap: %+v %v", pl, err)
+		}
+	}
+	if n, _ := indexedGroups(p); n != 1 {
+		t.Fatal("fixture group is not indexed")
+	}
+
+	// The new model has no gamma pattern and renumbers the rest.
+	p.SetPatterns(mustSet(t, "svc delta %{NUMBER:n}", "svc beta %{NUMBER:n}", "svc alpha %{NUMBER:n}", "svc eps %{NUMBER:n}"))
+	if len(p.groups) != 0 || p.count != 0 {
+		t.Fatalf("SetPatterns left %d groups behind", len(p.groups))
+	}
+	if _, err := p.Parse(raw("svc gamma 7")); err != ErrNoMatch {
+		t.Fatalf("gamma after swap: err %v, want ErrNoMatch", err)
+	}
+	if pl, err := p.Parse(raw("svc delta 7")); err != nil || pl.PatternID != 1 {
+		t.Fatalf("delta after swap: %+v %v, want pattern 1", pl, err)
+	}
+	if got := p.PatternCounts(); got[3] != 3 || got[1] != 1 || len(got) != 2 {
+		t.Fatalf("PatternCounts across the swap = %v, want map[1:1 3:3]", got)
+	}
+}
+
+// TestEvictionDropsIndex: an indexed group evicted by the FIFO wave leaves
+// with its index, is rebuilt and re-indexed on its next line, and its
+// per-pattern counts survive the round trip.
+func TestEvictionDropsIndex(t *testing.T) {
+	p := New(mustSet(t, indexedFixture...), nil, WithMaxGroups(2))
+	parse := func(line string, want int) {
+		t.Helper()
+		if pl, err := p.Parse(raw(line)); err != nil || pl.PatternID != want {
+			t.Fatalf("%q: %+v %v, want pattern %d", line, pl, err, want)
+		}
+	}
+	parse("svc beta 1", 2)
+	parse("svc beta 2", 2)
+	p.Parse(raw(distinctSigLine(0)))
+	p.Parse(raw(distinctSigLine(1))) // over the cap: evicts the svc group
+	if n, _ := indexedGroups(p); n != 0 {
+		t.Fatal("evicted group's index is still reachable")
+	}
+	if got := p.PatternCounts()[2]; got != 2 {
+		t.Fatalf("pattern 2 count after eviction = %d, want 2", got)
+	}
+	builds := p.Stats().GroupBuilds
+	parse("svc delta 3", 4)
+	parse("svc beta 4", 2)
+	if got := p.Stats().GroupBuilds; got != builds+1 {
+		t.Fatalf("evicted signature rebuilt %d groups, want 1", got-builds)
+	}
+	if n, _ := indexedGroups(p); n != 1 {
+		t.Fatal("rebuilt group is not indexed")
+	}
+	if got := p.PatternCounts(); got[2] != 3 || got[4] != 1 {
+		t.Fatalf("PatternCounts after rebuild = %v, want 2:3 4:1", got)
+	}
+}
+
+// TestSignatureHashCollisionIndexed: a foreign signature chained first in
+// an indexed group's hash bucket neither shadows the group nor lends it
+// its index.
+func TestSignatureHashCollisionIndexed(t *testing.T) {
+	p := New(mustSet(t, append([]string{
+		"%{IP:a} up", "%{IP:a} down", "%{IP:a} slow", "%{IP:a} gone",
+	}, indexedFixture...)...), nil)
+	svc := []datatype.Type{datatype.Word, datatype.Word, datatype.Number}
+	host := []datatype.Type{datatype.IP, datatype.Word}
+	h := sigHash(svc)
+	p.cacheGroup(h, host, p.buildGroup(host)) // host's group squats in svc's bucket
+
+	for i := 0; i < 2; i++ {
+		if pl, err := p.Parse(raw("svc gamma 7")); err != nil || pl.PatternID != 7 {
+			t.Fatalf("svc line through a colliding bucket: %+v %v", pl, err)
+		}
+	}
+	if s := p.Stats(); s.GroupBuilds != 1 || s.GroupHits != 1 || s.CandidateScans != 2 {
+		t.Fatalf("stats = %+v, want one build, one hit, two scans", s)
+	}
+	eHost, eSvc := p.lookup(h, host), p.lookup(h, svc)
+	if eHost == nil || eSvc == nil || eHost.next != eSvc {
+		t.Fatal("bucket does not chain both signatures")
+	}
+	if eHost.byLiteral["down"] == nil || eSvc.byLiteral["gamma"] == nil || eSvc.byLiteral["down"] != nil {
+		t.Fatalf("entries share an index: host %v svc %v", eHost.byLiteral, eSvc.byLiteral)
+	}
+}

@@ -18,6 +18,7 @@ func (p *Parser) SaveState() SavedState {
 // left untouched — they repopulate on the next Parse.
 func (p *Parser) RestoreState(s SavedState) {
 	p.stats = s.Stats
+	p.eachGroup(func(e *groupEntry) { clear(e.hits) })
 	p.perPat = make(map[int]uint64, len(s.PatternCounts))
 	for id, n := range s.PatternCounts {
 		p.perPat[id] = n

@@ -58,3 +58,36 @@ func TestParserSaveRestoreCounters(t *testing.T) {
 		t.Fatalf("pattern 1 count after resume = %d, want %d", got, 2*counts[1])
 	}
 }
+
+// TestRestoreStateReplacesLiveCounts: counts accumulated in live groups
+// before a restore are replaced by the snapshot, not added to it, and the
+// checkpoint form is the plain pattern-ID map.
+func TestRestoreStateReplacesLiveCounts(t *testing.T) {
+	set := mustSet(t, "a %{NUMBER}", "b %{NUMBER}")
+	p := New(set, nil)
+	p.Parse(raw("a 1"))
+	p.Parse(raw("a 2"))
+	p.Parse(raw("b 3"))
+	data, err := json.Marshal(p.SaveState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"stats":{"Parsed":3,"Unmatched":0,"GroupHits":2,"GroupBuilds":1,"GroupEvictions":0,"CandidateScans":4},"pattern_counts":{"1":2,"2":1}}`
+	if string(data) != want {
+		t.Fatalf("checkpoint JSON = %s\nwant %s", data, want)
+	}
+
+	p.Parse(raw("b 4")) // past the snapshot
+	var loaded SavedState
+	if err := json.Unmarshal(data, &loaded); err != nil {
+		t.Fatal(err)
+	}
+	p.RestoreState(loaded)
+	if got := p.PatternCounts(); !reflect.DeepEqual(got, map[int]uint64{1: 2, 2: 1}) {
+		t.Fatalf("PatternCounts after restore = %v", got)
+	}
+	p.Parse(raw("b 5"))
+	if got := p.PatternCounts()[2]; got != 2 {
+		t.Fatalf("pattern 2 after restore and one more line = %d, want 2", got)
+	}
+}

@@ -259,34 +259,66 @@ func (ix *Index) Search(q Query) []Hit {
 		ix.pe.scanLocked(ix, q, true, func(id string, doc Document) {
 			hits = append(hits, Hit{ID: id, Doc: doc})
 		})
-	} else {
-		for _, id := range ix.order {
-			doc := ix.docs[id]
-			if matches(doc, q) {
-				hits = append(hits, Hit{ID: id, Doc: cloneDoc(doc)})
-			}
+		ix.mu.RUnlock()
+		return sortAndLimitHits(hits, q)
+	}
+	// Sort and limit the stored documents under the read lock and copy
+	// only the hits returned: the newest-100 listing over an index of
+	// thousands pays 100 copies, not one per match.
+	defer ix.mu.RUnlock()
+	for _, id := range ix.order {
+		if doc := ix.docs[id]; matches(doc, q) {
+			hits = append(hits, Hit{ID: id, Doc: doc})
 		}
 	}
-	ix.mu.RUnlock()
-	return sortAndLimitHits(hits, q)
+	hits = sortAndLimitHits(hits, q)
+	if len(hits) == 0 {
+		return nil
+	}
+	out := make([]Hit, len(hits))
+	for i, h := range hits {
+		out[i] = Hit{ID: h.ID, Doc: cloneDoc(h.Doc)}
+	}
+	return out
 }
 
 // sortAndLimitHits applies the query's sort and limit to gathered hits —
 // shared by both engines so ordering semantics cannot drift.
 func sortAndLimitHits(hits []Hit, q Query) []Hit {
 	if q.SortBy != "" {
-		sort.SliceStable(hits, func(i, j int) bool {
-			less := compareValues(hits[i].Doc[q.SortBy], hits[j].Doc[q.SortBy]) < 0
-			if q.Desc {
-				return !less
-			}
-			return less
-		})
+		keys := make([]any, len(hits))
+		for i, h := range hits {
+			keys[i] = h.Doc[q.SortBy]
+		}
+		sort.Stable(hitSorter{hits: hits, keys: keys, desc: q.Desc})
 	}
 	if q.Limit > 0 && len(hits) > q.Limit {
 		hits = hits[:q.Limit]
 	}
 	return hits
+}
+
+// hitSorter sorts hits by a sort key read from each document once, not
+// once per comparison, swapping hits and keys together.
+type hitSorter struct {
+	hits []Hit
+	keys []any
+	desc bool
+}
+
+func (s hitSorter) Len() int { return len(s.hits) }
+
+func (s hitSorter) Less(i, j int) bool {
+	less := compareValues(s.keys[i], s.keys[j]) < 0
+	if s.desc {
+		return !less
+	}
+	return less
+}
+
+func (s hitSorter) Swap(i, j int) {
+	s.hits[i], s.hits[j] = s.hits[j], s.hits[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // CountWhere returns the number of matching documents without

@@ -313,3 +313,30 @@ func TestSearchAgainstReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchLimitReturnsSortedCopies: a sorted, limited search returns the
+// head of the full sorted listing (insertion order breaking ties), and
+// the hits are the caller's own copies.
+func TestSearchLimitReturnsSortedCopies(t *testing.T) {
+	ix := New().Index("t")
+	for i := 0; i < 50; i++ {
+		ix.Put(fmt.Sprintf("d%02d", i), Document{"n": i % 7, "i": i})
+	}
+	full := ix.Search(Query{SortBy: "n", Desc: true})
+	top := ix.Search(Query{SortBy: "n", Desc: true, Limit: 10})
+	if len(full) != 50 || len(top) != 10 {
+		t.Fatalf("hits = %d and %d, want 50 and 10", len(full), len(top))
+	}
+	for i := range top {
+		if top[i].ID != full[i].ID {
+			t.Fatalf("hit %d = %s, full listing has %s", i, top[i].ID, full[i].ID)
+		}
+	}
+	top[0].Doc["n"] = "mutated"
+	if doc, _ := ix.Get(top[0].ID); doc["n"] == "mutated" {
+		t.Fatal("Search handed out the stored document")
+	}
+	if hits := ix.Search(Query{Term: map[string]any{"n": 99}, Limit: 10}); hits != nil {
+		t.Fatalf("no-match search = %v, want nil", hits)
+	}
+}
