@@ -1,7 +1,8 @@
 // Netbus transport round-trip: the per-publish cost of the framed RPC
-// path — JSON encode, CRC frame, loopback TCP write, broker dispatch,
-// bus append, and the acked response — measured against a real broker
-// socket because the syscall boundary IS the cost being guarded.
+// path — binary payload encode, CRC frame, loopback TCP write, broker
+// dispatch, bus append, and the acked response — measured against a
+// real broker socket because the syscall boundary IS the cost being
+// guarded.
 //
 // Rerun with:
 //

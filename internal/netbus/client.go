@@ -1,8 +1,8 @@
 package netbus
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -361,15 +361,16 @@ func (c *Client) teardown(conn net.Conn) {
 // readLoop dispatches responses to their waiters until the connection
 // dies.
 func (c *Client) readLoop(conn net.Conn) {
+	fr := frameReader{r: bufio.NewReaderSize(conn, 64<<10)}
+	strs := newStrTable()
 	for {
-		_, id, payload, err := readFrame(conn)
+		// A fresh payload per frame: decoded message values alias it.
+		_, id, payload, err := fr.next(nil)
 		if err != nil {
 			return
 		}
-		var resp Response
-		if err := json.Unmarshal(payload, &resp); err != nil {
-			continue
-		}
+		var res callResult
+		res.err = decodeResponse(payload, &res.resp, strs)
 		c.mu.Lock()
 		ch, ok := c.waiters[id]
 		if ok {
@@ -377,7 +378,7 @@ func (c *Client) readLoop(conn net.Conn) {
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- callResult{resp: resp}
+			ch <- res
 		}
 	}
 }
@@ -405,8 +406,10 @@ func (c *Client) call(op byte, req Request) (Response, error) {
 		delete(c.waiters, id)
 		c.mu.Unlock()
 	}
-	frame, err := EncodeFrame(op, id, req)
+	bp := getFrameBuf()
+	frame, err := AppendRequestFrame(*bp, op, id, &req)
 	if err != nil {
+		putFrameBuf(bp, frame)
 		drop()
 		return Response{}, err
 	}
@@ -415,6 +418,7 @@ func (c *Client) call(op byte, req Request) (Response, error) {
 	conn.SetWriteDeadline(time.Now().Add(c.opt.RequestTimeout))
 	_, werr := conn.Write(frame)
 	c.wmu.Unlock()
+	putFrameBuf(bp, frame)
 	if werr != nil {
 		drop()
 		conn.Close() // wake the read loop into reconnect
@@ -528,7 +532,7 @@ func (c *Client) ReadFrom(topic string, partition int, offset int64, max int) ([
 	if err != nil {
 		return nil, err
 	}
-	return busMsgs(resp.Msgs), nil
+	return resp.Msgs, nil
 }
 
 // Subscribe creates a reader in the named group. Topics are validated
@@ -552,21 +556,10 @@ func (c *Client) Subscribe(group string, topics ...string) (bus.Reader, error) {
 		c:        c,
 		group:    group,
 		topics:   topics,
-		frontier: make(map[string]int64),
+		frontier: make(map[partKey]int64),
 	}
 	c.readers[group] = r
 	return r, nil
-}
-
-func busMsgs(msgs []WireMessage) []bus.Message {
-	if len(msgs) == 0 {
-		return nil
-	}
-	out := make([]bus.Message, len(msgs))
-	for i, m := range msgs {
-		out[i] = fromWire(m)
-	}
-	return out
 }
 
 var _ bus.Broker = (*Client)(nil)

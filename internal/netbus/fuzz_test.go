@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"reflect"
 	"testing"
 )
 
@@ -14,21 +15,22 @@ import (
 // malformed-frame corpus lives in testdata/fuzz/FuzzRPCDecode.
 func FuzzRPCDecode(f *testing.F) {
 	// Well-formed seeds across the op range.
-	ping, _ := EncodeFrame(OpPing, 1, Request{})
+	ping, _ := AppendRequestFrame(nil, OpPing, 1, &Request{})
 	f.Add(ping)
-	pub, _ := EncodeFrame(OpPublish, 42, Request{Topic: "logs", Key: "k", Value: []byte("x"), Source: "s", Seq: 7})
+	pub, _ := AppendRequestFrame(nil, OpPublish, 42, &Request{Topic: "logs", Key: "k", Value: []byte("x"), Source: "s", Seq: 7})
 	f.Add(pub)
-	poll, _ := EncodeFrame(OpPoll, 99, Request{Group: "g", Topics: []string{"logs"}, Max: 10, WaitMs: 50})
+	poll, _ := AppendRequestFrame(nil, OpPoll, 99, &Request{Group: "g", Topics: []string{"logs"}, Max: 10, WaitMs: 50})
 	f.Add(poll)
 	two := append(append([]byte{}, ping...), pub...)
 	f.Add(two)
 	// Malformed seeds: wrong magic, wrong version, zero op, out-of-range
 	// op, oversize length, bad CRC, truncated header and payload.
 	f.Add([]byte("GET / HTTP/1.1\r\n"))
-	f.Add([]byte{'L', 'B', 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{'L', 'B', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{'L', 'B', 1, byte(opMax), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	big := []byte{'L', 'B', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
+	f.Add([]byte{'L', 'B', Version + 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{'L', 'B', Version - 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{'L', 'B', Version, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{'L', 'B', Version, byte(opMax), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	big := []byte{'L', 'B', Version, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
 	f.Add(big)
 	badcrc := append([]byte{}, ping...)
 	badcrc[len(badcrc)-1] ^= 0xFF
@@ -64,12 +66,13 @@ func FuzzRPCDecode(f *testing.F) {
 		}
 		// Round-trip: re-framing the decoded parts must reproduce the
 		// consumed bytes exactly.
-		reframed := AppendFrame(nil, op, id, payload)
+		reframed, _ := sealFrame(append(make([]byte, headerSize), payload...), 0, op, id)
 		if !bytes.Equal(reframed, data[:len(data)-len(rest)]) {
 			t.Fatalf("re-encode mismatch")
 		}
 		// And the stream reader must agree with the pure decoder.
-		sop, sid, spayload, serr := readFrame(bytes.NewReader(data))
+		fr := frameReader{r: bytes.NewReader(data)}
+		sop, sid, spayload, serr := fr.next(nil)
 		if serr != nil || sop != op || sid != id || !bytes.Equal(spayload, payload) {
 			t.Fatalf("readFrame disagrees: op=%d id=%d err=%v", sop, sid, serr)
 		}
@@ -79,7 +82,7 @@ func FuzzRPCDecode(f *testing.F) {
 // TestDecodeFrameErrors pins each malformed shape to its exact error —
 // the classification the fuzz target only checks membership of.
 func TestDecodeFrameErrors(t *testing.T) {
-	valid, _ := EncodeFrame(OpPing, 1, Request{})
+	valid, _ := AppendRequestFrame(nil, OpPing, 1, &Request{})
 	header := func(mut func(h []byte)) []byte {
 		h := append([]byte{}, valid[:headerSize]...)
 		mut(h)
@@ -95,6 +98,7 @@ func TestDecodeFrameErrors(t *testing.T) {
 		{"wrong magic early", []byte("HT"), ErrProtoMismatch},
 		{"wrong magic full", header(func(h []byte) { h[0] = 'X' }), ErrProtoMismatch},
 		{"future version", header(func(h []byte) { h[2] = Version + 1 }), ErrProtoMismatch},
+		{"version-1 peer", header(func(h []byte) { h[2] = 1 }), ErrProtoMismatch},
 		{"zero op", header(func(h []byte) { h[3] = 0 }), ErrBadOp},
 		{"op out of range", header(func(h []byte) { h[3] = byte(opMax) }), ErrBadOp},
 		{"short header", valid[:headerSize-1], ErrTruncated},
@@ -123,4 +127,59 @@ func TestDecodeFrameErrors(t *testing.T) {
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(valid[16:20]) {
 		t.Fatal("payload does not match its checksum")
 	}
+}
+
+// FuzzPayloadDecode feeds arbitrary bytes to the payload codec as a
+// Request and as a Response. The decoder must never panic, must keep
+// every decoded count within what the bytes could hold, must reject with
+// ErrBadPayload alone, and every payload it accepts must re-encode to
+// one that decodes to an equal value.
+func FuzzPayloadDecode(f *testing.F) {
+	for _, req := range roundTripRequests() {
+		f.Add(appendRequest(nil, &req))
+	}
+	for _, resp := range roundTripResponses() {
+		f.Add(appendResponse(nil, &resp))
+	}
+	f.Add(withBits(reqAll + 1))
+	f.Add(withBits(respMsgs, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(withBits(reqHeaders, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		strs := newStrTable()
+		var req Request
+		if err := decodeRequest(data, &req, strs); err != nil {
+			if err != ErrBadPayload {
+				t.Fatalf("request: untyped decode error %v", err)
+			}
+		} else {
+			if len(req.Headers)*2 > len(data) || len(req.Topics) > len(data) || len(req.Value) > len(data) {
+				t.Fatalf("request decoded more elements than %d bytes hold", len(data))
+			}
+			var again Request
+			if err := decodeRequest(appendRequest(nil, &req), &again, nil); err != nil {
+				t.Fatalf("request re-decode: %v", err)
+			}
+			if !reflect.DeepEqual(again, req) {
+				t.Fatalf("request round trip:\n got %#v\nwant %#v", again, req)
+			}
+		}
+		var resp Response
+		if err := decodeResponse(data, &resp, strs); err != nil {
+			if err != ErrBadPayload {
+				t.Fatalf("response: untyped decode error %v", err)
+			}
+			return
+		}
+		if len(resp.Msgs)*minMsgBytes > len(data) || len(resp.Offsets)*2 > len(data) {
+			t.Fatalf("response decoded more elements than %d bytes hold", len(data))
+		}
+		var again Response
+		if err := decodeResponse(appendResponse(nil, &resp), &again, nil); err != nil {
+			t.Fatalf("response re-decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, resp) {
+			t.Fatalf("response round trip:\n got %#v\nwant %#v", again, resp)
+		}
+	})
 }

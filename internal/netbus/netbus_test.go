@@ -129,6 +129,71 @@ func TestPublishDedup(t *testing.T) {
 	}
 }
 
+// TestDedupClaimReleasedOnFailedPublish: a publish that fails broker-side
+// (the topic does not exist yet) must not leave its sequence claimed, or
+// the retry is acked as a duplicate and the line is never appended — the
+// agent-started-before-the-worker case.
+func TestDedupClaimReleasedOnFailedPublish(t *testing.T) {
+	srv, c := startBroker(t, Options{})
+	if err := c.publishSeq("logs", "s1", []byte("line-1"), nil, "s1", 1); err == nil {
+		t.Fatal("publish to a missing topic should fail")
+	}
+	if err := c.CreateTopic("logs", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.publishSeq("logs", "s1", []byte("line-1"), nil, "s1", 1); err != nil {
+		t.Fatalf("retry after the topic exists: %v", err)
+	}
+	if end, _ := srv.Bus().EndOffset("logs", 0); end != 1 {
+		t.Fatalf("EndOffset = %d, want 1 (retry was deduplicated against a failed claim)", end)
+	}
+	// A re-send after the successful publish still dedups.
+	if err := c.publishSeq("logs", "s1", []byte("line-1"), nil, "s1", 1); err != nil {
+		t.Fatal(err)
+	}
+	if end, _ := srv.Bus().EndOffset("logs", 0); end != 1 {
+		t.Fatalf("EndOffset = %d after a re-send, want 1", end)
+	}
+}
+
+// TestPublisherBeforeTopicExists drives the same case through the
+// spooling Publisher: one line sent, the topic created after the first
+// attempt failed, then Drain.
+func TestPublisherBeforeTopicExists(t *testing.T) {
+	srv, c := startBroker(t, Options{})
+	reg := metrics.NewRegistry()
+	srv.SetMetrics(reg)
+	spool, err := OpenSpool(SpoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := NewPublisher(c, "logs", spool)
+	defer pub.Close()
+	if err := pub.Send("s1", 1, "line-1"); err != nil {
+		t.Fatal(err)
+	}
+	served := reg.Counter("netbus_requests_served_total")
+	deadline := time.Now().Add(5 * time.Second)
+	for served.Value() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // let the failed attempt answer
+	if err := c.CreateTopic("logs", 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := pub.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if got := pub.Acked(); got != 1 {
+		t.Fatalf("Acked = %d, want 1", got)
+	}
+	if end, _ := srv.Bus().EndOffset("logs", 0); end != 1 {
+		t.Fatalf("EndOffset = %d, want 1: the acked line was never appended", end)
+	}
+}
+
 func TestManualCommitSurvivesPollPath(t *testing.T) {
 	_, c := startBroker(t, Options{})
 	if err := c.CreateTopic("logs", 1); err != nil {

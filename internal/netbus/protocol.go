@@ -8,27 +8,26 @@
 // Frame layout (little-endian, CRC-framed like the storage WAL):
 //
 //	[0:2]   magic "LB"
-//	[2]     protocol version (1)
+//	[2]     protocol version (2)
 //	[3]     op code
 //	[4:12]  request id (echoed in the response)
 //	[12:16] payload length
 //	[16:20] CRC32 (IEEE) of the payload
-//	[20:..] JSON payload (Request on the way in, Response on the way out)
+//	[20:..] payload (Request on the way in, Response on the way out),
+//	        in the binary codec of payload.go
 //
 // The magic and version bytes are checked before anything else is
-// touched, so a peer speaking a different protocol (or a future
-// incompatible revision) fails with ErrProtoMismatch at decode time
-// instead of mis-parsing garbage lengths.
+// touched, so a peer speaking a different protocol or revision (a
+// version-1 peer still sending JSON payloads, say) fails with
+// ErrProtoMismatch at decode time instead of mis-parsing garbage lengths.
 package netbus
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
-	"time"
+	"sync"
 
 	"loglens/internal/bus"
 )
@@ -37,7 +36,7 @@ import (
 const (
 	magic0  = 'L'
 	magic1  = 'B'
-	Version = 1
+	Version = 2
 
 	// headerSize is the fixed frame header length.
 	headerSize = 20
@@ -110,86 +109,49 @@ var (
 )
 
 // Request is the RPC request payload. Fields are op-specific; unused
-// ones stay at their zero value and are omitted from the JSON.
+// ones stay at their zero value and are left out of the encoding.
 type Request struct {
-	Topic      string            `json:"topic,omitempty"`
-	Partition  int               `json:"partition,omitempty"`
-	Partitions int               `json:"partitions,omitempty"`
-	Key        string            `json:"key,omitempty"`
-	Value      []byte            `json:"value,omitempty"`
-	Headers    map[string]string `json:"headers,omitempty"`
-	Group      string            `json:"group,omitempty"`
-	Topics     []string          `json:"topics,omitempty"`
-	Offset     int64             `json:"offset,omitempty"`
-	Max        int               `json:"max,omitempty"`
+	Topic      string
+	Partition  int
+	Partitions int
+	Key        string
+	Value      []byte
+	Headers    map[string]string
+	Group      string
+	Topics     []string
+	Offset     int64
+	Max        int
 	// Manual runs the server-side consumer with auto-commit disabled
 	// (OpPoll).
-	Manual bool `json:"manual,omitempty"`
+	Manual bool
 	// WaitMs bounds how long an OpPoll may block broker-side before
 	// returning an empty batch (0 = non-blocking TryPoll).
-	WaitMs int64 `json:"waitMs,omitempty"`
+	WaitMs int64
 	// Source and Seq carry the publisher's idempotence identity
 	// (OpPublish): the broker drops a publish whose per-(topic, source)
 	// sequence it has already appended, so a spooling agent may re-send
 	// after a lost ack without duplicating lines. Seq 0 disables dedup.
-	Source string `json:"source,omitempty"`
-	Seq    uint64 `json:"seq,omitempty"`
-}
-
-// WireMessage is one bus message in transit.
-type WireMessage struct {
-	Topic     string            `json:"topic"`
-	Partition int               `json:"partition"`
-	Offset    int64             `json:"offset"`
-	Key       string            `json:"key,omitempty"`
-	Value     []byte            `json:"value,omitempty"`
-	Headers   map[string]string `json:"headers,omitempty"`
-	TimeNanos int64             `json:"time"`
-}
-
-// toWire converts a bus message for transit.
-func toWire(m bus.Message) WireMessage {
-	return WireMessage{
-		Topic:     m.Topic,
-		Partition: m.Partition,
-		Offset:    m.Offset,
-		Key:       m.Key,
-		Value:     m.Value,
-		Headers:   m.Headers,
-		TimeNanos: m.Time.UnixNano(),
-	}
-}
-
-// fromWire converts a transit message back to a bus message.
-func fromWire(w WireMessage) bus.Message {
-	return bus.Message{
-		Topic:     w.Topic,
-		Partition: w.Partition,
-		Offset:    w.Offset,
-		Key:       w.Key,
-		Value:     w.Value,
-		Headers:   w.Headers,
-		Time:      time.Unix(0, w.TimeNanos),
-	}
+	Source string
+	Seq    uint64
 }
 
 // Response is the RPC response payload.
 type Response struct {
 	// Err carries a broker-side error as text ("" = success).
-	Err string `json:"err,omitempty"`
+	Err string
 	// Partition/Offset answer publishes and offset queries; Offset also
 	// carries lag answers.
-	Partition int   `json:"partition,omitempty"`
-	Offset    int64 `json:"offset,omitempty"`
+	Partition int
+	Offset    int64
 	// Count answers OpPartitions.
-	Count int `json:"count,omitempty"`
+	Count int
 	// Offsets answers OpGroupOffsets.
-	Offsets map[string]int64 `json:"offsets,omitempty"`
+	Offsets map[string]int64
 	// Msgs answers OpPoll/OpReadFrom.
-	Msgs []WireMessage `json:"msgs,omitempty"`
+	Msgs []bus.Message
 	// Dup marks a publish the broker deduplicated (already-seen Seq):
 	// acknowledged, nothing appended.
-	Dup bool `json:"dup,omitempty"`
+	Dup bool
 }
 
 // errResponse wraps a broker-side error for transit.
@@ -200,28 +162,55 @@ func errResponse(err error) Response {
 	return Response{Err: err.Error()}
 }
 
-// AppendFrame appends one framed message to dst and returns the extended
-// slice.
-func AppendFrame(dst []byte, op byte, id uint64, payload []byte) []byte {
-	var h [headerSize]byte
+// AppendRequestFrame appends req, encoded and framed, to dst.
+func AppendRequestFrame(dst []byte, op byte, id uint64, req *Request) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, headerSize)...)
+	return sealFrame(appendRequest(dst, req), start, op, id)
+}
+
+// AppendResponseFrame appends resp, encoded and framed, to dst.
+func AppendResponseFrame(dst []byte, op byte, id uint64, resp *Response) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, make([]byte, headerSize)...)
+	return sealFrame(appendResponse(dst, resp), start, op, id)
+}
+
+// sealFrame fills in the header reserved at frame[start:] once the
+// payload behind it is written. An oversize payload is cut off again and
+// reported as ErrFrameTooBig.
+func sealFrame(frame []byte, start int, op byte, id uint64) ([]byte, error) {
+	payload := frame[start+headerSize:]
+	if len(payload) > MaxPayloadBytes {
+		return frame[:start], ErrFrameTooBig
+	}
+	h := frame[start : start+headerSize]
 	h[0], h[1], h[2], h[3] = magic0, magic1, Version, op
 	binary.LittleEndian.PutUint64(h[4:12], id)
 	binary.LittleEndian.PutUint32(h[12:16], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(h[16:20], crc32.ChecksumIEEE(payload))
-	dst = append(dst, h[:]...)
-	return append(dst, payload...)
+	return frame, nil
 }
 
-// EncodeFrame marshals v and frames it.
-func EncodeFrame(op byte, id uint64, v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("netbus: encode op %d: %w", op, err)
+// maxPooledFrame caps the frame buffers framePool keeps, so one large
+// poll response does not pin its buffer.
+const maxPooledFrame = 1 << 20
+
+// framePool recycles encode buffers: a frame is dead once conn.Write
+// returns.
+var framePool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
+
+func putFrameBuf(b *[]byte, frame []byte) {
+	if cap(frame) > maxPooledFrame {
+		return
 	}
-	if len(payload) > MaxPayloadBytes {
-		return nil, ErrFrameTooBig
-	}
-	return AppendFrame(make([]byte, 0, headerSize+len(payload)), op, id, payload), nil
+	*b = frame[:0]
+	framePool.Put(b)
 }
 
 // DecodeFrame decodes one frame from the front of data, returning the
@@ -262,11 +251,19 @@ func DecodeFrame(data []byte) (op byte, id uint64, payload, rest []byte, err err
 	return op, id, payload, data[headerSize+int(n):], nil
 }
 
-// readFrame reads one frame from a stream. Unlike DecodeFrame a short
+// frameReader reads frames from a stream. Unlike DecodeFrame a short
 // read is an I/O error: the connection died mid-frame.
-func readFrame(r io.Reader) (op byte, id uint64, payload []byte, err error) {
-	var h [headerSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
+type frameReader struct {
+	r   io.Reader
+	hdr [headerSize]byte
+}
+
+// next reads one frame. The payload lands in buf when it has room (buf
+// may be nil), so a caller that is done with each payload before the
+// next read can reuse one buffer.
+func (fr *frameReader) next(buf []byte) (op byte, id uint64, payload []byte, err error) {
+	h := fr.hdr[:]
+	if _, err := io.ReadFull(fr.r, h); err != nil {
 		return 0, 0, nil, err
 	}
 	if h[0] != magic0 || h[1] != magic1 || h[2] != Version {
@@ -280,8 +277,12 @@ func readFrame(r io.Reader) (op byte, id uint64, payload []byte, err error) {
 	if n > MaxPayloadBytes {
 		return 0, 0, nil, ErrFrameTooBig
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(buf)) >= n {
+		payload = buf[:n]
+	} else {
+		payload = make([]byte, n)
+	}
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return 0, 0, nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(h[16:20]) {

@@ -24,27 +24,33 @@ type Reader struct {
 
 	mu     sync.Mutex
 	manual bool
-	// frontier maps "topic/partition" to the next offset this Reader has
-	// yet to deliver; redelivered messages below it are dropped.
-	frontier map[string]int64
+	// frontier maps a partition to the next offset this Reader has yet to
+	// deliver; redelivered messages below it are dropped.
+	frontier map[partKey]int64
+}
+
+// partKey names one partition in the frontier.
+type partKey struct {
+	topic     string
+	partition int
 }
 
 // filter drops messages the frontier has already delivered and advances
-// it past the rest.
-func (r *Reader) filter(msgs []WireMessage) []bus.Message {
+// it past the rest, compacting msgs in place.
+func (r *Reader) filter(msgs []bus.Message) []bus.Message {
 	if len(msgs) == 0 {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]bus.Message, 0, len(msgs))
-	for _, w := range msgs {
-		key := bus.PartitionKey(w.Topic, w.Partition)
-		if next, ok := r.frontier[key]; ok && w.Offset < next {
+	out := msgs[:0]
+	for _, m := range msgs {
+		key := partKey{m.Topic, m.Partition}
+		if next, ok := r.frontier[key]; ok && m.Offset < next {
 			continue // redelivered after a resume; already handed out
 		}
-		r.frontier[key] = w.Offset + 1
-		out = append(out, fromWire(w))
+		r.frontier[key] = m.Offset + 1
+		out = append(out, m)
 	}
 	if len(out) == 0 {
 		return nil
@@ -56,7 +62,7 @@ func (r *Reader) filter(msgs []WireMessage) []bus.Message {
 // rewind is intentional, so redelivery below the old frontier must flow.
 func (r *Reader) resetFrontier(topic string, partition int, offset int64) {
 	r.mu.Lock()
-	r.frontier[bus.PartitionKey(topic, partition)] = offset
+	r.frontier[partKey{topic, partition}] = offset
 	r.mu.Unlock()
 }
 

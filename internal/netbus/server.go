@@ -2,8 +2,8 @@ package netbus
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -164,17 +164,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	var wmu sync.Mutex
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
-	br := bufio.NewReaderSize(conn, 64<<10)
+	fr := frameReader{r: bufio.NewReaderSize(conn, 64<<10)}
+	strs := newStrTable()
+	// One payload buffer serves every frame: a request is decoded, with
+	// its value copied out, before the next frame is read.
+	var buf []byte
 	for {
-		op, id, payload, err := readFrame(br)
+		op, id, payload, err := fr.next(buf)
 		if err != nil {
 			return // disconnect, or a protocol violation: drop the conn
 		}
+		if cap(payload) <= maxPooledFrame {
+			buf = payload[:0]
+		}
 		var req Request
-		if err := unmarshalStrictEnough(payload, &req); err != nil {
+		if err := decodeRequest(payload, &req, strs); err != nil {
 			s.respond(conn, &wmu, op, id, errResponse(err))
 			continue
 		}
+		req.Value = bytes.Clone(req.Value)
 		hwg.Add(1)
 		go func(op byte, id uint64, req Request) {
 			defer hwg.Done()
@@ -184,24 +192,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// unmarshalStrictEnough decodes a request payload. JSON keeps the
-// protocol debuggable; the CRC in the frame already guards integrity.
-func unmarshalStrictEnough(payload []byte, req *Request) error {
-	if err := json.Unmarshal(payload, req); err != nil {
-		return fmt.Errorf("netbus: bad request payload: %w", err)
-	}
-	return nil
-}
-
 func (s *Server) respond(conn net.Conn, wmu *sync.Mutex, op byte, id uint64, resp Response) {
-	frame, err := EncodeFrame(op, id, resp)
+	bp := getFrameBuf()
+	frame, err := AppendResponseFrame(*bp, op, id, &resp)
 	if err != nil {
-		frame, _ = EncodeFrame(op, id, Response{Err: err.Error()})
+		frame, _ = AppendResponseFrame(frame[:0], op, id, &Response{Err: err.Error()})
 	}
 	wmu.Lock()
-	defer wmu.Unlock()
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
 	conn.Write(frame)
+	wmu.Unlock()
+	putFrameBuf(bp, frame)
 }
 
 // handle executes one request against the bus.
@@ -221,11 +222,24 @@ func (s *Server) handle(op byte, req Request) Response {
 				return Response{Dup: true}
 			}
 			// Claim the sequence before publishing: a concurrent re-send
-			// of the same seq dedups against the claim. The publisher
-			// drains serially per source, so a failed publish after a
-			// claim cannot strand a gap.
+			// of the same seq dedups against the claim.
+			prev := s.dedup[key]
 			s.dedup[key] = req.Seq
 			s.dedupMu.Unlock()
+			part, off, err := s.bus.Publish(req.Topic, req.Key, req.Value, req.Headers)
+			if err != nil {
+				// Release the claim, or the publisher's retry would be
+				// acked as a duplicate of a line that was never appended
+				// (an agent that starts before the worker creates the
+				// topic).
+				s.dedupMu.Lock()
+				if s.dedup[key] == req.Seq {
+					s.dedup[key] = prev
+				}
+				s.dedupMu.Unlock()
+				return errResponse(err)
+			}
+			return Response{Partition: part, Offset: off}
 		}
 		part, off, err := s.bus.Publish(req.Topic, req.Key, req.Value, req.Headers)
 		if err != nil {
@@ -287,7 +301,7 @@ func (s *Server) handle(op byte, req Request) Response {
 		if err != nil {
 			return errResponse(err)
 		}
-		return Response{Msgs: wireMsgs(msgs)}
+		return Response{Msgs: msgs}
 	case OpResume:
 		s.bus.ResetReadToCommitted(req.Group)
 		return Response{}
@@ -301,7 +315,7 @@ func (s *Server) handlePoll(req Request) Response {
 		return errResponse(err)
 	}
 	if req.WaitMs <= 0 {
-		return Response{Msgs: wireMsgs(c.TryPoll(req.Max))}
+		return Response{Msgs: c.TryPoll(req.Max)}
 	}
 	wait := time.Duration(req.WaitMs) * time.Millisecond
 	if wait > maxServerWait {
@@ -313,7 +327,7 @@ func (s *Server) handlePoll(req Request) Response {
 	if err != nil {
 		return Response{} // long-poll timeout: empty batch, client re-polls
 	}
-	return Response{Msgs: wireMsgs(msgs)}
+	return Response{Msgs: msgs}
 }
 
 // consumer resolves (creating on first use) the server-side consumer for
@@ -343,15 +357,4 @@ func (s *Server) consumer(group string, topics []string, manual bool) (*bus.Cons
 	}
 	s.consumers[group] = c
 	return c, nil
-}
-
-func wireMsgs(msgs []bus.Message) []WireMessage {
-	if len(msgs) == 0 {
-		return nil
-	}
-	out := make([]WireMessage, len(msgs))
-	for i, m := range msgs {
-		out[i] = toWire(m)
-	}
-	return out
 }

@@ -177,17 +177,18 @@ func (e *engine) stageIndex(ix *Index, plan sealPlan, bucket time.Time) (*staged
 			if r.seg != nil && victims[r.seg] {
 				continue
 			}
-			var doc Document
+			sd := segDoc{ID: id, Ord: r.ord}
 			if r.seg == nil {
-				doc = pe.mem[id]
+				md := pe.mem[id]
+				sd.Doc, sd.raw = md.doc, md.raw
 			} else {
 				var err error
-				doc, err = r.seg.fetchDoc(r)
+				sd.Doc, err = r.seg.fetchDoc(r)
 				if err != nil {
 					return nil, fmt.Errorf("store: compact %q: %w", ix.name, err)
 				}
 			}
-			docs = append(docs, segDoc{ID: id, Ord: r.ord, Doc: doc})
+			docs = append(docs, sd)
 		}
 		if len(docs) > 0 {
 			if err := e.stageSegment(st, docs, bucket); err != nil {
@@ -230,7 +231,8 @@ func (e *engine) stageIndex(ix *Index, plan sealPlan, bucket time.Time) (*staged
 			return pe.refs[st.memIDs[i]].ord < pe.refs[st.memIDs[j]].ord
 		})
 		for _, id := range st.memIDs {
-			docs = append(docs, segDoc{ID: id, Ord: pe.refs[id].ord, Doc: pe.mem[id]})
+			md := pe.mem[id]
+			docs = append(docs, segDoc{ID: id, Ord: pe.refs[id].ord, Doc: md.doc, raw: md.raw})
 		}
 		if len(docs) > 0 {
 			if err := e.stageSegment(st, docs, bucket); err != nil {
@@ -303,7 +305,7 @@ func (e *engine) commitIndex(st *stagedIndex) {
 		// Every live id was merged into newSeg; anything still pointing
 		// at an old segment was an age-retention victim — evict it.
 		evictOrphansLocked(ix, func(r ref) bool { return r.seg == nil || r.seg == st.newSeg })
-		pe.mem = make(map[string]Document)
+		pe.mem = make(map[string]memDoc)
 		pe.dead = make(map[string]bool)
 		e.segsDropped += uint64(len(old))
 		for _, sg := range old {
@@ -340,7 +342,7 @@ func (e *engine) commitIndex(st *stagedIndex) {
 		}
 	}
 	pe.segs = newSegs
-	pe.mem = make(map[string]Document)
+	pe.mem = make(map[string]memDoc)
 	pe.dead = make(map[string]bool)
 }
 

@@ -121,7 +121,7 @@ type ref struct {
 type persistIndex struct {
 	eng  *engine
 	refs map[string]ref
-	mem  map[string]Document
+	mem  map[string]memDoc
 	segs []*segment
 	// dead collects ids deleted since the last manifest whose older
 	// copies may live in segments; sealed as tombstones.
@@ -133,6 +133,14 @@ type persistIndex struct {
 	// dropped marks a detached (DeleteIndex'd) index: stale handles keep
 	// working in memory but no longer log to the WAL.
 	dropped bool
+}
+
+// memDoc is one memtable document: the canonical form queries read, and
+// the JSON bytes it was encoded to (nil when it has none), which the WAL
+// logged and the seal writes out again as they are.
+type memDoc struct {
+	doc Document
+	raw []byte
 }
 
 type engine struct {
@@ -293,7 +301,7 @@ func (e *engine) loadIndex(ix *Index, mi *manifestIndex) error {
 	pe.nextOrd = mi.NextOrd
 	pe.segs = pe.segs[:0]
 	pe.refs = make(map[string]ref)
-	pe.mem = make(map[string]Document)
+	pe.mem = make(map[string]memDoc)
 	pe.dead = make(map[string]bool)
 	for j := range mi.Segments {
 		sg, err := e.openSegment(mi.Segments[j])
@@ -416,7 +424,7 @@ func (e *engine) applyRecord(rec *walRecord) {
 		if err := json.Unmarshal(rec.Doc, &doc); err != nil {
 			return
 		}
-		ix.pe.applyPut(ix, rec.ID, rec.Ord, doc)
+		ix.pe.applyPut(ix, rec.ID, rec.Ord, memDoc{doc: doc, raw: rec.Doc})
 		ix.seq = rec.Seq
 	case walDel:
 		if ix := e.byName[rec.Ix]; ix != nil {
@@ -459,7 +467,7 @@ func (e *engine) attachLocked(ix *Index) {
 	ix.pe = &persistIndex{
 		eng:  e,
 		refs: make(map[string]ref),
-		mem:  make(map[string]Document),
+		mem:  make(map[string]memDoc),
 		dead: make(map[string]bool),
 	}
 	e.indices = append(e.indices, ix)
@@ -704,27 +712,12 @@ func (e *engine) stopLoops() {
 	e.wg.Wait()
 }
 
-// canonicalize JSON round-trips a document so memtable and segment copies
-// have identical dynamic types (float64 numbers, RFC3339 strings) — the
-// property the oracle-equivalence tests lean on.
-func canonicalize(doc Document) (json.RawMessage, Document, error) {
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: unencodable document: %w", err)
-	}
-	var cdoc Document
-	if err := json.Unmarshal(raw, &cdoc); err != nil {
-		return nil, nil, fmt.Errorf("store: canonicalize: %w", err)
-	}
-	return raw, cdoc, nil
-}
-
 // --- persistent Index mutations -------------------------------------
 
 // put is the persistent Put/PutAuto body.
 func (pe *persistIndex) put(ix *Index, id string, doc Document, auto bool) string {
 	e := pe.eng
-	raw, cdoc, cerr := canonicalize(doc)
+	raw, cdoc, cerr := encodeDoc(doc)
 	e.mu.Lock()
 	ix.mu.Lock()
 	if auto {
@@ -740,10 +733,10 @@ func (pe *persistIndex) put(ix *Index, id string, doc Document, auto bool) strin
 	if cerr != nil {
 		// Unencodable document: stays queryable in memory, cannot be
 		// made durable. Surface through Stats/health.
-		pe.applyPut(ix, id, ord, cloneDoc(doc))
+		pe.applyPut(ix, id, ord, memDoc{doc: cloneDoc(doc)})
 		e.setErr(cerr)
 	} else {
-		pe.applyPut(ix, id, ord, cdoc)
+		pe.applyPut(ix, id, ord, memDoc{doc: cdoc, raw: raw})
 		if !pe.dropped {
 			e.logLocked(walRecord{Op: walPut, Ix: ix.name, ID: id, Ord: ord, Seq: ix.seq, Doc: raw})
 		}
@@ -757,7 +750,7 @@ func (pe *persistIndex) put(ix *Index, id string, doc Document, auto bool) strin
 
 // applyPut installs a canonical document into the memtable, preserving
 // the scan-order slot (and ord) of a replaced id. Shared with replay.
-func (pe *persistIndex) applyPut(ix *Index, id string, ord uint64, doc Document) {
+func (pe *persistIndex) applyPut(ix *Index, id string, ord uint64, doc memDoc) {
 	if old, ok := pe.refs[id]; ok {
 		if old.seg != nil {
 			old.seg.live--
@@ -897,7 +890,7 @@ func (pe *persistIndex) applyLoad(ix *Index, docs map[string]Document) {
 		}
 	}
 	pe.refs = make(map[string]ref, len(docs))
-	pe.mem = make(map[string]Document, len(docs))
+	pe.mem = make(map[string]memDoc, len(docs))
 	pe.dead = make(map[string]bool)
 	pe.watermark = pe.nextOrd
 	ix.order = ix.order[:0]
@@ -910,7 +903,7 @@ func (pe *persistIndex) applyLoad(ix *Index, docs map[string]Document) {
 		ord := pe.nextOrd
 		pe.nextOrd++
 		pe.refs[id] = ref{ord: ord}
-		pe.mem[id] = docs[id]
+		pe.mem[id] = memDoc{doc: docs[id]}
 		ix.order = append(ix.order, id)
 	}
 }
@@ -923,7 +916,7 @@ func (pe *persistIndex) applyLoad(ix *Index, docs map[string]Document) {
 // and the document is skipped — detected, never silent.
 func (pe *persistIndex) fetch(id string, r ref, retain bool) (Document, bool) {
 	if r.seg == nil {
-		d := pe.mem[id]
+		d := pe.mem[id].doc
 		if retain {
 			return cloneDoc(d), true
 		}

@@ -136,7 +136,7 @@ func (s *Store) LoadGeneration(gen uint64) error {
 		pe := ix.pe
 		pe.segs, pe.watermark, pe.nextOrd = nil, 0, 0
 		pe.refs = make(map[string]ref)
-		pe.mem = make(map[string]Document)
+		pe.mem = make(map[string]memDoc)
 		pe.dead = make(map[string]bool)
 		ix.order = ix.order[:0]
 		ix.seq, ix.retention, ix.evicted = 0, 0, 0

@@ -47,6 +47,8 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 	name := func() string { return names[rng.Intn(len(names))] }
 	id := func() string { return fmt.Sprintf("id%02d", rng.Intn(40)) }
 
+	zones := []*time.Location{time.UTC, time.FixedZone("CEST", 2*3600), time.FixedZone("NST", -(3*3600 + 30*60))}
+	weird := []string{"\xff", "ok\xc3(", "<a & b>", "line\u2028para\u2029", "\x00\x01\b\f\n\r\t\x1f", `q"\`}
 	randDoc := func() Document {
 		doc := Document{
 			"n": rng.Intn(100),
@@ -60,6 +62,28 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 		}
 		if rng.Intn(5) == 0 {
 			doc["flag"] = rng.Intn(2) == 0
+		}
+		// Values the encode-once path converts itself: integers past
+		// float64's exact range, raw times (zoned, or carrying a monotonic
+		// reading), nested maps and slices, and strings JSON must escape
+		// or repair.
+		if rng.Intn(3) == 0 {
+			doc["u"] = rng.Uint64()
+		}
+		switch rng.Intn(4) {
+		case 0:
+			doc["at"] = clk.Now().Add(time.Duration(rng.Intn(7200)) * time.Second).In(zones[rng.Intn(len(zones))])
+		case 1:
+			doc["at"] = time.Now()
+		}
+		if rng.Intn(4) == 0 {
+			doc["nest"] = map[string]any{
+				"k": []any{rng.Intn(5), weird[rng.Intn(len(weird))], nil, map[string]any{"b": rng.Intn(2) == 0}},
+				"f": float32(rng.Float64()),
+			}
+		}
+		if rng.Intn(3) == 0 {
+			doc["w"] = weird[rng.Intn(len(weird))]
 		}
 		return doc
 	}
@@ -86,16 +110,28 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 		return q
 	}
 
+	// mustEq compares results in canonical JSON form: the oracle keeps the
+	// values as given, the engine their canonical form (float64 numbers,
+	// RFC 3339 strings, repaired UTF-8), which one JSON round trip of the
+	// oracle's result reproduces.
+	canonJSON := func(op, who string, v any) []byte {
+		t.Helper()
+		j, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("%s: marshal %s result: %v", op, who, err)
+		}
+		var back any
+		if err := json.Unmarshal(j, &back); err != nil {
+			t.Fatalf("%s: unmarshal %s result: %v", op, who, err)
+		}
+		if j, err = json.Marshal(back); err != nil {
+			t.Fatalf("%s: re-marshal %s result: %v", op, who, err)
+		}
+		return j
+	}
 	mustEq := func(op string, a, b any) {
 		t.Helper()
-		aj, err := json.Marshal(a)
-		if err != nil {
-			t.Fatalf("%s: marshal engine result: %v", op, err)
-		}
-		bj, err := json.Marshal(b)
-		if err != nil {
-			t.Fatalf("%s: marshal oracle result: %v", op, err)
-		}
+		aj, bj := canonJSON(op, "engine", a), canonJSON(op, "oracle", b)
 		if !bytes.Equal(aj, bj) {
 			t.Fatalf("%s diverged:\nengine: %s\noracle: %s", op, aj, bj)
 		}

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 	"sync"
 	"time"
 
@@ -56,14 +57,20 @@ var (
 	errOutOfRange = errors.New("store: segment: directory entry out of range")
 )
 
-// appendRecord frames payload as [len][crc][payload] onto dst. The frame
-// is shared by segment records and WAL records.
-func appendRecord(dst []byte, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// appendRecord frames the payload enc appends onto dst as
+// [len][crc][payload], encoding it in place behind a reserved header. The
+// frame is shared by segment records and WAL records. On error dst comes
+// back as it was.
+func appendRecord[T any](dst []byte, v T, enc func([]byte, T) ([]byte, error)) ([]byte, error) {
+	start := len(dst)
+	dst, err := enc(append(dst, make([]byte, 8)...), v)
+	if err != nil {
+		return dst[:start], err
+	}
+	payload := dst[start+8:]
+	binary.LittleEndian.PutUint32(dst[start:start+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:start+8], crc32.ChecksumIEEE(payload))
+	return dst, nil
 }
 
 // readRecord decodes one frame at off, returning the payload and the
@@ -94,6 +101,35 @@ type segDoc struct {
 	Ord uint64   `json:"ord,omitempty"`
 	Del bool     `json:"del,omitempty"`
 	Doc Document `json:"doc,omitempty"`
+	// raw is Doc's JSON encoding when the memtable kept it; the record
+	// embeds it instead of marshalling Doc again.
+	raw []byte
+}
+
+// appendSegDoc appends sd's record payload: the bytes json.Marshal(sd)
+// writes, with the document's kept encoding spliced in.
+func appendSegDoc(dst []byte, sd *segDoc) ([]byte, error) {
+	dst = append(dst, `{"id":`...)
+	dst, _ = appendJSONString(dst, sd.ID)
+	if sd.Ord != 0 {
+		dst = append(dst, `,"ord":`...)
+		dst = strconv.AppendUint(dst, sd.Ord, 10)
+	}
+	if sd.Del {
+		dst = append(dst, `,"del":true`...)
+	}
+	if len(sd.Doc) > 0 {
+		raw := sd.raw
+		if raw == nil {
+			var err error
+			if raw, err = json.Marshal(sd.Doc); err != nil {
+				return dst, fmt.Errorf("store: segment: encode doc %q: %w", sd.ID, err)
+			}
+		}
+		dst = append(dst, `,"doc":`...)
+		dst = append(dst, raw...)
+	}
+	return append(dst, '}'), nil
 }
 
 // segEntry is one footer directory row: where the record for ID lives.
@@ -167,12 +203,11 @@ func encodeSegment(docs []segDoc) ([]byte, *segFooter, error) {
 	vals := make(map[string]map[string]bool)
 	for i := range docs {
 		sd := &docs[i]
-		payload, err := json.Marshal(sd)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: segment: encode doc %q: %w", sd.ID, err)
-		}
 		off := int64(len(buf))
-		buf = appendRecord(buf, payload)
+		var err error
+		if buf, err = appendRecord(buf, sd, appendSegDoc); err != nil {
+			return nil, nil, err
+		}
 		ft.Entries = append(ft.Entries, segEntry{
 			ID: sd.ID, Ord: sd.Ord, Off: off, Len: int32(int64(len(buf)) - off), Del: sd.Del,
 		})

@@ -12,16 +12,17 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // WAL operation codes.
 const (
-	walPut   = "put"  // store a document: Ix, ID, Ord, Seq, Doc
-	walDel   = "del"  // delete a document: Ix, ID
-	walRetn  = "retn" // count-cap eviction: Ix, W (watermark), Ev (total)
-	walCap   = "cap"  // SetRetention: Ix, Cap
-	walLoad  = "load" // Load replaces the index: Ix, Doc ({"id": doc} map)
-	walMkIx  = "mkix" // index created: Ix
+	walPut   = "put"   // store a document: Ix, ID, Ord, Seq, Doc
+	walDel   = "del"   // delete a document: Ix, ID
+	walRetn  = "retn"  // count-cap eviction: Ix, W (watermark), Ev (total)
+	walCap   = "cap"   // SetRetention: Ix, Cap
+	walLoad  = "load"  // Load replaces the index: Ix, Doc ({"id": doc} map)
+	walMkIx  = "mkix"  // index created: Ix
 	walDelIx = "delix" // index dropped: Ix
 )
 
@@ -42,13 +43,52 @@ type walRecord struct {
 // encodeWAL frames records into WAL bytes.
 func encodeWAL(dst []byte, recs []walRecord) ([]byte, error) {
 	for i := range recs {
-		payload, err := json.Marshal(&recs[i])
-		if err != nil {
+		var err error
+		if dst, err = appendRecord(dst, &recs[i], appendWALRecord); err != nil {
 			return dst, fmt.Errorf("store: wal: encode %s: %w", recs[i].Op, err)
 		}
-		dst = appendRecord(dst, payload)
 	}
 	return dst, nil
+}
+
+// appendWALRecord appends rec's payload: the bytes json.Marshal(rec)
+// writes, with Doc — already compact JSON from encodeDoc — spliced in
+// rather than re-validated. A load record's Doc is caller-supplied JSON,
+// so it keeps json.Marshal, which compacts it.
+func appendWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
+	if rec.Op == walLoad {
+		payload, err := json.Marshal(rec)
+		return append(dst, payload...), err
+	}
+	dst = append(dst, `{"op":`...)
+	dst, _ = appendJSONString(dst, rec.Op)
+	dst = append(dst, `,"ix":`...)
+	dst, _ = appendJSONString(dst, rec.Ix)
+	if rec.ID != "" {
+		dst = append(dst, `,"id":`...)
+		dst, _ = appendJSONString(dst, rec.ID)
+	}
+	dst = appendUintField(dst, `,"ord":`, rec.Ord)
+	dst = appendUintField(dst, `,"seq":`, rec.Seq)
+	if len(rec.Doc) > 0 {
+		dst = append(dst, `,"doc":`...)
+		dst = append(dst, rec.Doc...)
+	}
+	dst = appendUintField(dst, `,"w":`, rec.W)
+	dst = appendUintField(dst, `,"ev":`, rec.Ev)
+	if rec.Cap != 0 {
+		dst = append(dst, `,"cap":`...)
+		dst = strconv.AppendInt(dst, int64(rec.Cap), 10)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendUintField appends an omitempty integer field.
+func appendUintField(dst []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendUint(append(dst, key...), v, 10)
 }
 
 // decodeWAL replays WAL bytes up to the first torn or corrupt frame,
