@@ -8,7 +8,6 @@
 package bus
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -36,10 +35,6 @@ type Message struct {
 	Time time.Time
 }
 
-// pollInterval bounds how long a blocking Poll waits before re-checking
-// all subscribed partitions and its context.
-const pollInterval = 50 * time.Millisecond
-
 // Bus is the broker. It is safe for concurrent use.
 type Bus struct {
 	clk clock.Clock
@@ -57,6 +52,8 @@ type topic struct {
 	name       string
 	partitions []*partition
 	rr         int // round-robin cursor for keyless publishes
+	// waiters parks the consumers blocked in Wait or Poll on this topic.
+	waiters notifier
 }
 
 // logChunkShift sizes the partition log's chunks (1<<logChunkShift
@@ -71,8 +68,7 @@ const (
 )
 
 type partition struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 	// chunks is the partition log: offset o lives at
 	// chunks[o>>logChunkShift][o&logChunkMask], and length is the next
 	// offset to be assigned.
@@ -114,12 +110,6 @@ func (p *partition) end() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.length
-}
-
-func newPartition() *partition {
-	p := &partition{}
-	p.cond = sync.NewCond(&p.mu)
-	return p
 }
 
 // New creates an empty broker on the wall clock.
@@ -196,7 +186,7 @@ func (b *Bus) CreateTopic(name string, partitions int) error {
 	}
 	t := &topic{name: name}
 	for i := 0; i < partitions; i++ {
-		t.partitions = append(t.partitions, newPartition())
+		t.partitions = append(t.partitions, &partition{})
 	}
 	t.instrument(b.reg)
 	b.topics[name] = t
@@ -294,7 +284,6 @@ func (b *Bus) Broadcast(topicName, key string, value []byte, headers map[string]
 func (b *Bus) publishTo(t *topic, pi int, key string, value []byte, headers map[string]string) (int64, error) {
 	p := t.partitions[pi]
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	// Value and headers are retained as passed — the Publish contract
 	// transfers ownership, so no per-message defensive copies here.
 	m := Message{
@@ -310,7 +299,8 @@ func (b *Bus) publishTo(t *topic, pi int, key string, value []byte, headers map[
 	if p.produced != nil {
 		p.produced.Inc()
 	}
-	p.cond.Broadcast()
+	p.mu.Unlock()
+	t.waiters.wake()
 	return m.Offset, nil
 }
 
@@ -324,37 +314,6 @@ func (b *Bus) EndOffset(topicName string, partition int) (int64, error) {
 		return 0, fmt.Errorf("bus: topic %q has no partition %d", topicName, partition)
 	}
 	return t.partitions[partition].end(), nil
-}
-
-// read returns up to max messages from offset, blocking until at least one
-// is available or the context is done.
-func (p *partition) read(ctx context.Context, offset int64, max int) ([]Message, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.length <= offset {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Wake periodically so context cancellation is honored even
-		// without new messages.
-		done := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-			case <-done:
-			}
-			p.mu.Lock()
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}()
-		p.cond.Wait()
-		close(done)
-	}
-	end := p.length
-	if int64(max) > 0 && offset+int64(max) < end {
-		end = offset + int64(max)
-	}
-	return p.copyRange(offset, end), nil
 }
 
 // tryRead returns up to max messages from offset without blocking.

@@ -35,6 +35,8 @@ type Consumer struct {
 	group     *group
 	groupName string
 	topics    []string
+	// ts holds the subscribed topics, parallel to topics.
+	ts []*topic
 	// manual disables auto-commit for polls issued through this member
 	// of the group.
 	manual bool
@@ -80,16 +82,20 @@ func (b *Bus) NewConsumer(groupName string, topics ...string) (*Consumer, error)
 	if len(topics) == 0 {
 		return nil, fmt.Errorf("bus: consumer group %q: no topics", groupName)
 	}
-	for _, t := range topics {
-		if _, err := b.topic(t); err != nil {
+	ts := make([]*topic, len(topics))
+	for i, name := range topics {
+		t, err := b.topic(name)
+		if err != nil {
 			return nil, err
 		}
+		ts[i] = t
 	}
 	return &Consumer{
 		bus:       b,
 		group:     b.groupByName(groupName),
 		groupName: groupName,
 		topics:    topics,
+		ts:        ts,
 		instr:     make(map[topicPartition]*consumeInstr),
 	}, nil
 }
@@ -144,44 +150,58 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Message, error) {
 		if msgs := c.TryPoll(max); len(msgs) > 0 {
 			return msgs, nil
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Block on the first subscribed partition until something
-		// arrives anywhere; cheap because partitions broadcast on
-		// publish. A short re-check loop keeps multiple-topic
-		// subscriptions live.
-		if err := c.waitAny(ctx); err != nil {
+		if err := c.Wait(ctx); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// Wait blocks until the subscription may have unread messages, a short
-// re-check interval has passed, or ctx is done — without consuming
-// anything. A caller that must mark itself busy before offsets move polls
-// with TryPoll and parks here between empty polls.
-func (c *Consumer) Wait(ctx context.Context) error { return c.waitAny(ctx) }
+// Wait blocks until the subscription may have unread messages or ctx is
+// done, without consuming anything: it returns at once when a subscribed
+// partition holds a message past the group's read offset, and otherwise
+// parks until a publish to any subscribed partition or a rewind of a read
+// offset (Seek, SeekGroup, ResetReadToCommitted) wakes it. A caller that
+// must mark itself busy before offsets move polls with TryPoll and parks
+// here between empty polls.
+func (c *Consumer) Wait(ctx context.Context) error {
+	w := waiterPool.Get().(*waiter)
+	for _, t := range c.ts {
+		t.waiters.add(w)
+	}
+	var err error
+	if !c.pending() {
+		select {
+		case <-w.ch:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	for _, t := range c.ts {
+		t.waiters.remove(w)
+	}
+	// Unregistered, nothing sends any more: drop a late wake so the
+	// pooled waiter starts empty.
+	select {
+	case <-w.ch:
+	default:
+	}
+	waiterPool.Put(w)
+	return err
+}
 
-// waitAny blocks until any subscribed partition has data past the read
-// offset or ctx is done.
-func (c *Consumer) waitAny(ctx context.Context) error {
-	// Wait on the first partition of the first topic with a deadline
-	// re-check; other partitions are caught by the TryPoll retry.
-	t, err := c.bus.topic(c.topics[0])
-	if err != nil {
-		return err
-	}
+// pending reports whether any subscribed partition holds a message past
+// the group's read offset.
+func (c *Consumer) pending() bool {
 	c.group.mu.Lock()
-	off := c.group.read[topicPartition{c.topics[0], 0}]
-	c.group.mu.Unlock()
-	waitCtx, cancel := context.WithTimeout(ctx, pollInterval)
-	defer cancel()
-	_, err = t.partitions[0].read(waitCtx, off, 1)
-	if err != nil && ctx.Err() != nil {
-		return ctx.Err()
+	defer c.group.mu.Unlock()
+	for i, t := range c.ts {
+		for pi, p := range t.partitions {
+			if p.end() > c.group.read[topicPartition{c.topics[i], pi}] {
+				return true
+			}
+		}
 	}
-	return nil
+	return false
 }
 
 // TryPoll returns pending messages without blocking. Read offsets advance
@@ -267,7 +287,8 @@ func (c *Consumer) instrFor(tp topicPartition) *consumeInstr {
 // replaying"). Seek moves the read and committed offsets together: the
 // next poll resumes at offset, and a restart would too.
 func (c *Consumer) Seek(topicName string, partition int, offset int64) error {
-	if _, err := c.bus.topic(topicName); err != nil {
+	t, err := c.bus.topic(topicName)
+	if err != nil {
 		return err
 	}
 	tp := topicPartition{topicName, partition}
@@ -275,6 +296,7 @@ func (c *Consumer) Seek(topicName string, partition int, offset int64) error {
 	c.group.read[tp] = offset
 	c.group.committed[tp] = offset
 	c.group.mu.Unlock()
+	t.waiters.wake()
 	c.bus.recorder().Record(obs.EventBusSeek, c.groupName,
 		fmt.Sprintf("%s/%d seek", topicName, partition), offset)
 	return nil

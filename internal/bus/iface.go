@@ -58,11 +58,18 @@ func (b *Bus) ResetReadToCommitted(groupName string) {
 	if !ok {
 		return
 	}
+	rewound := make(map[string]bool)
 	g.mu.Lock()
 	for tp := range g.read {
 		g.read[tp] = g.committed[tp]
+		rewound[tp.topic] = true
 	}
 	g.mu.Unlock()
+	for name := range rewound {
+		if t, err := b.topic(name); err == nil {
+			t.waiters.wake()
+		}
+	}
 }
 
 var _ Broker = (*Bus)(nil)

@@ -74,6 +74,9 @@ func (b *Bus) SeekGroup(groupName, topicName string, partition int, offset int64
 	g.read[tp] = offset
 	g.committed[tp] = offset
 	g.mu.Unlock()
+	if t, err := b.topic(topicName); err == nil {
+		t.waiters.wake()
+	}
 	b.recorder().Record(obs.EventBusSeek, groupName,
 		fmt.Sprintf("%s/%d restore-seek", topicName, partition), offset)
 }

@@ -223,13 +223,18 @@ func (e *engine) stageIndex(ix *Index, plan sealPlan, bucket time.Time) (*staged
 			}
 		}
 		sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
-		st.memIDs = make([]string, 0, len(pe.mem))
-		for id := range pe.mem {
-			st.memIDs = append(st.memIDs, id)
+		// The scan order is ascending by ord and holds every memtable id;
+		// new ids sit at its tail, so walking back from the end finds
+		// them all after about len(pe.mem) steps when nothing older was
+		// replaced.
+		st.memIDs = make([]string, len(pe.mem))
+		n := len(pe.mem)
+		for i := len(ix.order) - 1; i >= 0 && n > 0; i-- {
+			if _, ok := pe.mem[ix.order[i]]; ok {
+				n--
+				st.memIDs[n] = ix.order[i]
+			}
 		}
-		sort.Slice(st.memIDs, func(i, j int) bool {
-			return pe.refs[st.memIDs[i]].ord < pe.refs[st.memIDs[j]].ord
-		})
 		for _, id := range st.memIDs {
 			md := pe.mem[id]
 			docs = append(docs, segDoc{ID: id, Ord: pe.refs[id].ord, Doc: md.doc, raw: md.raw})

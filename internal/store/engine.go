@@ -12,7 +12,9 @@
 //   - Queries read the merged view: memtable documents plus segment
 //     documents fetched by directory offset, in the exact insertion order
 //     the in-memory engine would use, with footer statistics skipping
-//     segments that provably cannot match.
+//     segments that provably cannot match. A sorted, limited search
+//     (searchTopLocked) also leaves unread the segments whose sort-field
+//     bounds cannot place a document among its hits.
 //   - Compaction and age-based retention (compact.go, retention.go)
 //     replace whole segments in the next manifest; checkpoint restore
 //     re-points at a pinned older generation (incremental checkpoints).
@@ -168,6 +170,7 @@ type engine struct {
 	segsDropped uint64
 
 	segsSkipped atomic.Uint64
+	segDocsRead atomic.Uint64
 	readErrs    atomic.Uint64
 
 	errMu   sync.Mutex
@@ -955,8 +958,11 @@ func (pe *persistIndex) scanLocked(ix *Index, q Query, retain bool, fn func(id s
 	skip := pe.skipSet(q)
 	for _, id := range ix.order {
 		r := pe.refs[id]
-		if r.seg != nil && skip[r.seg] {
-			continue
+		if r.seg != nil {
+			if skip[r.seg] {
+				continue
+			}
+			pe.eng.segDocsRead.Add(1)
 		}
 		doc, ok := pe.fetch(id, r, retain)
 		if !ok {
@@ -966,4 +972,126 @@ func (pe *persistIndex) scanLocked(ix *Index, q Query, retain bool, fn func(id s
 			fn(id, doc)
 		}
 	}
+}
+
+// searchTopLocked serves a sorted, limited search (topk.go) reading as
+// few segment documents as the sort allows: the memtable first, then the
+// segments in order of their footer bound for the sort field, leaving
+// unread (and counted in SegmentsSkipped) each segment whose bound cannot
+// beat the current k-th hit. ok is false when the keys are not all of
+// one kind; the caller then runs the full scan and sort. Caller holds
+// ix.mu (read side).
+func (pe *persistIndex) searchTopLocked(q Query) (hits []Hit, ok bool) {
+	sel := newTopK(q)
+	for id, md := range pe.mem {
+		if matches(md.doc, q) {
+			sel.offer(md.doc[q.SortBy], pe.refs[id].ord, Hit{ID: id, Doc: md.doc})
+		}
+	}
+	type candidate struct {
+		sg      *segment
+		best    ranked
+		bounded bool
+	}
+	skip := pe.skipSet(q)
+	cands := make([]candidate, 0, len(pe.segs))
+	for _, sg := range pe.segs {
+		if sg.live > 0 && !skip[sg] {
+			c := candidate{sg: sg}
+			c.best, c.bounded = sortBound(sg.footer, q)
+			cands = append(cands, c)
+		}
+	}
+	// Segments without a bound must be read anyway: first, so the k-th
+	// hit is as good as it gets before any bound is tested. Then best
+	// bound first.
+	sort.SliceStable(cands, func(i, j int) bool {
+		a, b := &cands[i], &cands[j]
+		switch {
+		case a.bounded != b.bounded:
+			return !a.bounded
+		case !a.bounded:
+			return false
+		case a.best.key.kind != b.best.key.kind:
+			return a.best.key.kind < b.best.key.kind
+		}
+		return sel.before(&a.best, &b.best)
+	})
+	for i := 0; i < len(cands) && !sel.mixed; i++ {
+		c := &cands[i]
+		if c.bounded && !sel.canBeat(&c.best) {
+			pe.eng.segsSkipped.Add(1)
+			continue
+		}
+		pe.offerSegment(sel, c.sg, q)
+	}
+	if sel.mixed {
+		return nil, false
+	}
+	hits = sel.hits()
+	for i := range hits {
+		if pe.refs[hits[i].ID].seg == nil {
+			hits[i].Doc = cloneDoc(hits[i].Doc)
+		}
+	}
+	return hits, true
+}
+
+// offerSegment offers sel the live documents of sg that match q, newest
+// first when descending (see Index.Search).
+func (pe *persistIndex) offerSegment(sel *topK, sg *segment, q Query) {
+	entries := sg.footer.Entries
+	for n := range entries {
+		i := n
+		if q.Desc {
+			i = len(entries) - 1 - n
+		}
+		en := &entries[i]
+		if en.Del {
+			continue
+		}
+		r, ok := pe.refs[en.ID]
+		if !ok || r.seg != sg || r.off != en.Off {
+			continue // shadowed by a newer copy, or gone
+		}
+		pe.eng.segDocsRead.Add(1)
+		doc, ok := pe.fetch(en.ID, r, false)
+		if !ok || !matches(doc, q) {
+			continue
+		}
+		if sel.offer(doc[q.SortBy], r.ord, Hit{ID: en.ID, Doc: doc}); sel.mixed {
+			return
+		}
+	}
+}
+
+// sortBound is the earliest place in the result order any live document
+// of a segment can take: its footer bound for the sort field (TimeMax or
+// NumMax descending, TimeMin or NumMin ascending) with its ord bound.
+// ok is false unless every document carries the field, all as times or
+// all as numbers.
+func sortBound(ft *segFooter, q Query) (best ranked, ok bool) {
+	st := ft.Fields[q.SortBy]
+	if st == nil || st.Count != ft.Count {
+		return best, false
+	}
+	best.pos = ft.MinOrd
+	if q.Desc {
+		best.pos = ft.MaxOrd
+	}
+	switch {
+	case st.TimeCount == st.Count:
+		best.key = timeKey(st.TimeMin)
+		if q.Desc {
+			best.key = timeKey(st.TimeMax)
+		}
+	case st.NumCount == st.Count:
+		best.key = sortKey{kind: kindNum, num: st.NumMin}
+		if q.Desc {
+			best.key.num = st.NumMax
+		}
+	default:
+		return best, false
+	}
+	return best, true
 }

@@ -255,6 +255,7 @@ type Stats struct {
 	Compactions     uint64       `json:"compactions,omitempty"`
 	SegmentsDropped uint64       `json:"segments_dropped,omitempty"`
 	SegmentsSkipped uint64       `json:"segments_skipped,omitempty"`
+	SegmentDocsRead uint64       `json:"segment_docs_read,omitempty"`
 	ReadErrors      uint64       `json:"read_errors,omitempty"`
 	LastError       string       `json:"last_error,omitempty"`
 	Indices         []IndexStats `json:"indices,omitempty"`
@@ -295,6 +296,7 @@ func (s *Store) Stats() Stats {
 		Compactions:     e.compactions,
 		SegmentsDropped: e.segsDropped,
 		SegmentsSkipped: e.segsSkipped.Load(),
+		SegmentDocsRead: e.segDocsRead.Load(),
 		ReadErrors:      e.readErrs.Load(),
 	}
 	if err := e.getErr(); err != nil {

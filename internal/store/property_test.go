@@ -47,46 +47,7 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 	name := func() string { return names[rng.Intn(len(names))] }
 	id := func() string { return fmt.Sprintf("id%02d", rng.Intn(40)) }
 
-	zones := []*time.Location{time.UTC, time.FixedZone("CEST", 2*3600), time.FixedZone("NST", -(3*3600 + 30*60))}
-	weird := []string{"\xff", "ok\xc3(", "<a & b>", "line\u2028para\u2029", "\x00\x01\b\f\n\r\t\x1f", `q"\`}
-	randDoc := func() Document {
-		doc := Document{
-			"n": rng.Intn(100),
-			"s": fmt.Sprintf("v%d", rng.Intn(6)),
-		}
-		if rng.Intn(2) == 0 {
-			doc["f"] = rng.Float64() * 100
-		}
-		if rng.Intn(3) == 0 {
-			doc["time"] = clk.Now().Add(time.Duration(rng.Intn(7200)) * time.Second).Format(time.RFC3339Nano)
-		}
-		if rng.Intn(5) == 0 {
-			doc["flag"] = rng.Intn(2) == 0
-		}
-		// Values the encode-once path converts itself: integers past
-		// float64's exact range, raw times (zoned, or carrying a monotonic
-		// reading), nested maps and slices, and strings JSON must escape
-		// or repair.
-		if rng.Intn(3) == 0 {
-			doc["u"] = rng.Uint64()
-		}
-		switch rng.Intn(4) {
-		case 0:
-			doc["at"] = clk.Now().Add(time.Duration(rng.Intn(7200)) * time.Second).In(zones[rng.Intn(len(zones))])
-		case 1:
-			doc["at"] = time.Now()
-		}
-		if rng.Intn(4) == 0 {
-			doc["nest"] = map[string]any{
-				"k": []any{rng.Intn(5), weird[rng.Intn(len(weird))], nil, map[string]any{"b": rng.Intn(2) == 0}},
-				"f": float32(rng.Float64()),
-			}
-		}
-		if rng.Intn(3) == 0 {
-			doc["w"] = weird[rng.Intn(len(weird))]
-		}
-		return doc
-	}
+	randDoc := func() Document { return propertyDoc(rng, clk) }
 	randQuery := func() Query {
 		var q Query
 		if rng.Intn(2) == 0 {
@@ -256,4 +217,51 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 			t.Fatalf("final Count(%s) diverged: engine %d oracle %d", nm, ec, oc)
 		}
 	}
+}
+
+var (
+	propertyZones = []*time.Location{time.UTC, time.FixedZone("CEST", 2*3600), time.FixedZone("NST", -(3*3600 + 30*60))}
+	propertyWeird = []string{"\xff", "ok\xc3(", "<a & b>", "line\u2028para\u2029", "\x00\x01\b\f\n\r\t\x1f", `q"\`}
+)
+
+// propertyDoc is one random document of the property tests: numbers,
+// strings, times as strings and as values, nested values, and strings
+// JSON must escape or repair.
+func propertyDoc(rng *rand.Rand, clk clock.Clock) Document {
+	doc := Document{
+		"n": rng.Intn(100),
+		"s": fmt.Sprintf("v%d", rng.Intn(6)),
+	}
+	if rng.Intn(2) == 0 {
+		doc["f"] = rng.Float64() * 100
+	}
+	if rng.Intn(3) == 0 {
+		doc["time"] = clk.Now().Add(time.Duration(rng.Intn(7200)) * time.Second).Format(time.RFC3339Nano)
+	}
+	if rng.Intn(5) == 0 {
+		doc["flag"] = rng.Intn(2) == 0
+	}
+	// Values the encode-once path converts itself: integers past
+	// float64's exact range, raw times (zoned, or carrying a monotonic
+	// reading), nested maps and slices, and strings JSON must escape
+	// or repair.
+	if rng.Intn(3) == 0 {
+		doc["u"] = rng.Uint64()
+	}
+	switch rng.Intn(4) {
+	case 0:
+		doc["at"] = clk.Now().Add(time.Duration(rng.Intn(7200)) * time.Second).In(propertyZones[rng.Intn(len(propertyZones))])
+	case 1:
+		doc["at"] = time.Now()
+	}
+	if rng.Intn(4) == 0 {
+		doc["nest"] = map[string]any{
+			"k": []any{rng.Intn(5), propertyWeird[rng.Intn(len(propertyWeird))], nil, map[string]any{"b": rng.Intn(2) == 0}},
+			"f": float32(rng.Float64()),
+		}
+	}
+	if rng.Intn(3) == 0 {
+		doc["w"] = propertyWeird[rng.Intn(len(propertyWeird))]
+	}
+	return doc
 }

@@ -272,7 +272,7 @@ func statFields(ft *segFooter, vals map[string]map[string]bool, doc Document) {
 			st.TimeCount++
 		}
 		if !st.Over {
-			s := fmt.Sprint(v)
+			s := sprint(v)
 			if !vals[field][s] {
 				if len(vals[field]) >= maxStatVals {
 					st.Over = true

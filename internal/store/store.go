@@ -256,22 +256,51 @@ func (ix *Index) Search(q Query) []Hit {
 	ix.mu.RLock()
 	var hits []Hit
 	if ix.pe != nil {
+		if q.SortBy != "" && q.Limit > 0 {
+			if top, ok := ix.pe.searchTopLocked(q); ok {
+				ix.mu.RUnlock()
+				return top
+			}
+		}
 		ix.pe.scanLocked(ix, q, true, func(id string, doc Document) {
 			hits = append(hits, Hit{ID: id, Doc: doc})
 		})
 		ix.mu.RUnlock()
 		return sortAndLimitHits(hits, q)
 	}
-	// Sort and limit the stored documents under the read lock and copy
-	// only the hits returned: the newest-100 listing over an index of
-	// thousands pays 100 copies, not one per match.
+	// Select the hits under the read lock and copy only those returned:
+	// the newest-100 listing over an index of thousands pays 100 copies,
+	// not one per match.
 	defer ix.mu.RUnlock()
-	for _, id := range ix.order {
-		if doc := ix.docs[id]; matches(doc, q) {
-			hits = append(hits, Hit{ID: id, Doc: doc})
+	var sel *topK
+	if q.SortBy != "" && q.Limit > 0 {
+		sel = newTopK(q)
+		// Newest first when descending: on documents inserted roughly in
+		// key order the first offers fill the heap with the winners, and
+		// most later ones lose a single comparison against its root.
+		for n := range ix.order {
+			i := n
+			if q.Desc {
+				i = len(ix.order) - 1 - n
+			}
+			id := ix.order[i]
+			if doc := ix.docs[id]; matches(doc, q) {
+				if sel.offer(doc[q.SortBy], uint64(i), Hit{ID: id, Doc: doc}); sel.mixed {
+					break
+				}
+			}
 		}
 	}
-	hits = sortAndLimitHits(hits, q)
+	if sel != nil && !sel.mixed {
+		hits = sel.hits()
+	} else {
+		for _, id := range ix.order {
+			if doc := ix.docs[id]; matches(doc, q) {
+				hits = append(hits, Hit{ID: id, Doc: doc})
+			}
+		}
+		hits = sortAndLimitHits(hits, q)
+	}
 	if len(hits) == 0 {
 		return nil
 	}
@@ -282,44 +311,55 @@ func (ix *Index) Search(q Query) []Hit {
 	return out
 }
 
-// sortAndLimitHits applies the query's sort and limit to gathered hits —
-// shared by both engines so ordering semantics cannot drift.
+// sortAndLimitHits applies the query's sort and limit to hits gathered
+// in scan order: the full stable sort, for unlimited searches and for
+// keys the selector (topk.go) cannot order. Its order is the selector's:
+// by key, ties by scan position, both reversed when descending.
 func sortAndLimitHits(hits []Hit, q Query) []Hit {
-	if q.SortBy != "" {
-		keys := make([]any, len(hits))
-		for i, h := range hits {
-			keys[i] = h.Doc[q.SortBy]
-		}
-		sort.Stable(hitSorter{hits: hits, keys: keys, desc: q.Desc})
+	n := len(hits)
+	if q.Limit > 0 && n > q.Limit {
+		n = q.Limit
 	}
-	if q.Limit > 0 && len(hits) > q.Limit {
-		hits = hits[:q.Limit]
+	if q.SortBy == "" || n == 0 {
+		return hits[:n]
 	}
-	return hits
+	s := hitSorter{keys: make([]any, len(hits)), perm: make([]int, len(hits)), desc: q.Desc}
+	for i, h := range hits {
+		s.keys[i] = h.Doc[q.SortBy]
+		s.perm[i] = i
+	}
+	sort.Stable(s)
+	out := make([]Hit, n)
+	for i := range out {
+		out[i] = hits[s.perm[i]]
+	}
+	return out
 }
 
-// hitSorter sorts hits by a sort key read from each document once, not
-// once per comparison, swapping hits and keys together.
+// hitSorter sorts scan positions by a sort key read from each hit once,
+// not once per comparison. It swaps positions, not hits, so the sort
+// writes no pointers.
 type hitSorter struct {
-	hits []Hit
 	keys []any
+	perm []int
 	desc bool
 }
 
-func (s hitSorter) Len() int { return len(s.hits) }
+func (s hitSorter) Len() int { return len(s.perm) }
 
 func (s hitSorter) Less(i, j int) bool {
-	less := compareValues(s.keys[i], s.keys[j]) < 0
-	if s.desc {
-		return !less
+	a, b := s.perm[i], s.perm[j]
+	c := compareValues(s.keys[a], s.keys[b])
+	if c == 0 {
+		c = a - b
 	}
-	return less
+	if s.desc {
+		return c > 0
+	}
+	return c < 0
 }
 
-func (s hitSorter) Swap(i, j int) {
-	s.hits[i], s.hits[j] = s.hits[j], s.hits[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
+func (s hitSorter) Swap(i, j int) { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
 
 // CountWhere returns the number of matching documents without
 // materializing them.
@@ -534,7 +574,7 @@ func compareValues(a, b any) int {
 			}
 		}
 	}
-	sa, sb := fmt.Sprint(a), fmt.Sprint(b)
+	sa, sb := sprint(a), sprint(b)
 	switch {
 	case sa < sb:
 		return -1
@@ -570,11 +610,29 @@ func asTime(v any) (time.Time, bool) {
 	case time.Time:
 		return t, true
 	case string:
-		if parsed, err := time.Parse(time.RFC3339Nano, t); err == nil {
-			return parsed, true
+		if maybeRFC3339(t) {
+			if parsed, err := time.Parse(time.RFC3339Nano, t); err == nil {
+				return parsed, true
+			}
 		}
 	}
 	return time.Time{}, false
+}
+
+// maybeRFC3339 is a necessary condition for time.Parse(time.RFC3339Nano,
+// s) to succeed — at least "2006-01-02T1:04:05Z" long, with the date's
+// separators and the 'T' at their fixed offsets — so the strings that
+// are not times skip the parse.
+func maybeRFC3339(s string) bool {
+	return len(s) >= len("2006-01-02T1:04:05Z") && s[4] == '-' && s[7] == '-' && s[10] == 'T'
+}
+
+// sprint is fmt.Sprint, sparing the reflection for strings.
+func sprint(v any) string {
+	if s, ok := v.(string); ok {
+		return s
+	}
+	return fmt.Sprint(v)
 }
 
 func cloneDoc(doc Document) Document {
