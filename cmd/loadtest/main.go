@@ -51,7 +51,6 @@ func main() {
 	partList := flag.String("partitions", "1,2,4", "comma-separated partition counts to sweep (pipeline mode)")
 	logCount := flag.Int("logs", 100000, "logs to stream per configuration (pipeline mode)")
 	sources := flag.Int("sources", 4, "number of concurrent log sources (partition parallelism comes from sources)")
-	staged := flag.Bool("staged", false, "run the staged topology (parser and detector as separate stages over the bus)")
 	seed := flag.Int64("seed", 42, "dataset seed")
 	conns := flag.Int("conns", 16, "concurrent client connections (tcp/http modes)")
 	rate := flag.Int("rate", 0, "target aggregate lines/s across all clients, 0 = unpaced (tcp/http modes)")
@@ -63,7 +62,7 @@ func main() {
 	var err error
 	switch *mode {
 	case "pipeline":
-		err = run(*partList, *logCount, *sources, *staged, *seed)
+		err = run(*partList, *logCount, *sources, *seed)
 	case "tcp", "http":
 		err = runNet(*mode, *conns, *rate, *duration, *tenantRate, *seed)
 	case "bus":
@@ -336,7 +335,7 @@ func httpClient(addr string, id, rate int, deadline time.Time, lines []string, s
 	return nil
 }
 
-func run(partList string, logCount, sources int, staged bool, seed int64) error {
+func run(partList string, logCount, sources int, seed int64) error {
 	corpus := datagen.D1(seed)
 	// Materialize the stream: the test corpus repeated to the target
 	// size.
@@ -355,7 +354,7 @@ func run(partList string, logCount, sources int, staged bool, seed int64) error 
 		if err != nil || parts <= 0 {
 			return fmt.Errorf("bad partition count %q", ps)
 		}
-		elapsed, anomalies, err := runOne(corpus, lines, parts, sources, staged)
+		elapsed, anomalies, err := runOne(corpus, lines, parts, sources)
 		if err != nil {
 			return err
 		}
@@ -366,12 +365,11 @@ func run(partList string, logCount, sources int, staged bool, seed int64) error 
 	return nil
 }
 
-func runOne(corpus datagen.Corpus, lines []string, partitions, sources int, staged bool) (time.Duration, uint64, error) {
+func runOne(corpus datagen.Corpus, lines []string, partitions, sources int) (time.Duration, uint64, error) {
 	p, err := core.New(core.Config{
 		Partitions:            partitions,
 		DisableHeartbeat:      true,
 		DisableAnomalyStorage: true,
-		Staged:                staged,
 	})
 	if err != nil {
 		return 0, 0, err

@@ -137,10 +137,10 @@ type Stats struct {
 	Published uint64
 	// Delivered counts messages actually handed to the bus (duplicates
 	// included, drops excluded).
-	Delivered uint64
-	Dropped   uint64
+	Delivered  uint64
+	Dropped    uint64
 	Duplicated uint64
-	Delayed   uint64
+	Delayed    uint64
 	// Windows counts reorder windows released in permuted order.
 	Windows uint64
 	// Crashes counts injected operator panics.
@@ -153,17 +153,17 @@ type Stats struct {
 // one Producer per publishing goroutine; a Producer is mutex-guarded, but
 // the deterministic schedule assumes publishes arrive in a fixed order.
 type Producer struct {
-	mu     sync.Mutex
-	bus    bus.Broker
-	topic  string
-	clk    clock.Clock
-	cfg    Config
-	seq    uint64 // input sequence number, the coordinate of every decision
+	mu      sync.Mutex
+	bus     bus.Broker
+	topic   string
+	clk     clock.Clock
+	cfg     Config
+	seq     uint64 // input sequence number, the coordinate of every decision
 	windows uint64
-	held   []heldMsg // delay-faulted, waiting for their due time
-	window []heldMsg // reorder buffer, released permuted when full
-	stats  Stats
-	sched  []string
+	held    []heldMsg // delay-faulted, waiting for their due time
+	window  []heldMsg // reorder buffer, released permuted when full
+	stats   Stats
+	sched   []string
 }
 
 type heldMsg struct {

@@ -156,7 +156,7 @@ func TestGracefulShutdownDuringIngest(t *testing.T) {
 	dir := t.TempDir()
 	training, _ := conservationCorpus(0, 0)
 
-	p := newRecoveryPipeline(t, dir, false, func(cfg *Config) {
+	p := newRecoveryPipeline(t, dir, func(cfg *Config) {
 		cfg.Intake = intake.Config{
 			SyslogTCP: "127.0.0.1:0",
 			HTTP:      "127.0.0.1:0",
@@ -237,7 +237,7 @@ func TestGracefulShutdownDuringIngest(t *testing.T) {
 
 	// Restart: the restored counters must account every published line —
 	// in particular every acked one.
-	p2 := newRecoveryPipeline(t, dir, false, nil)
+	p2 := newRecoveryPipeline(t, dir, nil)
 	restored, err := p2.Restore()
 	if err != nil {
 		t.Fatal(err)

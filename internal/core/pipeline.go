@@ -31,8 +31,6 @@ import (
 	"loglens/internal/metrics"
 	"loglens/internal/modelmgr"
 	"loglens/internal/obs"
-	"loglens/internal/parser"
-	"loglens/internal/preprocess"
 	"loglens/internal/recovery"
 	"loglens/internal/seqdetect"
 	"loglens/internal/store"
@@ -84,12 +82,6 @@ type Config struct {
 	// Injecting a clock.Fake makes the pipeline's temporal behavior —
 	// batch cadence, heartbeat emission — manually drivable in tests.
 	Clock clock.Clock
-	// Staged runs the parser and the sequence detector as separate
-	// streaming stages connected through the bus (the Figure 1
-	// deployment shape, components communicating over Kafka) instead of
-	// fused into one operator. Fused is the default: lower latency, no
-	// serialization; Staged scales the stages independently.
-	Staged bool
 	// Metrics is the observability registry threaded through every
 	// component (bus, engines, parser, detector, heartbeat, model
 	// manager). Nil creates a private registry; read it via
@@ -106,7 +98,7 @@ type Config struct {
 	// BusLagDegraded and BusLagUnhealthy are the bus-lag health-probe
 	// thresholds in messages behind (defaults 1024 and 8192): past the
 	// first the pipeline reports degraded, past the second unhealthy.
-	BusLagDegraded int64
+	BusLagDegraded  int64
 	BusLagUnhealthy int64
 	// HeartbeatStale is how long a tracked source may go unobserved
 	// before the heartbeat probe reports degraded (default 5 minutes; it
@@ -143,9 +135,8 @@ type Config struct {
 	// an external broker — typically a netbus.Client pointed at a
 	// `loglens broker` process (the -bus flag), turning this pipeline
 	// into the worker tier of a multi-node deployment. The log manager,
-	// the staged parsed-topic pump, the recovery commit gate, and the
-	// control watcher all run unchanged against it. Nil keeps the
-	// in-process bus (the single-node default).
+	// the recovery commit gate, and the control watcher all run unchanged
+	// against it. Nil keeps the in-process bus (the single-node default).
 	Bus bus.Broker
 }
 
@@ -158,12 +149,9 @@ type Pipeline struct {
 	// unset (nil when an external broker is plugged in).
 	localBus *bus.Bus
 	store    *store.Store
-	engine *stream.Engine
-	// detectEngine is the second stage of the staged topology (nil when
-	// fused).
-	detectEngine *stream.Engine
-	hb           *heartbeat.Controller
-	logmgr       *logmanager.Manager
+	engine   *stream.Engine
+	hb       *heartbeat.Controller
+	logmgr   *logmanager.Manager
 
 	builder    *modelmgr.Builder
 	manager    *modelmgr.Manager
@@ -175,10 +163,9 @@ type Pipeline struct {
 	bySource  map[string]*modelmgr.Model
 	running   bool
 
-	anomalies       atomic.Uint64
-	unparsed        atomic.Uint64
-	forwarded       atomic.Uint64
-	parsedForwarded atomic.Uint64
+	anomalies atomic.Uint64
+	unparsed  atomic.Uint64
+	forwarded atomic.Uint64
 
 	// events is the ops-plane flight recorder (nil when Config.Ops is
 	// unset).
@@ -200,8 +187,6 @@ type Pipeline struct {
 	cancel       context.CancelFunc
 	wg           sync.WaitGroup
 	runErr       chan error
-	pumpDone     chan struct{}
-	pumpExited   chan struct{}
 	logmgrExited chan struct{}
 
 	wireServers []*wire.Server
@@ -218,14 +203,7 @@ type Pipeline struct {
 	quarantined      atomic.Uint64
 	quarantinedTotal *metrics.Counter
 	commits          *commitTracker
-	parsedCommits    *commitTracker
 	commitsOn        atomic.Bool
-	pumpPaused       atomic.Bool
-	pumpIdle         atomic.Bool
-	// pumpBusy is the parsed pump's counterpart of logmanager.Busy: up
-	// from before a poll until the polled batch is forwarded.
-	pumpBusy atomic.Bool
-	killed           atomic.Bool
 	engineCancel     context.CancelFunc
 	ckptMu           sync.Mutex // serializes Checkpoint calls
 	ckptStatusMu     sync.Mutex
@@ -309,6 +287,7 @@ func New(cfg Config) (*Pipeline, error) {
 		}
 	}
 	engineCfg := stream.Config{
+		Name:          engineName,
 		Partitions:    cfg.Partitions,
 		BatchInterval: cfg.BatchInterval,
 		MaxBatch:      cfg.MaxBatch,
@@ -319,36 +298,16 @@ func New(cfg Config) (*Pipeline, error) {
 	if p.ckpt != nil {
 		engineCfg.PanicHook = p.onOperatorPanic
 	}
-	// The freshness gauges re-age at the barrier of the engine that
-	// closes the line path (the detect stage when staged), so lag keeps
-	// growing while that stage is idle or stuck.
-	var onBarrier func()
+	// The freshness gauges re-age at every engine barrier, so lag keeps
+	// growing while the engine is idle or stuck.
 	if p.lat != nil {
-		onBarrier = p.lat.Refresh
+		engineCfg.OnBarrier = p.lat.Refresh
 	}
-	if cfg.Staged {
-		engineCfg.Name = "parse"
-		if p.commits != nil {
-			engineCfg.BatchHook = p.commits.flush
-		}
-		p.engine = stream.New(engineCfg, p.parseOperator)
-		p.engine.SetSink(p.parseSink)
-		engineCfg.Name = "detect"
-		engineCfg.OnBarrier = onBarrier
-		if p.parsedCommits != nil {
-			engineCfg.BatchHook = p.parsedCommits.flush
-		}
-		p.detectEngine = stream.New(engineCfg, p.detectOperator)
-		p.detectEngine.SetSink(p.sink)
-	} else {
-		engineCfg.Name = "main"
-		engineCfg.OnBarrier = onBarrier
-		if p.commits != nil {
-			engineCfg.BatchHook = p.commits.flush
-		}
-		p.engine = stream.New(engineCfg, p.operator)
-		p.engine.SetSink(p.sink)
+	if p.commits != nil {
+		engineCfg.BatchHook = p.commits.flush
 	}
+	p.engine = stream.New(engineCfg, p.operator)
+	p.engine.SetSink(p.sink)
 	lmCfg := logmanager.Config{
 		ArchiveLogs:  cfg.ArchiveLogs,
 		Metrics:      p.reg,
@@ -377,11 +336,6 @@ func New(cfg Config) (*Pipeline, error) {
 	// heartbeat records fanned to every partition of the stateful stage.
 	p.logmgr.OnHeartbeat(func(source string, t time.Time) {
 		p.hbTotal.Inc()
-		if p.detectEngine != nil {
-			p.parsedForwarded.Add(1)
-			p.detectEngine.Send(stream.Record{Key: source, Time: t, Heartbeat: true})
-			return
-		}
 		p.forwarded.Add(1)
 		p.engine.Send(stream.Record{Key: source, Time: t, Heartbeat: true})
 	})
@@ -443,10 +397,7 @@ func (p *Pipeline) Running() bool {
 	if !started {
 		return false
 	}
-	if !p.engine.Running() {
-		return false
-	}
-	return p.detectEngine == nil || p.detectEngine.Running()
+	return p.engine.Running()
 }
 
 // registerProbes installs the per-component health probes (no-ops when
@@ -464,7 +415,7 @@ func (p *Pipeline) registerProbes() {
 		if !started {
 			return obs.ProbeResult{Status: obs.Degraded, Detail: "pipeline not started"}
 		}
-		if !p.engine.Running() || (p.detectEngine != nil && !p.detectEngine.Running()) {
+		if !p.engine.Running() {
 			return obs.ProbeResult{Status: obs.Unhealthy, Detail: "engine loop not running"}
 		}
 		return obs.ProbeResult{Status: obs.Healthy, Detail: "engine loops live"}
@@ -671,14 +622,8 @@ func (p *Pipeline) installModel(source string, m *modelmgr.Model) {
 	p.mu.Unlock()
 	if running {
 		p.engine.Rebroadcast(modelIDFor(source), m)
-		if p.detectEngine != nil {
-			p.detectEngine.Rebroadcast(modelIDFor(source), m)
-		}
 	} else {
 		p.engine.Broadcast(modelIDFor(source), m)
-		if p.detectEngine != nil {
-			p.detectEngine.Broadcast(modelIDFor(source), m)
-		}
 	}
 }
 
@@ -755,44 +700,17 @@ func (p *Pipeline) Start() error {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	p.cancel = cancel
-	// The engines get their own cancellable context: orderly Stop drains
+	// The engine gets its own cancellable context: orderly Stop drains
 	// via Close, while Kill aborts mid-batch through the cancel.
 	engineCtx, engineCancel := context.WithCancel(context.Background())
 	p.engineCancel = engineCancel
-	p.killed.Store(false)
 	p.commitsOn.Store(true)
 
-	mainEngineName := "main"
-	if p.detectEngine != nil {
-		mainEngineName = "parse"
-	}
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		p.runErr <- p.runSupervised("engine:"+mainEngineName, engineCtx, p.engine.Run)
+		p.runErr <- p.runSupervised("engine:"+engineName, engineCtx, p.engine.Run)
 	}()
-
-	if p.detectEngine != nil {
-		if err := p.bus.CreateTopic(ParsedTopic, p.engine.Partitions()); err != nil {
-			return err
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.runSupervised("engine:detect", engineCtx, p.detectEngine.Run)
-		}()
-		p.pumpDone = make(chan struct{})
-		p.pumpExited = make(chan struct{})
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer close(p.pumpExited)
-			p.runSupervised("parsed-pump", ctx, func(context.Context) error {
-				p.pumpParsed(p.pumpDone)
-				return nil
-			})
-		}()
-	}
 
 	p.logmgrExited = make(chan struct{})
 	p.wg.Add(1)
@@ -874,34 +792,10 @@ func (p *Pipeline) Drain(timeout time.Duration) error {
 	for {
 		m := p.engine.Metrics()
 		if m.Records >= p.forwarded.Load() {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: drain timed out with %d/%d records", m.Records, p.forwarded.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if p.detectEngine == nil {
-		return nil
-	}
-	// Staged phases: the parsed topic drained into the detector stage,
-	// and the detector stage has processed everything.
-	for {
-		if p.parsedLag() <= 0 && !p.pumpBusy.Load() {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: drain timed out with parsed lag %d", p.parsedLag())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for {
-		m := p.detectEngine.Metrics()
-		if m.Records >= p.parsedForwarded.Load() {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("core: drain timed out with %d/%d detector records", m.Records, p.parsedForwarded.Load())
+			return fmt.Errorf("core: drain timed out with %d/%d records", m.Records, p.forwarded.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -953,17 +847,6 @@ func (p *Pipeline) Stop() error {
 	}
 	p.engine.Close()
 	err := <-p.runErr
-	if p.detectEngine != nil {
-		// The parse stage has emitted everything; let the pump drain
-		// the parsed topic, then close the detector stage.
-		deadline := time.Now().Add(time.Minute)
-		for p.parsedLag() > 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		close(p.pumpDone)
-		<-p.pumpExited
-		p.detectEngine.Close()
-	}
 	p.wg.Wait()
 	if p.engineCancel != nil {
 		p.engineCancel()
@@ -1030,11 +913,7 @@ func (p *Pipeline) PatternCounts() map[int]uint64 {
 // partitions and sources (taken at a micro-batch barrier).
 func (p *Pipeline) DetectorStats() seqdetect.Stats {
 	var total seqdetect.Stats
-	e := p.engine
-	if p.detectEngine != nil {
-		e = p.detectEngine
-	}
-	e.Inspect(func(partition int, states *stream.StateMap) {
+	p.engine.Inspect(func(partition int, states *stream.StateMap) {
 		states.Range(func(key string, v any) bool {
 			if st, ok := v.(*coreOpState); ok && st.detector != nil {
 				s := st.detector.Stats()
@@ -1056,11 +935,7 @@ func (p *Pipeline) DetectorStats() seqdetect.Stats {
 // consistent.
 func (p *Pipeline) OpenStates() int {
 	total := 0
-	e := p.engine
-	if p.detectEngine != nil {
-		e = p.detectEngine
-	}
-	e.Inspect(func(partition int, states *stream.StateMap) {
+	p.engine.Inspect(func(partition int, states *stream.StateMap) {
 		states.Range(func(key string, v any) bool {
 			if st, ok := v.(*coreOpState); ok && st.detector != nil {
 				total += st.detector.OpenStates()
@@ -1128,287 +1003,5 @@ func (p *Pipeline) applyInstruction(ins modelmgr.Instruction) {
 		if match {
 			p.installModel(ins.Source, nil)
 		}
-	}
-}
-
-// coreOpState is the per-partition processing state living in the
-// engine's state map: parser and detector instances bound to the current
-// model.
-type coreOpState struct {
-	model    *modelmgr.Model
-	parser   *parser.Parser
-	detector *seqdetect.Detector
-	volume   *volume.Detector // nil unless the model carries a profile
-
-	// modelID is the precomposed dedicated-broadcast ID for this state's
-	// source (modelIDFor(source)), so the steady-state model resolution
-	// needs no per-record string concatenation.
-	modelID string
-
-	// lat is the source's tenant freshness cell, resolved once at state
-	// creation so the hot path pays two atomic stores, no map lookup.
-	// Nil when the latency plane is disabled.
-	lat *latency.Cell
-
-	// tick drives the 1-in-16 deterministic sampling of the parse and
-	// detect stage stamps: those stages are pure CPU between two clock
-	// reads, so sampling keeps the histograms honest while amortizing
-	// the extra reads to a fraction of a nanosecond per line. Worker
-	// states are partition-confined, so no atomicity is needed.
-	tick uint64
-
-	// pl is the fused operator's parse scratch: ParseInto reuses its
-	// field buffer, and seqdetect/volume copy what they keep, so the
-	// steady-state line allocates no ParsedLog. The staged parse
-	// operator must NOT use it — there the ParsedLog is emitted
-	// downstream and outlives the record.
-	pl logtypes.ParsedLog
-}
-
-// operator is the per-record ProcessFunc: stateless parse, then stateful
-// sequence detection; heartbeats trigger open-state expiry. Each source
-// gets its own parser/detector state bound to its effective model (the
-// source's dedicated model, or the default).
-func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
-	source := rec.Key
-	if l, ok := rec.Value.(logtypes.Log); ok {
-		source = l.Source
-	}
-	// State-first lookup: Get does not retain its key, so the concat
-	// stays on the stack and the steady state pays no allocation for
-	// state addressing or model-ID composition.
-	sv, _ := ctx.States().Get("__op@" + source)
-	st, _ := sv.(*coreOpState)
-	if st == nil {
-		m := p.effectiveModel(ctx, source)
-		if m == nil {
-			return nil // no model (yet, or deleted): detectors idle
-		}
-		// The detection-side preprocessor must match the training
-		// side (custom delimiters, split rules, timestamp formats),
-		// with a fresh per-partition cache.
-		pp := p.cfg.Builder.Preprocessor
-		if pp == nil {
-			pp = preprocess.New(nil, nil)
-		}
-		st = &coreOpState{
-			model:    m,
-			modelID:  modelIDFor(source),
-			parser:   m.NewParser(pp.Clone()),
-			detector: m.NewDetector(p.cfg.Seq),
-		}
-		st.parser.Instrument(p.reg)
-		st.detector.Instrument(p.reg)
-		st.detector.SetTracer(p.cfg.Tracer)
-		st.detector.SetRecorder(p.events)
-		if m.Volume != nil {
-			st.volume = volume.New(m.Volume, p.cfg.Volume)
-		}
-		if p.lat != nil {
-			st.lat = p.lat.Tenant(source)
-		}
-		ctx.States().Put("__op@"+source, st)
-	} else if m := p.modelByID(ctx, st.modelID); m == nil {
-		return nil // model deleted: detectors idle
-	} else if st.model != m {
-		// Zero-downtime model swap: same parser/detector objects,
-		// state preserved, new rules.
-		st.parser.SetPatterns(m.Patterns)
-		st.detector.SetModel(m.Sequence)
-		switch {
-		case m.Volume == nil:
-			st.volume = nil
-		case st.volume == nil:
-			st.volume = volume.New(m.Volume, p.cfg.Volume)
-		default:
-			st.volume.SetProfile(m.Volume)
-		}
-		st.model = m
-	}
-
-	if rec.Heartbeat {
-		recs := st.detector.HeartbeatFor(rec.Key, rec.Time)
-		if st.volume != nil {
-			recs = append(recs, st.volume.Advance(rec.Time)...)
-		}
-		return wrapRecords(recs)
-	}
-
-	l, ok := rec.Value.(logtypes.Log)
-	if !ok {
-		return nil
-	}
-	if p.ckpt != nil {
-		p.checkPoison(l)
-	}
-	if p.cfg.Tracer != nil {
-		p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StagePartition, "p="+strconv.Itoa(ctx.Partition()))
-	}
-	// Stage histograms ride a deterministic 1-in-16 per-source sample:
-	// the deliver stage closes at the engine's batch pickup stamp (bus
-	// publish → micro-batch collection → worker dispatch, shared by the
-	// whole batch, so no clock read here), and the parse/detect stages
-	// take their own stamps around the work. Everything that must be
-	// per-line for correctness — e2e, SLO burn, freshness watermarks —
-	// rides the single post-detect clock read that the disabled path
-	// pays anyway, keeping the enabled plane within the benchguard
-	// budget.
-	var pickedUp time.Time
-	sampled := false
-	if p.lat != nil {
-		sampled = st.tick&15 == 0
-		st.tick++
-		if sampled {
-			p.lat.Observe(latency.StageDeliver, ctx.BatchStart().Sub(l.Arrival))
-			pickedUp = p.cfg.Clock.Now()
-		}
-	}
-	// ParseInto reuses the state's ParsedLog scratch (field buffer
-	// included): safe here because the fused downstream consumers copy
-	// what they retain, so nothing escapes the record's lifetime.
-	pl := &st.pl
-	if err := st.parser.ParseInto(l, pl); err != nil {
-		p.unparsed.Add(1)
-		p.unparsedTotal.Inc()
-		if p.lat != nil {
-			now := p.cfg.Clock.Now()
-			if sampled {
-				p.lat.Observe(latency.StageParse, now.Sub(pickedUp))
-			}
-			e2e := now.Sub(l.Arrival)
-			p.lineSeconds.Observe(e2e.Seconds())
-			p.lat.CheckSLO(e2e)
-			// An unparsed line still advances freshness: the partition
-			// made progress even though no event time was extracted.
-			n := l.Arrival.UnixNano()
-			p.lat.Partition(ctx.Partition()).Note(n, n)
-			st.lat.Note(n, n)
-		} else {
-			p.lineSeconds.Observe(p.cfg.Clock.Since(l.Arrival).Seconds())
-		}
-		if p.cfg.Tracer != nil {
-			p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StageParser, "unparsed")
-		}
-		return []any{anomaly.Record{
-			Type:      anomaly.UnparsedLog,
-			Severity:  anomaly.Warning,
-			Reason:    "log matches no pattern",
-			Timestamp: l.Arrival,
-			Source:    l.Source,
-			Logs:      []logtypes.Log{l},
-		}}
-	}
-	p.parsedTotal.Inc()
-	var parsedAt time.Time
-	if sampled {
-		parsedAt = p.cfg.Clock.Now()
-		p.lat.Observe(latency.StageParse, parsedAt.Sub(pickedUp))
-	}
-	if p.cfg.Tracer != nil {
-		p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StageParser, "pattern="+strconv.Itoa(pl.PatternID))
-	}
-	if p.hb != nil && pl.HasTimestamp {
-		p.hb.Observe(l.Source, pl.Timestamp)
-	}
-	recs := st.detector.Process(pl)
-	if st.volume != nil {
-		recs = append(recs, st.volume.Process(pl)...)
-	}
-	if p.lat != nil {
-		now := p.cfg.Clock.Now()
-		if sampled {
-			p.lat.Observe(latency.StageDetect, now.Sub(parsedAt))
-		}
-		e2e := now.Sub(l.Arrival)
-		p.lineSeconds.Observe(e2e.Seconds())
-		p.lat.CheckSLO(e2e)
-		// Freshness watermarks: event time from the parsed timestamp
-		// when present (falling back to arrival), processing time from
-		// arrival.
-		p.lat.Partition(ctx.Partition()).Note(pl.EventTime().UnixNano(), l.Arrival.UnixNano())
-		st.lat.Note(pl.EventTime().UnixNano(), l.Arrival.UnixNano())
-	} else {
-		p.lineSeconds.Observe(p.cfg.Clock.Since(l.Arrival).Seconds())
-	}
-	return wrapRecords(recs)
-}
-
-// effectiveModel resolves the model serving a source via the worker's
-// broadcast cache: the source-dedicated variable when present, else the
-// default.
-func (p *Pipeline) effectiveModel(ctx *stream.Context, source string) *modelmgr.Model {
-	return p.modelByID(ctx, modelIDFor(source))
-}
-
-// modelByID is effectiveModel with the dedicated-broadcast ID already
-// composed — the operators cache it per source state so the hot path
-// skips the modelIDFor concatenation.
-func (p *Pipeline) modelByID(ctx *stream.Context, dedicatedID string) *modelmgr.Model {
-	if dedicatedID != ModelBroadcastID {
-		if v, ok := ctx.Broadcast(dedicatedID); ok {
-			if m, _ := v.(*modelmgr.Model); m != nil {
-				return m
-			}
-		}
-	}
-	v, ok := ctx.Broadcast(ModelBroadcastID)
-	if !ok {
-		return nil
-	}
-	m, _ := v.(*modelmgr.Model)
-	return m
-}
-
-func wrapRecords(recs []anomaly.Record) []any {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]any, len(recs))
-	for i, r := range recs {
-		out[i] = r
-	}
-	return out
-}
-
-// sink receives anomalies from the engine barrier, stores them, and runs
-// callbacks.
-func (p *Pipeline) sink(o any) {
-	rec, ok := o.(anomaly.Record)
-	if !ok {
-		return
-	}
-	p.anomalies.Add(1)
-	if p.lat != nil && len(rec.Logs) > 0 {
-		// The sink stage is verdict staleness: how old the anomaly's
-		// triggering line was when the verdict landed here — the
-		// paper's real-time claim in one number. Anomalies are rare, so
-		// this path is off the per-line budget.
-		p.lat.Observe(latency.StageSink, p.cfg.Clock.Since(rec.Logs[0].Arrival))
-	}
-	// Anomalies are rare relative to lines, so the labeled counter is
-	// resolved per record rather than cached per type.
-	p.reg.Counter("core_anomalies_total", "type", rec.Type.String()).Inc()
-	p.events.Record(obs.EventAnomaly, rec.Source, rec.Type.String()+": "+rec.Reason, 1)
-	if p.cfg.Tracer != nil && len(rec.Logs) > 0 {
-		l := rec.Logs[0]
-		p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StageEmit, "type="+rec.Type.String())
-	}
-	if !p.cfg.DisableAnomalyStorage {
-		p.store.Index(AnomaliesIndex).PutAuto(store.Document{
-			"type":      rec.Type.String(),
-			"severity":  rec.Severity.String(),
-			"reason":    rec.Reason,
-			"ts":        rec.Timestamp,
-			"source":    rec.Source,
-			"eventId":   rec.EventID,
-			"automaton": rec.AutomatonID,
-			"logCount":  len(rec.Logs),
-		})
-	}
-	p.mu.Lock()
-	cbs := p.callbacks
-	p.mu.Unlock()
-	for _, fn := range cbs {
-		fn(rec)
 	}
 }

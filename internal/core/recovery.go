@@ -71,8 +71,10 @@ func (c RecoveryConfig) enabled() bool { return c.Dir != "" }
 // package default, fixed here because checkpoints record it by name).
 const logmgrGroup = "log-manager"
 
-// parsedPumpGroup is the staged topology's parsed-topic consumer group.
-const parsedPumpGroup = "parsed-pump"
+// engineName names the pipeline's one stream engine: the "engine" metric
+// label, the "engine:main" supervisor, and the engine a checkpoint's
+// operator state belongs to.
+const engineName = "main"
 
 // quiesceTimeout bounds the checkpoint barrier wait.
 const quiesceTimeout = 30 * time.Second
@@ -177,9 +179,6 @@ func (p *Pipeline) initRecovery() error {
 	p.quarantine = q
 	p.quarantinedTotal = p.reg.Counter("core_quarantined_total")
 	p.commits = &commitTracker{b: p.bus, group: logmgrGroup, topic: agent.LogsTopic, on: &p.commitsOn}
-	if p.cfg.Staged {
-		p.parsedCommits = &commitTracker{b: p.bus, group: parsedPumpGroup, topic: ParsedTopic, on: &p.commitsOn}
-	}
 	return nil
 }
 
@@ -238,10 +237,7 @@ func (p *Pipeline) checkPoison(l logtypes.Log) {
 // recordIdentity extracts (source, seq, raw line) from a stream record
 // for quarantine bookkeeping.
 func recordIdentity(rec stream.Record) (string, uint64, string) {
-	switch l := rec.Value.(type) {
-	case logtypes.Log:
-		return l.Source, l.Seq, l.Raw
-	case *logtypes.ParsedLog:
+	if l, ok := rec.Value.(logtypes.Log); ok {
 		return l.Source, l.Seq, l.Raw
 	}
 	return rec.Key, 0, ""
@@ -278,7 +274,7 @@ func (p *Pipeline) Checkpoint() (uint64, error) {
 	running := p.running
 	p.mu.Unlock()
 	if running {
-		defer p.resumeIntake()
+		defer p.logmgr.Resume()
 		if err := p.quiesce(quiesceTimeout); err != nil {
 			p.noteCheckpoint(0, err)
 			return 0, err
@@ -340,51 +336,7 @@ func (p *Pipeline) quiesce(timeout time.Duration) error {
 	// Negative lag (committed ahead of the topic) also counts as drained:
 	// a restored group's offsets can exceed a rebuilt in-memory topic
 	// when heartbeat interleaving shifted absolute positions.
-	if err := wait(func() bool { return p.logmgrLag() <= 0 }, "offset commit"); err != nil {
-		return err
-	}
-	if p.detectEngine != nil {
-		if err := wait(func() bool { return p.parsedReadLag() <= 0 }, "parsed-topic drain"); err != nil {
-			return err
-		}
-		p.pumpPaused.Store(true)
-		if err := wait(p.pumpIdle.Load, "parsed-pump pause"); err != nil {
-			return err
-		}
-		if err := wait(func() bool {
-			return p.detectEngine.Metrics().Resolved >= p.parsedForwarded.Load()
-		}, "detector resolution"); err != nil {
-			return err
-		}
-		if err := wait(func() bool { return p.parsedCommitLag() <= 0 }, "parsed offset commit"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parsedCommitLag is the parsed-pump group's committed lag.
-func (p *Pipeline) parsedCommitLag() int64 {
-	c, err := p.bus.Subscribe(parsedPumpGroup, ParsedTopic)
-	if err != nil {
-		return 0
-	}
-	return c.Lag()
-}
-
-func (p *Pipeline) resumeIntake() {
-	p.pumpPaused.Store(false)
-	p.logmgr.Resume()
-}
-
-// parsedReadLag is the parsed-pump group's read-frontier lag: messages
-// published to the parsed topic the pump has not yet consumed.
-func (p *Pipeline) parsedReadLag() int64 {
-	c, err := p.bus.Subscribe(parsedPumpGroup, ParsedTopic)
-	if err != nil {
-		return 0
-	}
-	return c.ReadLag()
+	return wait(func() bool { return p.logmgrLag() <= 0 }, "offset commit")
 }
 
 // buildCheckpoint assembles the checkpoint at an already-quiescent
@@ -406,11 +358,6 @@ func (p *Pipeline) buildCheckpoint() *recovery.Checkpoint {
 	if offs := p.bus.GroupOffsets(logmgrGroup); len(offs) > 0 {
 		cp.Offsets[logmgrGroup] = offs
 	}
-	// The parsed topic is derived state and deliberately not
-	// checkpointed: the barrier guarantees it is fully drained into
-	// detector state at the cut, and after a restore the parse stage
-	// regenerates it from the replayed suffix on a fresh topic — whose
-	// offsets share nothing with the pre-crash topic's.
 	p.mu.Lock()
 	if p.current != nil {
 		cp.DefaultModelID = p.current.ID
@@ -423,31 +370,8 @@ func (p *Pipeline) buildCheckpoint() *recovery.Checkpoint {
 	}
 	running := p.running
 	p.mu.Unlock()
-	for _, ne := range p.namedEngines() {
-		cp.Engines = append(cp.Engines, engineSnapshot(ne.name, ne.engine, running))
-	}
+	cp.Engines = []recovery.EngineState{engineSnapshot(engineName, p.engine, running)}
 	return cp
-}
-
-type namedEngine struct {
-	name   string
-	engine *stream.Engine
-}
-
-func (p *Pipeline) namedEngines() []namedEngine {
-	if p.detectEngine != nil {
-		return []namedEngine{{"parse", p.engine}, {"detect", p.detectEngine}}
-	}
-	return []namedEngine{{"main", p.engine}}
-}
-
-func (p *Pipeline) engineByName(name string) *stream.Engine {
-	for _, ne := range p.namedEngines() {
-		if ne.name == name {
-			return ne.engine
-		}
-	}
-	return nil
 }
 
 // engineSnapshot serializes one engine's per-partition operator state.
@@ -503,7 +427,9 @@ func engineSnapshot(name string, e *stream.Engine, running bool) recovery.Engine
 // bindings, per-partition operator state, pending quarantine strikes,
 // and the committed bus offsets (installed via SeekGroup so consumption
 // resumes exactly at the cut once the input is replayed onto the bus).
-// Returns false when the checkpoint directory holds no checkpoint.
+// Returns false when the checkpoint directory holds no checkpoint. A
+// checkpoint whose operator state this pipeline cannot hold is rejected
+// before anything is restored.
 func (p *Pipeline) Restore() (bool, error) {
 	if p.ckpt == nil {
 		return false, fmt.Errorf("core: recovery disabled (no checkpoint dir)")
@@ -516,6 +442,9 @@ func (p *Pipeline) Restore() (bool, error) {
 	}
 	cp, ok, err := p.ckpt.Load()
 	if err != nil || !ok {
+		return false, err
+	}
+	if err := p.checkEngines(cp.Engines); err != nil {
 		return false, err
 	}
 	if err := p.ckpt.RestoreStore(cp, p.store); err != nil {
@@ -582,17 +511,30 @@ func (p *Pipeline) restoreModels(cp *recovery.Checkpoint) error {
 	return nil
 }
 
-// restoreEngines seeds the engines' per-partition state maps with
+// checkEngines rejects operator state the engine cannot take: a section
+// for another engine, or a partition index past the partition count.
+func (p *Pipeline) checkEngines(engines []recovery.EngineState) error {
+	for _, es := range engines {
+		if es.Name != engineName {
+			return fmt.Errorf("core: restore: checkpoint names engine %q, this pipeline runs only %q", es.Name, engineName)
+		}
+		for _, ps := range es.Partitions {
+			if ps.Index < 0 || ps.Index >= p.engine.Partitions() {
+				return fmt.Errorf("core: restore: engine %q partition %d is outside this pipeline's %d partitions (partition count changed?)",
+					es.Name, ps.Index, p.engine.Partitions())
+			}
+		}
+	}
+	return nil
+}
+
+// restoreEngines seeds the engine's per-partition state maps with
 // rebuilt operator states. Must run before Start (the partitions are not
 // yet live).
 func (p *Pipeline) restoreEngines(engines []recovery.EngineState) error {
 	for _, es := range engines {
-		e := p.engineByName(es.Name)
-		if e == nil {
-			return fmt.Errorf("core: restore: checkpoint names engine %q this topology does not run (Staged changed?)", es.Name)
-		}
 		for _, ps := range es.Partitions {
-			sm, err := e.StateMap(ps.Index)
+			sm, err := p.engine.StateMap(ps.Index)
 			if err != nil {
 				return fmt.Errorf("core: restore: engine %q partition %d: %w (partition count changed?)", es.Name, ps.Index, err)
 			}
@@ -656,7 +598,6 @@ func (p *Pipeline) Kill() {
 	p.wireServers = nil
 	svc := p.intakeSvc
 	p.mu.Unlock()
-	p.killed.Store(true)
 	p.commitsOn.Store(false)
 	for _, srv := range servers {
 		srv.Close()
@@ -666,21 +607,14 @@ func (p *Pipeline) Kill() {
 		// blocked admissions shed, connections close.
 		svc.Close()
 	}
-	// Close the engines first so racing Sends fail fast (ErrClosed)
+	// Close the engine first so racing Sends fail fast (ErrClosed)
 	// instead of queueing on input channels nobody drains, then abort
-	// their run loops without draining.
+	// its run loop without draining.
 	p.engine.Close()
-	if p.detectEngine != nil {
-		p.detectEngine.Close()
-	}
 	if p.engineCancel != nil {
 		p.engineCancel()
 	}
 	p.cancel()
-	if p.detectEngine != nil {
-		close(p.pumpDone)
-		<-p.pumpExited
-	}
 	<-p.runErr
 	p.wg.Wait()
 	// Crash semantics extend to storage: release the engine without

@@ -107,7 +107,7 @@ func TestCrashRecoveryEightPartitions(t *testing.T) {
 	mutate := func(cfg *Config) { cfg.Partitions = 8 }
 
 	// Golden run: uninterrupted, same partitioning and feed order.
-	pg := newRecoveryPipeline(t, t.TempDir(), false, mutate)
+	pg := newRecoveryPipeline(t, t.TempDir(), mutate)
 	if _, _, err := pg.Train("recovery-8p", training); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCrashRecoveryEightPartitions(t *testing.T) {
 	// drain, restore into a fresh pipeline, replay the full corpus.
 	const ckptAt, killAt = 20, 36
 	dir := t.TempDir()
-	p1 := newRecoveryPipeline(t, dir, false, mutate)
+	p1 := newRecoveryPipeline(t, dir, mutate)
 	if _, _, err := p1.Train("recovery-8p", training); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestCrashRecoveryEightPartitions(t *testing.T) {
 	shardedFeed(t, p1, sources, ckptAt, prod[ckptAt:killAt])
 	p1.Kill()
 
-	p2 := newRecoveryPipeline(t, dir, false, mutate)
+	p2 := newRecoveryPipeline(t, dir, mutate)
 	restored, err := p2.Restore()
 	if err != nil {
 		t.Fatal(err)

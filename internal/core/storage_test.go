@@ -33,7 +33,7 @@ func TestPersistentStoreKillRestart(t *testing.T) {
 
 	// Golden run on the in-memory engine: the persistent run must be
 	// indistinguishable from it, which also pins the query paths.
-	golden := goldenRun(t, false, prod)
+	golden := goldenRun(t, prod)
 	assertConservation(t, golden, n)
 
 	ckptDir, dataDir := persistentDirs(t)
@@ -42,7 +42,7 @@ func TestPersistentStoreKillRestart(t *testing.T) {
 	}
 	training, _ := conservationCorpus(0, 0)
 
-	p1 := newRecoveryPipeline(t, ckptDir, false, withStorage)
+	p1 := newRecoveryPipeline(t, ckptDir, withStorage)
 	if !p1.Store().Persistent() {
 		t.Fatal("pipeline store is not persistent")
 	}
@@ -98,7 +98,7 @@ func TestPersistentStoreKillRestart(t *testing.T) {
 		t.Fatalf("no segment files back the checkpoint: %v (%d entries)", err, len(segs))
 	}
 
-	p2 := newRecoveryPipeline(t, ckptDir, false, withStorage)
+	p2 := newRecoveryPipeline(t, ckptDir, withStorage)
 	restored, err := p2.Restore()
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestPersistentStoreKillRestart(t *testing.T) {
 
 	// A clean stop seals everything: a third process sees the full end
 	// state straight from the segments.
-	p3 := newRecoveryPipeline(t, ckptDir, false, withStorage)
+	p3 := newRecoveryPipeline(t, ckptDir, withStorage)
 	got := anomalySignature(p3)
 	if len(got) != len(golden.sig) {
 		t.Fatalf("reopened store holds %d anomalies, want %d", len(got), len(golden.sig))

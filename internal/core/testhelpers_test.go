@@ -14,9 +14,9 @@ import (
 // with the heartbeat still unforwarded.
 func injectHeartbeatAndWait(t *testing.T, p *Pipeline, source string, at time.Time) {
 	t.Helper()
-	before := p.forwarded.Load() + p.parsedForwarded.Load()
+	before := p.forwarded.Load()
 	p.InjectHeartbeat(source, at)
 	testutil.WaitUntil(t, 10*time.Second, func() bool {
-		return p.forwarded.Load()+p.parsedForwarded.Load() > before
+		return p.forwarded.Load() > before
 	}, "injected heartbeat never forwarded to the engine")
 }

@@ -43,10 +43,10 @@ type KeyState struct {
 	Key string `json:"key"`
 	// ModelID names the model the state was built against; restore
 	// re-resolves it from the restored model store.
-	ModelID  string               `json:"model_id,omitempty"`
-	Parser   *parser.SavedState   `json:"parser,omitempty"`
+	ModelID  string                `json:"model_id,omitempty"`
+	Parser   *parser.SavedState    `json:"parser,omitempty"`
 	Detector *seqdetect.SavedState `json:"detector,omitempty"`
-	Volume   *volume.SavedState   `json:"volume,omitempty"`
+	Volume   *volume.SavedState    `json:"volume,omitempty"`
 }
 
 // PartitionState is one partition's serialized state map.
@@ -56,7 +56,7 @@ type PartitionState struct {
 }
 
 // EngineState is one stream engine's serialized partitions, labeled by
-// engine name (the staged topology runs two engines).
+// engine name.
 type EngineState struct {
 	Name       string           `json:"name"`
 	Partitions []PartitionState `json:"partitions,omitempty"`

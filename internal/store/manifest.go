@@ -48,9 +48,9 @@ type manifestIndex struct {
 
 // manifest is one generation of the store.
 type manifest struct {
-	Generation uint64          `json:"generation"`
-	WAL        string          `json:"wal"`
-	NextSeg    uint64          `json:"next_seg"`
+	Generation uint64 `json:"generation"`
+	WAL        string `json:"wal"`
+	NextSeg    uint64 `json:"next_seg"`
 	// Pins carries checkpoint-referenced generations forward so they
 	// survive GC across a process restart (recovery re-pins on restore,
 	// but GC must not outrun it).

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"loglens/internal/clock"
 )
 
 // Sorted, limited searches. A Search with SortBy and Limit > 0 — the
@@ -39,8 +41,9 @@ const (
 )
 
 // monoBase anchors monotonic keys: t.Sub(monoBase) is t's monotonic
-// reading, shifted, when t carries one.
-var monoBase = time.Now()
+// reading, shifted, when t carries one. Only the wall clock's Now
+// carries a monotonic reading.
+var monoBase = clock.Real{}.Now()
 
 // sortKey is one sort field value, parsed once.
 type sortKey struct {

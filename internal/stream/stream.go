@@ -131,8 +131,8 @@ type Config struct {
 	// close when Advance crosses a worker's BatchInterval deadline.
 	Clock clock.Clock
 	// Name labels this engine's metrics (the "engine" label value);
-	// default "stream". Pipelines running several engines (the staged
-	// topology) give each a distinct name.
+	// default "stream". Several engines sharing one registry need
+	// distinct names.
 	Name string
 	// Metrics is the observability registry. Nil leaves the engine
 	// uninstrumented: only the built-in Metrics struct is maintained.

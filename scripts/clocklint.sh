@@ -21,6 +21,24 @@
 #   cmd/loadtest/          measures real wall-clock throughput by design
 #   examples/datacenter/   demo binary, wall-clock phase timing only
 #
+# Raw waits — time.Sleep, time.After, time.NewTicker, time.Tick — are
+# the second half of the gate: a component that sleeps or ticks on the
+# wall clock stalls under clock.Fake and spins a CPU below saturation,
+# so waits park on the injected clock or on a notification instead. Each
+# remaining site is listed in wait_allowlist with its reason; the list
+# is meant to shrink, not grow:
+#   internal/clock/        the Real clock wraps the time package
+#   internal/core/pipeline.go  Drain's real deadline poll (as above)
+#   internal/core/recovery.go  the checkpoint barrier's real deadline poll
+#   internal/logmanager/logmanager.go  runPausable's pause/empty-poll
+#                          sleeps and its MaxRatePerSec rate limiter
+#   internal/experiments/rebroadcast.go  the rebroadcast experiment waits
+#                          for sent records to flow before each swap
+#   internal/testutil/     WaitUntil's backoff between condition checks
+#   cmd/shiplogs/          the -rate limiter paces a real shipper
+#   cmd/loadtest/          open-loop pacing of real client load
+#   examples/              demo binaries, wall-clock pauses only
+#
 # Test files (_test.go) are exempt: tests own their clocks.
 set -eu
 
@@ -36,6 +54,18 @@ violations=$(grep -rn --include='*.go' -E 'time\.(Now|Since)\(' \
 if [ -n "$violations" ]; then
     echo "clocklint: raw wall-clock read outside internal/clock (use the injected clock.Clock):" >&2
     echo "$violations" >&2
+    exit 1
+fi
+wait_allowlist='^internal/clock/|^internal/core/pipeline\.go|^internal/core/recovery\.go|^internal/logmanager/logmanager\.go|^internal/experiments/rebroadcast\.go|^internal/testutil/|^cmd/shiplogs/|^cmd/loadtest/|^examples/'
+
+waits=$(grep -rn --include='*.go' -E 'time\.(Sleep|After|NewTicker|Tick)\(' \
+    internal cmd examples 2>/dev/null \
+    | grep -v '_test\.go:' \
+    | grep -vE "$wait_allowlist" || true)
+
+if [ -n "$waits" ]; then
+    echo "clocklint: raw wait outside the allowlist (park on the injected clock.Clock or a notification):" >&2
+    echo "$waits" >&2
     exit 1
 fi
 echo "clocklint: ok"
