@@ -15,7 +15,6 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,7 +35,6 @@ import (
 	"loglens/internal/stream"
 	"loglens/internal/timestamp"
 	"loglens/internal/volume"
-	"loglens/internal/wire"
 )
 
 // --- shared fixtures, built once ---
@@ -422,35 +420,5 @@ func BenchmarkVolumeDetector(b *testing.B) {
 			Timestamp:    day.Add(time.Duration(i) * 100 * time.Millisecond),
 			HasTimestamp: true,
 		})
-	}
-}
-
-// --- the wire transport ---
-
-func BenchmarkWireRoundTrip(b *testing.B) {
-	var count atomic.Uint64
-	srv := wire.NewServer(func(f wire.Frame) { count.Add(1) })
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := wire.Dial(addr, "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	line := "2016/02/23 09:00:31.000 10.0.0.1 job jb-1 completed rc 0"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Send(line)
-		if i%1024 == 1023 {
-			c.Flush()
-		}
-	}
-	c.Flush()
-	b.StopTimer()
-	for count.Load() < uint64(b.N) {
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -91,7 +91,7 @@ func main() {
 	flag.StringVar(&o.saveModel, "save-model", "", "write the trained model to this JSON file")
 	flag.DurationVar(&o.volumeWindow, "volume-window", 0, "also learn a per-pattern rate profile with this window (enables the volume detector)")
 	flag.StringVar(&o.stateDir, "state-dir", "", "persist log/model/anomaly storage to this directory at exit (and restore at startup)")
-	flag.StringVar(&o.listen, "listen", "", "also accept remote shiplogs agents on this TCP address (e.g. :5044)")
+	flag.StringVar(&o.listen, "listen", "", "also serve the bus protocol to remote agents (shiplogs -bus) on this TCP address (e.g. :5044); not with -bus")
 	flag.BoolVar(&o.metrics, "metrics", false, "dump the metrics registry (expvar-style text) to stderr after the stream ends")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the retained span window as Chrome trace JSON to this file at exit")
 	flag.StringVar(&o.ckptDir, "checkpoint-dir", "", "enable crash recovery: write periodic checkpoints to this directory and restore from it at startup")
@@ -116,6 +116,10 @@ func main() {
 func run(o options) error {
 	if (o.trainPath == "" && o.loadModel == "") || o.streamPath == "" {
 		return fmt.Errorf("-stream and one of -train/-load-model are required")
+	}
+	if o.listen != "" && o.busAddr != "" {
+		// A worker on an external broker has no local bus to serve.
+		return fmt.Errorf("-listen serves the in-process bus, which -bus replaces: point agents at the broker instead (shiplogs -bus %s)", o.busAddr)
 	}
 
 	clk := clock.New()
@@ -252,11 +256,17 @@ func run(o options) error {
 	defer p.Stop()
 
 	if o.listen != "" {
-		bound, err := p.Listen(o.listen)
+		// The broker's server over the pipeline's own bus: agents ship
+		// here exactly as they ship to `loglens broker`. Deferred after
+		// p.Stop, so it closes first.
+		srv := netbus.NewServer(p.Bus())
+		srv.SetMetrics(p.Metrics())
+		bound, err := srv.Listen(o.listen)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "accepting remote agents on %s (shiplogs -addr %s -source ...)\n", bound, bound)
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "accepting remote agents on %s (shiplogs -bus %s -source ...)\n", bound, bound)
 	}
 	if svc := p.Intake(); svc != nil {
 		if a := svc.UDPAddr(); a != "" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -81,5 +82,11 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run(options{trainPath: "/nope/missing", streamPath: "-"}); err == nil {
 		t.Error("unreadable train file must fail")
+	}
+	// A worker on an external broker has no local bus for -listen to
+	// serve; agents belong on the broker.
+	err := run(options{trainPath: "x", streamPath: "-", listen: ":0", busAddr: "127.0.0.1:7070"})
+	if err == nil || !strings.Contains(err.Error(), "shiplogs -bus 127.0.0.1:7070") {
+		t.Errorf("-listen with -bus = %v, want an error pointing agents at the broker", err)
 	}
 }

@@ -1,14 +1,15 @@
 // Command shiplogs is the remote log agent (§II): it reads log lines from
-// a file or stdin and ships them to a LogLens service over TCP.
-//
-//	shiplogs -addr loglens-host:5044 -source web-1 -file access.log
-//	tail -f app.log | shiplogs -addr :5044 -source app
-//
-// With -bus it ships to a broker (`loglens broker`) over the netbus
-// protocol instead, writing every line through a bounded CRC-framed disk
-// spool first so broker outages shorter than the spool cap lose nothing:
+// a file or stdin and ships them over the netbus protocol to a broker
+// (`loglens broker`) or to a single-process service (`loglens -listen`),
+// which serves the same protocol over its own bus:
 //
 //	shiplogs -bus broker-host:7070 -source web-1 -file access.log
+//	tail -f app.log | shiplogs -bus :5044 -source app
+//
+// Every line goes through a bounded CRC-framed disk spool first, so
+// outages shorter than the spool cap lose nothing, and carries a
+// per-source seq the broker dedups on, so re-sends after a lost ack or a
+// restart append nothing twice.
 package main
 
 import (
@@ -16,7 +17,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -25,31 +25,30 @@ import (
 	"loglens/internal/clock"
 	"loglens/internal/fsx"
 	"loglens/internal/netbus"
-	"loglens/internal/wire"
 )
 
 func main() {
-	addr := flag.String("addr", "", "LogLens service address (mutually exclusive with -bus)")
-	busAddr := flag.String("bus", "", "broker address to publish through (see `loglens broker`)")
+	busAddr := flag.String("bus", "", "address to publish through: a loglens broker, or a loglens -listen service (required)")
 	source := flag.String("source", "", "log source name (required)")
 	file := flag.String("file", "-", "log file to ship ('-' for stdin)")
 	rate := flag.Int("rate", 0, "ship rate in logs/sec (0 = unthrottled)")
-	spoolDir := flag.String("spool-dir", "", "directory for the -bus disk spool (default: os temp dir)")
+	spoolDir := flag.String("spool-dir", "", "directory for the disk spool (default: os temp dir)")
 	spoolMax := flag.Int64("spool-max-bytes", netbus.DefaultSpoolMaxBytes, "spool capacity; oldest lines shed beyond this")
 	flag.Parse()
 
-	if err := run(*addr, *busAddr, *source, *file, *rate, *spoolDir, *spoolMax); err != nil {
+	if err := run(*busAddr, *source, *file, *rate, *spoolDir, *spoolMax); err != nil {
 		fmt.Fprintln(os.Stderr, "shiplogs:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, busAddr, source, file string, rate int, spoolDir string, spoolMax int64) error {
-	if (addr == "") == (busAddr == "") {
-		return fmt.Errorf("exactly one of -addr or -bus is required, plus -source")
-	}
-	if source == "" {
-		return fmt.Errorf("-source is required")
+// run ships through a netbus server: every line lands in the disk spool
+// first, the publisher drains it to the server in order, and the
+// (source, seq) identity makes replays after a crash or reconnect
+// idempotent on the server side.
+func run(busAddr, source, file string, rate int, spoolDir string, spoolMax int64) error {
+	if busAddr == "" || source == "" {
+		return fmt.Errorf("-bus and -source are required")
 	}
 	in := os.Stdin
 	if file != "-" {
@@ -60,61 +59,6 @@ func run(addr, busAddr, source, file string, rate int, spoolDir string, spoolMax
 		defer f.Close()
 		in = f
 	}
-	if busAddr != "" {
-		return runBus(busAddr, source, file, in, rate, spoolDir, spoolMax)
-	}
-
-	client, err := wire.Dial(addr, source)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-
-	var limiter *time.Ticker
-	if rate > 0 {
-		limiter = time.NewTicker(time.Second / time.Duration(rate))
-		defer limiter.Stop()
-	}
-
-	scanner := newLineScanner(in)
-	ctx := context.Background()
-	var n uint64
-	for scanner.Scan() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		line := scanner.Text()
-		if line == "" {
-			continue
-		}
-		if limiter != nil {
-			<-limiter.C
-		}
-		if err := client.Send(line); err != nil {
-			return err
-		}
-		n++
-		if n%1024 == 0 {
-			if err := client.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		return err
-	}
-	if err := client.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "shipped %d logs from %s as source %q\n", n, file, source)
-	return nil
-}
-
-// runBus ships through a netbus broker: every line lands in the disk
-// spool first, the publisher drains it to the broker in order, and the
-// (source, seq) identity makes replays after a crash or reconnect
-// idempotent on the broker side.
-func runBus(busAddr, source, file string, in io.Reader, rate int, spoolDir string, spoolMax int64) error {
 	if spoolDir == "" {
 		spoolDir = os.TempDir()
 	}
@@ -149,9 +93,11 @@ func runBus(busAddr, source, file string, in io.Reader, rate int, spoolDir strin
 		defer limiter.Stop()
 	}
 
-	scanner := newLineScanner(in)
-	var n uint64
+	scanner := bufio.NewScanner(in)
+	scanner.Buffer(make([]byte, 0, 64*1024), netbus.MaxPayloadBytes)
+	var n, lineNo uint64
 	for scanner.Scan() {
+		lineNo++
 		line := scanner.Text()
 		if line == "" {
 			continue
@@ -164,25 +110,19 @@ func runBus(busAddr, source, file string, in io.Reader, rate int, spoolDir strin
 			return fmt.Errorf("reserve seq: %w", err)
 		}
 		if err := pub.Send(source, seq, line); err != nil {
-			return fmt.Errorf("spool %s: %w", spoolPath, err)
+			return fmt.Errorf("%s line %d: spool %s: %w", file, lineNo, spoolPath, err)
 		}
 		n++
 	}
 	if err := scanner.Err(); err != nil {
-		return err
+		return fmt.Errorf("%s line %d: %w", file, lineNo+1, err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	if err := pub.Drain(ctx); err != nil {
 		return fmt.Errorf("drain spool (%d lines still queued): %w", spool.Len(), err)
 	}
-	fmt.Fprintf(os.Stderr, "shipped %d logs from %s as source %q via broker %s (%d shed)\n",
+	fmt.Fprintf(os.Stderr, "shipped %d logs from %s as source %q via %s (%d shed)\n",
 		n, file, source, busAddr, spool.Shed())
 	return nil
-}
-
-func newLineScanner(in io.Reader) *bufio.Scanner {
-	scanner := bufio.NewScanner(in)
-	scanner.Buffer(make([]byte, 0, 64*1024), wire.MaxFrameBytes)
-	return scanner
 }

@@ -6,13 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"loglens/internal/agent"
 	"loglens/internal/experiments"
-	"loglens/internal/testutil"
-	"loglens/internal/wire"
+	"loglens/internal/netbus"
 )
 
-// TestRemoteAgentOverTCP ships logs from a wire client into a listening
-// pipeline — the §II deployment shape with agents on other machines.
+// TestRemoteAgentOverTCP ships logs through a netbus Publisher to a
+// netbus server over the pipeline's own bus — the §II deployment shape
+// with agents on other machines.
 func TestRemoteAgentOverTCP(t *testing.T) {
 	p, err := New(Config{DisableHeartbeat: true})
 	if err != nil {
@@ -33,43 +34,49 @@ func TestRemoteAgentOverTCP(t *testing.T) {
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	addr, err := p.Listen("127.0.0.1:0")
+	// The netbus server that `loglens -listen` runs over the pipeline's
+	// own bus.
+	srv := netbus.NewServer(p.Bus())
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	client := netbus.Dial(addr, netbus.Options{Role: "agent"})
+	spool, err := netbus.OpenSpool(netbus.SpoolOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := netbus.NewPublisher(client, agent.LogsTopic, spool)
 
-	client, err := wire.Dial(addr, "remote")
-	if err != nil {
-		t.Fatal(err)
-	}
 	tt := msBase.Add(time.Hour)
-	var lines []string
 	// A normal remote trace plus a missing-begin trace.
-	lines = append(lines,
+	lines := []string{
 		fmt.Sprintf("%s job jb-9000 queued prio 1", msStamp(tt)),
 		fmt.Sprintf("%s job jb-9000 finished rc 0", msStamp(tt.Add(2*time.Second))),
 		fmt.Sprintf("%s job jb-9001 finished rc 0", msStamp(tt.Add(3*time.Second))),
-	)
-	if _, err := client.Stream(context.Background(), lines); err != nil {
-		t.Fatal(err)
 	}
-	// A remote heartbeat frame, too.
-	if err := client.SendHeartbeat(tt.Add(time.Hour)); err != nil {
-		t.Fatal(err)
+	for i, line := range lines {
+		if err := pub.Send("remote", uint64(i+1), line); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := client.Flush(); err != nil {
+	// A remote heartbeat, too.
+	if err := pub.SendHeartbeat("remote", tt.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 
-	// The wire server hands frames to the bus asynchronously; wait for
-	// them to land, then drain.
-	testutil.WaitUntil(t, 10*time.Second, func() bool {
-		return p.logmgrLag() > 0 || p.logmgr.Received() >= 3
-	}, "wire frames never reached the log manager")
+	// Every acked publish is on the bus; then the pipeline drains it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := pub.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Drain(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	pub.Close()
 	client.Close()
+	srv.Close()
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
 	}

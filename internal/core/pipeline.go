@@ -36,7 +36,6 @@ import (
 	"loglens/internal/store"
 	"loglens/internal/stream"
 	"loglens/internal/volume"
-	"loglens/internal/wire"
 )
 
 // ModelBroadcastID is the broadcast-variable ID the default model is
@@ -188,8 +187,6 @@ type Pipeline struct {
 	wg           sync.WaitGroup
 	runErr       chan error
 	logmgrExited chan struct{}
-
-	wireServers []*wire.Server
 
 	// intakeSvc is the network front door for the current run (nil until
 	// Start with Config.Intake enabled; a fresh service per Start so
@@ -638,34 +635,6 @@ func (p *Pipeline) Agent(source string, ratePerSec int) (*agent.Agent, error) {
 	})
 }
 
-// Listen accepts remote agents over TCP (the §II deployment: agent
-// daemons on other machines ship logs to the log manager). Frames are
-// published onto the logs data channel exactly as local agents publish.
-// It returns the bound address; Stop closes the listener.
-func (p *Pipeline) Listen(addr string) (string, error) {
-	if err := p.bus.CreateTopic(agent.LogsTopic, p.engine.Partitions()); err != nil {
-		return "", err
-	}
-	srv := wire.NewServer(func(f wire.Frame) {
-		if f.HB {
-			p.publishHeartbeat(f.Source, f.Time)
-			return
-		}
-		p.bus.Publish(agent.LogsTopic, f.Source, []byte(f.Raw), map[string]string{
-			agent.HeaderSource: f.Source,
-			agent.HeaderSeq:    strconv.FormatUint(f.Seq, 10),
-		})
-	})
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		return "", err
-	}
-	p.mu.Lock()
-	p.wireServers = append(p.wireServers, srv)
-	p.mu.Unlock()
-	return bound, nil
-}
-
 // Start launches the service: the streaming engine, the log manager pump,
 // the heartbeat controller, and the control-instruction watcher. It
 // returns immediately; Stop shuts everything down.
@@ -822,13 +791,8 @@ func (p *Pipeline) Stop() error {
 		return nil
 	}
 	p.running = false
-	servers := p.wireServers
-	p.wireServers = nil
 	svc := p.intakeSvc
 	p.mu.Unlock()
-	for _, srv := range servers {
-		srv.Close()
-	}
 	if svc != nil {
 		// Drain the front door before the engines: in-flight connections
 		// finish, the intake queue empties into the bus, and the stages

@@ -594,14 +594,9 @@ func (p *Pipeline) Kill() {
 		return
 	}
 	p.running = false
-	servers := p.wireServers
-	p.wireServers = nil
 	svc := p.intakeSvc
 	p.mu.Unlock()
 	p.commitsOn.Store(false)
-	for _, srv := range servers {
-		srv.Close()
-	}
 	if svc != nil {
 		// Crash semantics: the front door aborts without draining —
 		// blocked admissions shed, connections close.

@@ -471,17 +471,6 @@ func (c *Client) Publish(topic, key string, value []byte, headers map[string]str
 	return resp.Partition, resp.Offset, nil
 }
 
-// publishSeq is Publish with the idempotent-producer identity attached:
-// the broker drops re-sends of an already-appended (source, seq). The
-// spooling Publisher uses it so a lost ack cannot duplicate a line.
-func (c *Client) publishSeq(topic, key string, value []byte, headers map[string]string, source string, seq uint64) error {
-	_, err := c.call(OpPublish, Request{
-		Topic: topic, Key: key, Value: value, Headers: headers,
-		Source: source, Seq: seq,
-	})
-	return err
-}
-
 // PublishTo appends to an explicit partition.
 func (c *Client) PublishTo(topic string, partition int, key string, value []byte, headers map[string]string) (int64, error) {
 	resp, err := c.call(OpPublishTo, Request{Topic: topic, Partition: partition, Key: key, Value: value, Headers: headers})

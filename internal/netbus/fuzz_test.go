@@ -5,8 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"loglens/internal/frame"
+	"loglens/internal/fsx"
 )
 
 // FuzzRPCDecode hammers the frame decoder with arbitrary bytes. The
@@ -180,6 +185,75 @@ func FuzzPayloadDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, resp) {
 			t.Fatalf("response round trip:\n got %#v\nwant %#v", again, resp)
+		}
+	})
+}
+
+// FuzzSpoolReplay feeds arbitrary bytes to OpenSpool as a spool file. The
+// open must never panic, must replay only a CRC-valid, decodable prefix
+// of the input (repairing the file down to exactly that prefix), and a
+// second open of the repaired file must replay the same requests.
+func FuzzSpoolReplay(f *testing.F) {
+	var good []byte
+	for _, req := range []*Request{
+		lineRequest("logs", "web-1", 1, "GET /index.html 200"),
+		lineRequest("logs", "web-1", 2, ""),
+		{Topic: "logs", Key: "web-1", Headers: map[string]string{"source": "web-1", "heartbeat": "2016-02-23T09:00:00Z"}},
+	} {
+		good, _ = frame.Append(good, req, appendPayload)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)-3]) // torn tail
+	flipped := append([]byte{}, good...)
+	flipped[frame.HeaderSize+2] ^= 0xFF // bad CRC in the first record
+	f.Add(flipped)
+	legacy, _ := frame.Append(nil, []byte(`{"source":"s","seq":1,"raw":"x"}`), appendRaw)
+	f.Add(legacy) // a record of the earlier JSON spool format
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "spool.dat")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opt := SpoolOptions{FS: fsx.OS{}, Path: path, MaxBytes: 1 << 40}
+		s, err := OpenSpool(opt)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		repaired, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, repaired) || int64(len(repaired)) != s.Bytes() {
+			t.Fatalf("repaired file is %d bytes, input %d, replayed %d bytes",
+				len(repaired), len(data), s.Bytes())
+		}
+		// The repaired file is whole records, each CRC-valid and decodable.
+		n := 0
+		for off := 0; off < len(repaired); n++ {
+			payload, next, err := frame.Read(repaired, off, MaxPayloadBytes)
+			if err != nil {
+				t.Fatalf("record %d at %d: %v", n, off, err)
+			}
+			var req Request
+			if err := decodeRequest(payload, &req, nil); err != nil {
+				t.Fatalf("record %d: %v", n, err)
+			}
+			if !reflect.DeepEqual(req, s.entries[n].req) {
+				t.Fatalf("record %d replayed as %#v, file holds %#v", n, s.entries[n].req, req)
+			}
+			off = next
+		}
+		if n != s.Len() {
+			t.Fatalf("file holds %d records, spool replayed %d", n, s.Len())
+		}
+		again, err := OpenSpool(opt)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if !reflect.DeepEqual(again.entries, s.entries) {
+			t.Fatalf("reopen replayed %d entries, first open %d", again.Len(), s.Len())
 		}
 	})
 }

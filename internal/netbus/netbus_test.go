@@ -32,6 +32,16 @@ func startBroker(t *testing.T, opt Options) (*Server, *Client) {
 	return srv, c
 }
 
+// publishSeq publishes one message with the idempotent-producer identity
+// attached, as the spooling Publisher does.
+func publishSeq(c *Client, topic, key string, value []byte, headers map[string]string, source string, seq uint64) error {
+	_, err := c.call(OpPublish, Request{
+		Topic: topic, Key: key, Value: value, Headers: headers,
+		Source: source, Seq: seq,
+	})
+	return err
+}
+
 func TestRoundTrip(t *testing.T) {
 	_, c := startBroker(t, Options{})
 
@@ -117,11 +127,11 @@ func TestPublishDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // same (source, seq) three times
-		if err := c.publishSeq("logs", "s1", []byte("line-1"), nil, "s1", 1); err != nil {
+		if err := publishSeq(c, "logs", "s1", []byte("line-1"), nil, "s1", 1); err != nil {
 			t.Fatalf("publishSeq #%d: %v", i, err)
 		}
 	}
-	if err := c.publishSeq("logs", "s1", []byte("line-2"), nil, "s1", 2); err != nil {
+	if err := publishSeq(c, "logs", "s1", []byte("line-2"), nil, "s1", 2); err != nil {
 		t.Fatal(err)
 	}
 	if end, _ := srv.Bus().EndOffset("logs", 0); end != 2 {
@@ -135,20 +145,20 @@ func TestPublishDedup(t *testing.T) {
 // agent-started-before-the-worker case.
 func TestDedupClaimReleasedOnFailedPublish(t *testing.T) {
 	srv, c := startBroker(t, Options{})
-	if err := c.publishSeq("logs", "s1", []byte("line-1"), nil, "s1", 1); err == nil {
+	if err := publishSeq(c, "logs", "s1", []byte("line-1"), nil, "s1", 1); err == nil {
 		t.Fatal("publish to a missing topic should fail")
 	}
 	if err := c.CreateTopic("logs", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.publishSeq("logs", "s1", []byte("line-1"), nil, "s1", 1); err != nil {
+	if err := publishSeq(c, "logs", "s1", []byte("line-1"), nil, "s1", 1); err != nil {
 		t.Fatalf("retry after the topic exists: %v", err)
 	}
 	if end, _ := srv.Bus().EndOffset("logs", 0); end != 1 {
 		t.Fatalf("EndOffset = %d, want 1 (retry was deduplicated against a failed claim)", end)
 	}
 	// A re-send after the successful publish still dedups.
-	if err := c.publishSeq("logs", "s1", []byte("line-1"), nil, "s1", 1); err != nil {
+	if err := publishSeq(c, "logs", "s1", []byte("line-1"), nil, "s1", 1); err != nil {
 		t.Fatal(err)
 	}
 	if end, _ := srv.Bus().EndOffset("logs", 0); end != 1 {

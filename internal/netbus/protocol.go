@@ -41,8 +41,9 @@ const (
 	// headerSize is the fixed frame header length.
 	headerSize = 20
 
-	// MaxPayloadBytes bounds one frame's payload (matching the wire
-	// package's maximum log-line length, so any legal publish fits).
+	// MaxPayloadBytes bounds one frame's payload. It also bounds a
+	// spool record, which is a publish payload, so any line the spool
+	// accepts fits one publish.
 	MaxPayloadBytes = 16 << 20
 )
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"loglens/internal/agent"
-	"loglens/internal/wire"
 )
 
 // publishRetryDelay paces the drainer's retries while the broker is
@@ -53,33 +52,54 @@ func NewPublisher(c *Client, topic string, spool *Spool) *Publisher {
 
 // Send queues one log line. It returns once the line is spooled (and on
 // disk, when the spool is file-backed) — broker delivery is the
-// drainer's business.
+// drainer's business. The spooled request carries the agent header
+// convention the log manager routes by, and the per-source seq the
+// broker dedups on.
 func (p *Publisher) Send(source string, seq uint64, raw string) error {
-	if err := p.spool.Append(wire.Frame{Source: source, Seq: seq, Raw: raw}); err != nil {
-		return err
+	return p.enqueue(lineRequest(p.topic, source, seq, raw))
+}
+
+// lineRequest is the publish request that ships one log line.
+func lineRequest(topic, source string, seq uint64, raw string) *Request {
+	return &Request{
+		Topic: topic, Key: source, Value: []byte(raw),
+		Headers: map[string]string{
+			agent.HeaderSource: source,
+			agent.HeaderSeq:    strconv.FormatUint(seq, 10),
+		},
+		Source: source, Seq: seq,
 	}
-	p.nudge()
-	return nil
 }
 
 // SendHeartbeat queues a heartbeat-tagged message on the data channel
-// (§V-B: heartbeats travel where the logs travel).
+// (§V-B: heartbeats travel where the logs travel). Heartbeats are
+// idempotent by content, so they carry no seq identity.
 func (p *Publisher) SendHeartbeat(source string, t time.Time) error {
-	if err := p.spool.Append(wire.Frame{Source: source, HB: true, Time: t}); err != nil {
+	return p.enqueue(&Request{
+		Topic: p.topic, Key: source,
+		Headers: map[string]string{
+			agent.HeaderSource:    source,
+			agent.HeaderHeartbeat: t.Format(time.RFC3339Nano),
+		},
+	})
+}
+
+func (p *Publisher) enqueue(req *Request) error {
+	if err := p.spool.Append(req); err != nil {
 		return err
 	}
 	p.nudge()
 	return nil
 }
 
-// Acked returns the number of frames the broker has acknowledged.
+// Acked returns the number of requests the broker has acknowledged.
 func (p *Publisher) Acked() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.acked
 }
 
-// Drain blocks until the spool is empty (every queued frame acked) or
+// Drain blocks until the spool is empty (every queued request acked) or
 // ctx is done.
 func (p *Publisher) Drain(ctx context.Context) error {
 	for p.spool.Len() > 0 {
@@ -92,7 +112,7 @@ func (p *Publisher) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close stops the drainer. Spooled frames stay put (and on disk), ready
+// Close stops the drainer. Spooled requests stay put (and on disk), ready
 // for the next session's replay.
 func (p *Publisher) Close() {
 	select {
@@ -116,7 +136,7 @@ func (p *Publisher) nudge() {
 func (p *Publisher) drain() {
 	defer p.wg.Done()
 	for {
-		f, ok := p.spool.Head()
+		req, ok := p.spool.Head()
 		if !ok {
 			select {
 			case <-p.done:
@@ -125,7 +145,7 @@ func (p *Publisher) drain() {
 				continue
 			}
 		}
-		if err := p.ship(f); err != nil {
+		if _, err := p.c.call(OpPublish, req); err != nil {
 			select {
 			case <-p.done:
 				return
@@ -138,19 +158,4 @@ func (p *Publisher) drain() {
 		p.acked++
 		p.mu.Unlock()
 	}
-}
-
-// ship publishes one frame with the agent header convention the log
-// manager routes by.
-func (p *Publisher) ship(f wire.Frame) error {
-	if f.HB {
-		return p.c.publishSeq(p.topic, f.Source, nil, map[string]string{
-			agent.HeaderSource:    f.Source,
-			agent.HeaderHeartbeat: f.Time.Format(time.RFC3339Nano),
-		}, "", 0) // heartbeats are idempotent by content; no seq identity
-	}
-	return p.c.publishSeq(p.topic, f.Source, []byte(f.Raw), map[string]string{
-		agent.HeaderSource: f.Source,
-		agent.HeaderSeq:    strconv.FormatUint(f.Seq, 10),
-	}, f.Source, f.Seq)
 }

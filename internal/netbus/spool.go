@@ -1,30 +1,24 @@
 package netbus
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"sync"
 
+	"loglens/internal/frame"
 	"loglens/internal/fsx"
 	"loglens/internal/metrics"
 	"loglens/internal/obs"
-	"loglens/internal/wire"
 )
 
-// Spool record framing on disk (same idiom as the storage WAL):
-//
-//	[0:4] payload length (u32 LE)
-//	[4:8] CRC32 (IEEE) of the payload (u32 LE)
-//	[8:]  payload — one wire.Frame as JSON
-//
-// A torn tail (partial last record, bad CRC) is truncated away on open:
-// the valid prefix is the spool. Everything replayed is treated as
-// unacked and re-sent; the broker's per-(topic, source) sequence dedup
-// makes the re-send harmless.
-const spoolRecordHeader = 8
+// Each spool record on disk is a frame record (package frame) whose
+// payload is the binary encoding (appendRequest) of the exact publish
+// Request the drainer sends: the record on disk is the request that goes
+// out. A torn tail (partial last record, bad CRC, undecodable payload) is
+// truncated away on open: the valid prefix is the spool. Everything
+// replayed is treated as unacked and re-sent; the broker's
+// per-(topic, source) sequence dedup makes the re-send harmless.
 
 // DefaultSpoolMaxBytes caps the spool at 4 MiB of framed records unless
 // configured otherwise.
@@ -34,15 +28,21 @@ const DefaultSpoolMaxBytes = 4 << 20
 // head of the spool file before it is compacted by atomic rewrite.
 const compactSlack = 1 << 20
 
-// spoolEntry is one queued frame with its on-disk footprint.
+// ErrSpoolRecordTooBig reports a record larger than the spool cap or
+// than one publish payload. Append refuses it and changes nothing: queued
+// behind the cap it would shed every other line, and past
+// MaxPayloadBytes the broker could never accept it.
+var ErrSpoolRecordTooBig = errors.New("netbus: spool record too big")
+
+// spoolEntry is one queued publish with its on-disk footprint.
 type spoolEntry struct {
-	frame wire.Frame
-	size  int64 // framed record size on disk
+	req  Request
+	size int64 // framed record size on disk
 }
 
-// Spool is the publisher's bounded outage buffer: frames append at the
-// tail, drain from the head, and when the byte cap is hit the OLDEST
-// unacked frames are shed first — the newest data is the most valuable
+// Spool is the publisher's bounded outage buffer: publish requests append
+// at the tail, drain from the head, and when the byte cap is hit the
+// OLDEST unacked ones are shed first — the newest data is the most valuable
 // to an operator watching a live system, and the flight recorder keeps
 // the audit trail of what was dropped. With a filesystem attached the
 // queue is mirrored to one CRC-framed file so a crashed or restarted
@@ -94,23 +94,19 @@ func OpenSpool(opt SpoolOptions) (*Spool, error) {
 		return nil, fmt.Errorf("netbus: open spool %s: %w", s.path, err)
 	}
 	valid := 0
-	for len(data[valid:]) >= spoolRecordHeader {
-		rec := data[valid:]
-		n := int(binary.LittleEndian.Uint32(rec[0:4]))
-		if n > wire.MaxFrameBytes || len(rec) < spoolRecordHeader+n {
-			break // torn tail
-		}
-		payload := rec[spoolRecordHeader : spoolRecordHeader+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rec[4:8]) {
-			break // corrupt tail
-		}
-		f, err := wire.Decode(payload)
+	for valid < len(data) {
+		payload, next, err := frame.Read(data, valid, MaxPayloadBytes)
 		if err != nil {
+			break // torn or corrupt tail
+		}
+		var req Request
+		if decodeRequest(payload, &req, nil) != nil || req.Topic == "" {
 			break
 		}
-		s.entries = append(s.entries, spoolEntry{frame: f, size: int64(spoolRecordHeader + n)})
-		s.bytes += int64(spoolRecordHeader + n)
-		valid += spoolRecordHeader + n
+		size := int64(next - valid)
+		s.entries = append(s.entries, spoolEntry{req: req, size: size})
+		s.bytes += size
+		valid = next
 	}
 	if valid != len(data) {
 		// Repair the torn tail now so a crash mid-session cannot stack a
@@ -132,18 +128,17 @@ func (s *Spool) SetMetrics(reg *metrics.Registry) {
 	s.bytesG.Set(s.bytes)
 }
 
-// Append queues one frame, shedding from the head if the cap would be
-// exceeded. The disk write happens before the frame is visible to the
-// drainer, so an acked line is always one that reached the file first.
-func (s *Spool) Append(f wire.Frame) error {
-	payload, err := wire.Encode(f)
-	if err != nil {
-		return err
+// Append queues one publish request, shedding from the head if the cap
+// would be exceeded. The disk write happens before the request is visible
+// to the drainer, so an acked line is always one that reached the file
+// first. A record over the cap or over MaxPayloadBytes is refused with
+// ErrSpoolRecordTooBig. The spool keeps req's Value and Headers, so the
+// caller must not change them afterwards.
+func (s *Spool) Append(req *Request) error {
+	rec, _ := frame.Append(nil, req, appendPayload) // appendPayload cannot fail
+	if limit := min(s.max, frame.HeaderSize+MaxPayloadBytes); int64(len(rec)) > limit {
+		return fmt.Errorf("%w: %d-byte record, limit %d bytes", ErrSpoolRecordTooBig, len(rec), limit)
 	}
-	rec := make([]byte, spoolRecordHeader, spoolRecordHeader+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	rec = append(rec, payload...)
 	if s.fsys != nil {
 		if err := s.fsys.Append(s.path, rec, 0o644); err != nil {
 			return fmt.Errorf("netbus: spool append: %w", err)
@@ -151,13 +146,18 @@ func (s *Spool) Append(f wire.Frame) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = append(s.entries, spoolEntry{frame: f, size: int64(len(rec))})
+	s.entries = append(s.entries, spoolEntry{req: *req, size: int64(len(rec))})
 	s.bytes += int64(len(rec))
 	s.enforceCapLocked()
 	if s.bytesG != nil {
 		s.bytesG.Set(s.bytes)
 	}
 	return nil
+}
+
+// appendPayload is appendRequest in the shape frame.Append takes.
+func appendPayload(dst []byte, req *Request) ([]byte, error) {
+	return appendRequest(dst, req), nil
 }
 
 // enforceCapLocked sheds oldest-first until the live bytes fit the cap.
@@ -210,16 +210,8 @@ func (s *Spool) AckHead() {
 // replace, same crash-safety idiom as checkpoint files).
 func (s *Spool) compactLocked() {
 	var buf []byte
-	for _, e := range s.entries {
-		payload, err := wire.Encode(e.frame)
-		if err != nil {
-			continue
-		}
-		var h [spoolRecordHeader]byte
-		binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(h[4:8], crc32.ChecksumIEEE(payload))
-		buf = append(buf, h[:]...)
-		buf = append(buf, payload...)
+	for i := range s.entries {
+		buf, _ = frame.Append(buf, &s.entries[i].req, appendPayload) // cannot fail
 	}
 	if err := fsx.WriteFileAtomic(s.fsys, s.path, buf, 0o644); err != nil {
 		return // keep dead bytes; retry at the next ack
@@ -227,17 +219,17 @@ func (s *Spool) compactLocked() {
 	s.dead = 0
 }
 
-// Head returns the oldest queued frame without removing it.
-func (s *Spool) Head() (wire.Frame, bool) {
+// Head returns the oldest queued request without removing it.
+func (s *Spool) Head() (Request, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.entries) == 0 {
-		return wire.Frame{}, false
+		return Request{}, false
 	}
-	return s.entries[0].frame, true
+	return s.entries[0].req, true
 }
 
-// Len returns the number of queued (unacked) frames.
+// Len returns the number of queued (unacked) requests.
 func (s *Spool) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

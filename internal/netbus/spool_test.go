@@ -2,17 +2,19 @@ package netbus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"loglens/internal/frame"
 	"loglens/internal/fsx"
 	"loglens/internal/metrics"
 	"loglens/internal/obs"
-	"loglens/internal/wire"
 )
 
 func memSpool(t *testing.T, max int64) *Spool {
@@ -27,7 +29,7 @@ func memSpool(t *testing.T, max int64) *Spool {
 func TestSpoolFIFO(t *testing.T) {
 	s := memSpool(t, 1<<20)
 	for i := 0; i < 5; i++ {
-		if err := s.Append(wire.Frame{Source: "s", Seq: uint64(i + 1), Raw: fmt.Sprintf("l%d", i)}); err != nil {
+		if err := s.Append(lineRequest("logs", "s", uint64(i+1), fmt.Sprintf("l%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +54,7 @@ func TestSpoolShedsOldestFirst(t *testing.T) {
 
 	var seqs []uint64
 	for i := 1; i <= 20; i++ {
-		if err := s.Append(wire.Frame{Source: "s", Seq: uint64(i), Raw: "0123456789"}); err != nil {
+		if err := s.Append(lineRequest("logs", "s", uint64(i), "0123456789")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,6 +90,55 @@ func TestSpoolShedsOldestFirst(t *testing.T) {
 	}
 }
 
+// TestSpoolRefusesOversizeRecord: a record over the cap is refused whole.
+// Queued, it would shed every line ahead of it and then itself.
+func TestSpoolRefusesOversizeRecord(t *testing.T) {
+	s := memSpool(t, 200)
+	for i := 1; i <= 3; i++ {
+		if err := s.Append(lineRequest("logs", "s", uint64(i), "small")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := s.Append(lineRequest("logs", "s", 4, strings.Repeat("x", 201)))
+	if !errors.Is(err, ErrSpoolRecordTooBig) {
+		t.Fatalf("oversize append = %v, want ErrSpoolRecordTooBig", err)
+	}
+	if s.Len() != 3 || s.Shed() != 0 {
+		t.Fatalf("after refusal: len=%d shed=%d, want 3 and 0", s.Len(), s.Shed())
+	}
+
+	// Past one publish payload the broker could never take the line, so
+	// a cap above MaxPayloadBytes refuses it too.
+	big := memSpool(t, 2*MaxPayloadBytes)
+	err = big.Append(lineRequest("logs", "s", 1, strings.Repeat("x", MaxPayloadBytes)))
+	if !errors.Is(err, ErrSpoolRecordTooBig) || big.Len() != 0 {
+		t.Fatalf("over-payload append = %v (len %d), want ErrSpoolRecordTooBig", err, big.Len())
+	}
+}
+
+// appendRaw frames a payload as is.
+func appendRaw(dst, p []byte) ([]byte, error) { return append(dst, p...), nil }
+
+// TestSpoolSkipsJSONRecords: a spool file of the earlier JSON line
+// records replays nothing; the open repairs it to empty as a torn tail.
+func TestSpoolSkipsJSONRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spool.dat")
+	rec, _ := frame.Append(nil, []byte(`{"source":"s","seq":1,"raw":"line"}`), appendRaw)
+	if err := os.WriteFile(path, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSpool(SpoolOptions{FS: fsx.OS{}, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("replayed %d JSON records", s.Len())
+	}
+	if data, _ := os.ReadFile(path); len(data) != 0 {
+		t.Fatalf("file not repaired: %d bytes left", len(data))
+	}
+}
+
 func TestSpoolReplayFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spool.dat")
@@ -96,7 +147,7 @@ func TestSpoolReplayFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := s.Append(wire.Frame{Source: "s", Seq: uint64(i), Raw: "line" + strconv.Itoa(i)}); err != nil {
+		if err := s.Append(lineRequest("logs", "s", uint64(i), "line"+strconv.Itoa(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +187,7 @@ func TestSpoolTornTailRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := s.Append(wire.Frame{Source: "s", Seq: uint64(i), Raw: "intact"}); err != nil {
+		if err := s.Append(lineRequest("logs", "s", uint64(i), "intact")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +221,7 @@ func TestSpoolCorruptMiddleStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(wire.Frame{Source: "s", Seq: 1, Raw: "ok"}); err != nil {
+	if err := s.Append(lineRequest("logs", "s", 1, "ok")); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)

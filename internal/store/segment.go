@@ -8,7 +8,7 @@
 // On-disk layout (all integers little-endian):
 //
 //	[8]  magic "LLSEGv1\n"
-//	[..] document records, each [4 len][4 crc32(payload)][payload JSON]
+//	[..] document records, each a frame.Append record of JSON
 //	[..] footer JSON (segFooter)
 //	[4]  footer length
 //	[4]  crc32 of footer JSON
@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"loglens/internal/frame"
 	"loglens/internal/fsx"
 )
 
@@ -49,49 +50,14 @@ const maxStatVals = 16
 const maxStatFields = 32
 
 var (
-	errBadMagic   = errors.New("store: segment: bad magic")
-	errTruncated  = errors.New("store: segment: truncated")
-	errBadCheck   = errors.New("store: segment: checksum mismatch")
+	errBadMagic = errors.New("store: segment: bad magic")
+	// The record frame's errors double as the trailer's and footer's.
+	errTruncated  = frame.ErrTruncated
+	errBadCheck   = frame.ErrChecksum
 	errBadRecord  = errors.New("store: segment: malformed record")
 	errBadFooter  = errors.New("store: segment: malformed footer")
 	errOutOfRange = errors.New("store: segment: directory entry out of range")
 )
-
-// appendRecord frames the payload enc appends onto dst as
-// [len][crc][payload], encoding it in place behind a reserved header. The
-// frame is shared by segment records and WAL records. On error dst comes
-// back as it was.
-func appendRecord[T any](dst []byte, v T, enc func([]byte, T) ([]byte, error)) ([]byte, error) {
-	start := len(dst)
-	dst, err := enc(append(dst, make([]byte, 8)...), v)
-	if err != nil {
-		return dst[:start], err
-	}
-	payload := dst[start+8:]
-	binary.LittleEndian.PutUint32(dst[start:start+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:start+8], crc32.ChecksumIEEE(payload))
-	return dst, nil
-}
-
-// readRecord decodes one frame at off, returning the payload and the
-// offset of the next frame. Any framing or checksum violation is an
-// error; callers decide whether that is corruption (segments) or a torn
-// tail (WAL replay).
-func readRecord(data []byte, off int) (payload []byte, next int, err error) {
-	if off < 0 || off+8 > len(data) {
-		return nil, 0, errTruncated
-	}
-	n := binary.LittleEndian.Uint32(data[off : off+4])
-	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n > maxRecordLen || off+8+int(n) > len(data) {
-		return nil, 0, errTruncated
-	}
-	payload = data[off+8 : off+8+int(n)]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, errBadCheck
-	}
-	return payload, off + 8 + int(n), nil
-}
 
 // segDoc is one record payload: a document pinned to its id and scan
 // order, or a tombstone (Del) that erases the id from older segments when
@@ -205,7 +171,7 @@ func encodeSegment(docs []segDoc) ([]byte, *segFooter, error) {
 		sd := &docs[i]
 		off := int64(len(buf))
 		var err error
-		if buf, err = appendRecord(buf, sd, appendSegDoc); err != nil {
+		if buf, err = frame.Append(buf, sd, appendSegDoc); err != nil {
 			return nil, nil, err
 		}
 		ft.Entries = append(ft.Entries, segEntry{
@@ -325,7 +291,7 @@ func decodeFooter(size int64, tail []byte, tailOff int64) (*segFooter, int64, er
 	}
 	for i := range ft.Entries {
 		e := &ft.Entries[i]
-		if e.Off < int64(len(segMagic)) || e.Len < 8 || e.Off+int64(e.Len) > ftOff {
+		if e.Off < int64(len(segMagic)) || e.Len < frame.HeaderSize || e.Off+int64(e.Len) > ftOff {
 			return nil, 0, errOutOfRange
 		}
 	}
@@ -354,11 +320,11 @@ func decodeSegment(data []byte) (*segFooter, []segDoc, error) {
 	docs := make([]segDoc, 0, len(ft.Entries))
 	for i := range ft.Entries {
 		e := &ft.Entries[i]
-		payload, _, err := readRecord(data, int(e.Off))
+		payload, _, err := frame.Read(data, int(e.Off), maxRecordLen)
 		if err != nil {
 			return nil, nil, err
 		}
-		if int64(len(payload))+8 != int64(e.Len) {
+		if int64(len(payload))+frame.HeaderSize != int64(e.Len) {
 			return nil, nil, errBadRecord
 		}
 		var sd segDoc
@@ -379,7 +345,7 @@ func (sg *segment) fetchDoc(e ref) (Document, error) {
 	if _, err := sg.fh.ReadAt(buf, e.off); err != nil {
 		return nil, fmt.Errorf("store: segment %s: read: %w", sg.file, err)
 	}
-	payload, _, err := readRecord(buf, 0)
+	payload, _, err := frame.Read(buf, 0, maxRecordLen)
 	if err != nil {
 		return nil, fmt.Errorf("store: segment %s: %w", sg.file, err)
 	}

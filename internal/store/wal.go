@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"loglens/internal/frame"
 )
 
 // WAL operation codes.
@@ -44,7 +46,7 @@ type walRecord struct {
 func encodeWAL(dst []byte, recs []walRecord) ([]byte, error) {
 	for i := range recs {
 		var err error
-		if dst, err = appendRecord(dst, &recs[i], appendWALRecord); err != nil {
+		if dst, err = frame.Append(dst, &recs[i], appendWALRecord); err != nil {
 			return dst, fmt.Errorf("store: wal: encode %s: %w", recs[i].Op, err)
 		}
 	}
@@ -99,7 +101,7 @@ func appendUintField(dst []byte, key string, v uint64) []byte {
 func decodeWAL(data []byte) (recs []walRecord, valid int) {
 	off := 0
 	for off < len(data) {
-		payload, next, err := readRecord(data, off)
+		payload, next, err := frame.Read(data, off, maxRecordLen)
 		if err != nil {
 			return recs, off
 		}
