@@ -13,6 +13,7 @@ package loglens
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -331,6 +332,68 @@ func BenchmarkStorePutSearch(b *testing.B) {
 		if i%1024 == 1023 {
 			ix.CountWhere(store.Query{Term: map[string]any{"type": "missing-end-state"}})
 		}
+	}
+}
+
+// BenchmarkStoreSeal times one seal (Flush) of a fixed memtable of 17.5k
+// archived log lines — about the 4 MiB of WAL that triggers a seal — into
+// a persistent index already holding 10k or 200k sealed documents. Every
+// round re-puts the same 17.5k ids, so the index size stays fixed. A seal
+// that is linear in the memtable costs the same at both sizes.
+func BenchmarkStoreSeal(b *testing.B) {
+	const memtable = 17_500
+	t0 := time.Date(2016, 2, 23, 9, 0, 0, 0, time.UTC)
+	doc := func(i int) store.Document {
+		return modelmgr.ArchiveDoc(logtypes.Log{
+			Source:  "web01",
+			Seq:     uint64(i),
+			Raw:     fmt.Sprintf("2016/02/23 09:00:%02d.000 job %d scheduled on host web01 queue q%d", i%60, i, i%7),
+			Arrival: t0.Add(time.Duration(i) * time.Millisecond),
+		})
+	}
+	memIDs := make([]string, memtable)
+	for i := range memIDs {
+		memIDs[i] = fmt.Sprintf("mem-%d", i)
+	}
+	for _, held := range []int{10_000, 200_000} {
+		b.Run(fmt.Sprintf("held=%dk", held/1000), func(b *testing.B) {
+			st, err := store.Open(store.Options{Dir: b.TempDir(), FlushBytes: 1 << 40})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			ix := st.Index("logs")
+			for i := 0; i < held; i += 1000 {
+				docs := make([]store.Document, 1000)
+				for j := range docs {
+					docs[j] = doc(i + j)
+				}
+				ix.PutBatch(docs)
+				if (i+1000)%25_000 == 0 {
+					if err := st.Flush(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if err := st.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				for i, id := range memIDs {
+					ix.Put(id, doc(held+i))
+				}
+				b.StartTimer()
+				if err := st.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if got := ix.Count(); got != held+memtable {
+				b.Fatalf("index holds %d documents, want %d", got, held+memtable)
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"loglens/internal/agent"
 	"loglens/internal/bus"
 	"loglens/internal/logtypes"
+	"loglens/internal/modelmgr"
 	"loglens/internal/store"
 )
 
@@ -171,5 +172,66 @@ func TestBusyCoversPollToForward(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Errorf("Run returned %v", err)
+	}
+}
+
+// TestArchiveLandsBeforeForward: a poll batch's logs are archived — one
+// document per log, per source, in order, in the store's canonical form
+// — by the time ForwardBatch sees the batch, and OnBatch runs after both.
+func TestArchiveLandsBeforeForward(t *testing.T) {
+	b := bus.New()
+	st := store.New()
+	var order []string
+	m := New(b, st, Config{
+		ArchiveLogs: true,
+		ForwardBatch: func(logs []logtypes.Log) {
+			order = append(order, "forward")
+			for _, src := range []string{"web", "db"} {
+				if n := st.Index(modelmgr.LogsIndexFor(src)).Count(); n != 3 {
+					t.Errorf("%s: %d archived when the batch was forwarded, want 3", src, n)
+				}
+			}
+		},
+		OnBatch: func([]bus.Message) { order = append(order, "onbatch") },
+	}, nil)
+	web, _ := agent.New(b, agent.Config{Source: "web"})
+	db, _ := agent.New(b, agent.Config{Source: "db"})
+	for i := 0; i < 3; i++ {
+		web.Send(fmt.Sprintf("web line %d", i))
+		db.Send(fmt.Sprintf("db line %d", i))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- m.Run(ctx) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Received() < 6 || m.Busy() {
+		if time.Now().After(deadline) {
+			t.Fatal("log manager never drained the batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(order) < 2 || order[0] != "forward" || order[1] != "onbatch" {
+		t.Fatalf("hook order %v, want forward then onbatch", order)
+	}
+	hits := st.Index(modelmgr.LogsIndexFor("web")).Search(store.Query{SortBy: "seq"})
+	if len(hits) != 3 {
+		t.Fatalf("web archive holds %d docs, want 3", len(hits))
+	}
+	for i, h := range hits {
+		if h.ID != fmt.Sprintf("logs-web-%d", i+1) || h.Doc["raw"] != fmt.Sprintf("web line %d", i) || h.Doc["source"] != "web" {
+			t.Errorf("archived doc %d = %s %v", i, h.ID, h.Doc)
+		}
+		if _, ok := h.Doc["seq"].(float64); !ok {
+			t.Errorf("archived seq %T, want float64", h.Doc["seq"])
+		}
+		if s, ok := h.Doc["arrival"].(string); !ok {
+			t.Errorf("archived arrival %T, want an RFC 3339 string", h.Doc["arrival"])
+		} else if _, err := time.Parse(time.RFC3339Nano, s); err != nil {
+			t.Errorf("archived arrival %q: %v", s, err)
+		}
 	}
 }

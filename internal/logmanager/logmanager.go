@@ -30,7 +30,9 @@ type Config struct {
 
 	// ArchiveLogs stores raw logs into the log storage (default
 	// behaviour; the evaluation harness disables it for pure-throughput
-	// runs).
+	// runs). Each poll batch is archived with one store.PutBatch per
+	// source index, before the batch is forwarded (with ForwardBatch) and
+	// before OnBatch registers its offsets.
 	ArchiveLogs bool
 
 	// Metrics, when set, mirrors the received/heartbeat/dropped counters
@@ -93,6 +95,11 @@ type Manager struct {
 	// DrainOnce), so it needs no lock.
 	batch []logtypes.Log
 
+	// archive holds the pending archive documents per source until
+	// flushArchive writes them. Confined to the consumption loop like
+	// batch.
+	archive map[string][]store.Document
+
 	// paused/idle implement checkpoint quiescence: Pause stops the
 	// ManualCommit polling loop from consuming; idle reports that the
 	// loop has observed the pause and is parked, so no more forwards are
@@ -115,7 +122,7 @@ func New(b bus.Broker, st *store.Store, cfg Config, forward func(logtypes.Log)) 
 	if cfg.Group == "" {
 		cfg.Group = "log-manager"
 	}
-	m := &Manager{cfg: cfg, bus: b, store: st, forward: forward}
+	m := &Manager{cfg: cfg, bus: b, store: st, forward: forward, archive: make(map[string][]store.Document)}
 	if cfg.Metrics != nil {
 		m.recvCounter = cfg.Metrics.Counter("logmanager_received_total")
 		m.hbCounter = cfg.Metrics.Counter("logmanager_heartbeats_total")
@@ -268,10 +275,14 @@ func (m *Manager) DrainOnce() int {
 	}
 }
 
-// flushBatch hands the accumulated logs downstream in one call and
-// recycles the buffer. Entries are zeroed before reuse so the backing
-// array does not pin raw-log payloads across batches.
+// flushBatch archives the pending logs, then hands the accumulated logs
+// downstream in one call and recycles the buffer. Entries are zeroed
+// before reuse so the backing array does not pin raw-log payloads across
+// batches. Without ForwardBatch the logs went downstream one by one as
+// they were handled, so their archive write trails them; it still lands
+// before OnBatch.
 func (m *Manager) flushBatch() {
+	m.flushArchive()
 	if len(m.batch) == 0 {
 		return
 	}
@@ -291,7 +302,17 @@ func (m *Manager) flushBatch() {
 	m.batch = m.batch[:0]
 }
 
-// handle identifies the source, archives, and forwards one message.
+// flushArchive writes the pending archive documents, one PutBatch per
+// source index. The store keeps the documents.
+func (m *Manager) flushArchive() {
+	for source, docs := range m.archive {
+		m.store.Index(modelmgr.LogsIndexFor(source)).PutBatch(docs)
+	}
+	clear(m.archive)
+}
+
+// handle identifies the source, queues the archive write, and forwards
+// one message.
 // Heartbeat-tagged messages are routed to the heartbeat hook instead of
 // the log path.
 func (m *Manager) handle(msg bus.Message) {
@@ -349,12 +370,7 @@ func (m *Manager) handle(msg bus.Message) {
 	}
 
 	if m.cfg.ArchiveLogs && m.store != nil {
-		m.store.Index(modelmgr.LogsIndexFor(source)).PutAuto(store.Document{
-			"raw":     l.Raw,
-			"seq":     l.Seq,
-			"arrival": l.Arrival,
-			"source":  l.Source,
-		})
+		m.archive[source] = append(m.archive[source], modelmgr.ArchiveDoc(l))
 	}
 	if m.cfg.ForwardBatch != nil {
 		m.batch = append(m.batch, l)

@@ -130,6 +130,41 @@ func (mgr *Manager) Latest() (*Model, error) {
 // information").
 func LogsIndexFor(source string) string { return "logs-" + source }
 
+// ArchiveDoc is the log-storage document for one log. It is built in the
+// form the store keeps — seq as a float64, arrival as its RFC 3339
+// string — so PutBatch can keep the map as it is.
+func ArchiveDoc(l logtypes.Log) store.Document {
+	return store.Document{
+		"raw":     l.Raw,
+		"seq":     float64(l.Seq),
+		"arrival": l.Arrival.Format(time.RFC3339Nano),
+		"source":  l.Source,
+	}
+}
+
+// archivedLog decodes one log-storage document. It accepts both forms a
+// stored log comes back in: the canonical one (float64 seq, RFC 3339
+// arrival), which ArchiveDoc writes and the persistent store returns for
+// any document, and a uint64 seq with a time.Time arrival, which the
+// in-memory store returns as they were put.
+func archivedLog(source string, doc store.Document) logtypes.Log {
+	l := logtypes.Log{Source: source}
+	l.Raw, _ = doc["raw"].(string)
+	switch v := doc["seq"].(type) {
+	case uint64:
+		l.Seq = v
+	case float64:
+		l.Seq = uint64(v)
+	}
+	switch v := doc["arrival"].(type) {
+	case time.Time:
+		l.Arrival = v
+	case string:
+		l.Arrival, _ = time.Parse(time.RFC3339Nano, v)
+	}
+	return l
+}
+
 // Rebuild builds a fresh model for a source from the logs stored since the
 // given time, saves it, and returns it — one periodic relearning round
 // (handling data drift, §II-A).
@@ -141,10 +176,7 @@ func (mgr *Manager) Rebuild(id, source string, since time.Time) (*Model, *BuildR
 	})
 	logs := make([]logtypes.Log, 0, len(hits))
 	for _, h := range hits {
-		raw, _ := h.Doc["raw"].(string)
-		seq, _ := h.Doc["seq"].(uint64)
-		arrival, _ := h.Doc["arrival"].(time.Time)
-		logs = append(logs, logtypes.Log{Source: source, Raw: raw, Seq: seq, Arrival: arrival})
+		logs = append(logs, archivedLog(source, h.Doc))
 	}
 	if len(logs) == 0 {
 		return nil, nil, fmt.Errorf("modelmgr: rebuild %q: no stored logs for source %q since %v", id, source, since)

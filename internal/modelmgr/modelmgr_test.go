@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -322,5 +323,64 @@ func TestUnmarshalEmptyModel(t *testing.T) {
 	}
 	if m.Patterns == nil || m.Sequence == nil {
 		t.Error("nil sub-models after unmarshal")
+	}
+}
+
+// TestRebuildPersistentMatchesMemory: Rebuild decodes stored logs the
+// same way on both store engines. The lines carry no timestamp, so the
+// volume profile buckets them by their stored arrival; a lost arrival
+// (or seq) would shift every bucket to year 1. Logs archived the old way
+// (uint64 seq, time.Time arrival, one PutAuto each) and the log
+// manager's way (ArchiveDoc, PutBatch) must both give the profile a
+// build on the original logs learns.
+func TestRebuildPersistentMatchesMemory(t *testing.T) {
+	var logs []logtypes.Log
+	for i := 0; i < 120; i++ {
+		raw := fmt.Sprintf("task ev-%05d start prio %d", i, i%5)
+		if i%3 == 0 {
+			raw = fmt.Sprintf("task ev-%05d done code %d", i, i%3)
+		}
+		logs = append(logs, logtypes.Log{Source: "tasks", Seq: uint64(i + 1), Raw: raw, Arrival: base.Add(time.Duration(i*7) * time.Second)})
+	}
+	cfg := BuilderConfig{VolumeWindow: time.Minute, SkipSequence: true}
+	want, _, err := NewBuilder(cfg).Build("direct", logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Volume.Stats) == 0 {
+		t.Fatal("direct build learned no volume profile")
+	}
+	archive := map[string]func(*store.Index){
+		"put-auto": func(ix *store.Index) {
+			for _, l := range logs {
+				ix.PutAuto(store.Document{"raw": l.Raw, "seq": l.Seq, "arrival": l.Arrival, "source": l.Source})
+			}
+		},
+		"put-batch": func(ix *store.Index) {
+			docs := make([]store.Document, len(logs))
+			for i, l := range logs {
+				docs[i] = ArchiveDoc(l)
+			}
+			ix.PutBatch(docs)
+		},
+	}
+	for way, put := range archive {
+		persistent, err := store.Open(store.Options{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for engine, st := range map[string]*store.Store{"memory": store.New(), "persistent": persistent} {
+			put(st.Index(LogsIndexFor("tasks")))
+			m, _, err := NewManager(st, NewBuilder(cfg)).Rebuild("rebuilt", "tasks", base.Add(-time.Hour))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", way, engine, err)
+			}
+			if !reflect.DeepEqual(m.Volume, want.Volume) {
+				t.Errorf("%s/%s: rebuilt volume profile %+v, want %+v", way, engine, m.Volume, want.Volume)
+			}
+		}
+		if err := persistent.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

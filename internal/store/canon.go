@@ -75,6 +75,75 @@ func encodeCanonical(doc Document) (json.RawMessage, Document, bool) {
 	return raw, cdoc, ok
 }
 
+// encodeOwned is encodeDoc for a document the store keeps as given
+// (PutBatch): when every value is already canonical, doc is its own
+// canonical form and only its bytes are new. A document that cannot be
+// encoded comes back as given, with the error.
+func encodeOwned(doc Document) (json.RawMessage, Document, error) {
+	bp := canonBufs.Get().(*[]byte)
+	buf, ok := appendFlatDoc((*bp)[:0], doc)
+	var raw json.RawMessage
+	if ok {
+		raw = append(json.RawMessage(nil), buf...)
+	}
+	if cap(buf) <= 64<<10 {
+		*bp = buf
+		canonBufs.Put(bp)
+	}
+	if ok {
+		return raw, doc, nil
+	}
+	raw, cdoc, err := encodeDoc(doc)
+	if err != nil {
+		cdoc = doc
+	}
+	return raw, cdoc, err
+}
+
+// appendFlatDoc appends doc's JSON encoding when every value is already
+// what json.Unmarshal would read back from it — a valid UTF-8 string, a
+// finite float64, a bool or nil — so doc is its own canonical form. ok
+// is false for any other document.
+func appendFlatDoc(dst []byte, doc Document) ([]byte, bool) {
+	if doc == nil {
+		return dst, false
+	}
+	var stack [16]string
+	keys := stack[:0]
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		valid := true
+		if dst, valid = appendJSONString(dst, k); !valid {
+			return dst, false
+		}
+		dst = append(dst, ':')
+		switch x := doc[k].(type) {
+		case nil:
+			dst = append(dst, "null"...)
+		case string:
+			dst, valid = appendJSONString(dst, x)
+		case bool:
+			dst = strconv.AppendBool(dst, x)
+		case float64:
+			valid = !math.IsNaN(x) && !math.IsInf(x, 0)
+			dst = appendJSONFloat(dst, x, 64)
+		default:
+			valid = false
+		}
+		if !valid {
+			return dst, false
+		}
+	}
+	return append(dst, '}'), true
+}
+
 // appendCanonMap encodes m as a JSON object with sorted keys, returning
 // the canonical map.
 func appendCanonMap(dst []byte, m map[string]any) ([]byte, map[string]any, bool) {

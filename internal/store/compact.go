@@ -36,7 +36,9 @@ type stagedIndex struct {
 	data    []byte   // encoded newSeg bytes (written before manifest)
 	compact bool     // newSeg replaces all segments
 	memIDs  []string // ids sealed out of the memtable (incremental)
-	evicted uint64   // age-drop eviction delta
+	// evicted is the age-drop eviction delta: how many live documents
+	// the dropped segments held. Zero means no id is orphaned.
+	evicted uint64
 	segs    []manifestSegment
 	keep    []*segment // surviving old segments, in order
 }
@@ -73,7 +75,7 @@ func (e *engine) sealLocked(plan sealPlan) error {
 	if err := e.flushWALLocked(); err != nil {
 		return err
 	}
-	changed := len(e.walOps) > 0
+	changed := len(e.wal) > 0
 	for _, victims := range plan.drop {
 		if len(victims) > 0 {
 			changed = true
@@ -145,11 +147,7 @@ func (e *engine) sealLocked(plan sealPlan) error {
 	e.manifests[newGen] = m
 	// A GC'd past lineage may have left a stale WAL under the new name.
 	e.fs.Remove(e.path(walName(newGen)))
-	e.walFile = m.WAL
-	e.walOps = nil
-	e.walPend = nil
-	e.walOnDisk = 0
-	e.walDirty = false
+	e.resetWALLocked(m.WAL)
 	e.flushes++
 	e.setErr(nil)
 	e.gcLocked()
@@ -216,7 +214,7 @@ func (e *engine) stageIndex(ix *Index, plan sealPlan, bucket time.Time) (*staged
 		})
 	}
 	if len(pe.mem) > 0 || len(pe.dead) > 0 {
-		var docs []segDoc
+		docs := make([]segDoc, 0, len(pe.dead)+len(pe.mem))
 		for id := range pe.dead {
 			if _, back := pe.mem[id]; !back {
 				docs = append(docs, segDoc{ID: id, Del: true})
@@ -309,9 +307,11 @@ func (e *engine) commitIndex(st *stagedIndex) {
 		}
 		// Every live id was merged into newSeg; anything still pointing
 		// at an old segment was an age-retention victim — evict it.
-		evictOrphansLocked(ix, func(r ref) bool { return r.seg == nil || r.seg == st.newSeg })
-		pe.mem = make(map[string]memDoc)
-		pe.dead = make(map[string]bool)
+		if st.evicted > 0 {
+			evictOrphansLocked(ix, func(r ref) bool { return r.seg == nil || r.seg == st.newSeg })
+		}
+		clear(pe.mem)
+		clear(pe.dead)
 		e.segsDropped += uint64(len(old))
 		for _, sg := range old {
 			sg.close()
@@ -334,7 +334,9 @@ func (e *engine) commitIndex(st *stagedIndex) {
 		}
 		keepSet[st.newSeg] = true
 	}
-	evictOrphansLocked(ix, func(r ref) bool { return r.seg == nil || keepSet[r.seg] })
+	if st.evicted > 0 {
+		evictOrphansLocked(ix, func(r ref) bool { return r.seg == nil || keepSet[r.seg] })
+	}
 	newSegs := make([]*segment, 0, len(st.keep)+1)
 	newSegs = append(newSegs, st.keep...)
 	if st.newSeg != nil {
@@ -347,13 +349,15 @@ func (e *engine) commitIndex(st *stagedIndex) {
 		}
 	}
 	pe.segs = newSegs
-	pe.mem = make(map[string]memDoc)
-	pe.dead = make(map[string]bool)
+	clear(pe.mem)
+	clear(pe.dead)
 }
 
 // evictOrphansLocked drops every id whose ref fails keep — the ids whose
 // only copy sat in an age-dropped segment. They leave the scan order and
-// count as evicted, exactly like FIFO retention.
+// count as evicted, exactly like FIFO retention. It walks the whole scan
+// order, so commitIndex calls it only when a dropped segment held live
+// documents; every other seal stays linear in the memtable.
 func evictOrphansLocked(ix *Index, keep func(ref) bool) {
 	pe := ix.pe
 	out := ix.order[:0]

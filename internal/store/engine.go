@@ -4,7 +4,12 @@
 // documents):
 //
 //   - Every mutation is framed into the current WAL (wal.go) and applied
-//     to a per-index memtable. Sync() is the durability point.
+//     to a per-index memtable. PutBatch logs a whole batch under one
+//     take of the locks. Sync() is the acknowledgement point: it writes
+//     the pending WAL tail to the file, so an acknowledged mutation
+//     survives the process dying (kill -9). It does not fsync — no file
+//     in the engine is fsynced — so an OS crash or power loss can still
+//     lose acknowledged mutations.
 //   - Seals move memtables into immutable segment files (segment.go),
 //     written atomically, then commit a new manifest generation and move
 //     CURRENT (manifest.go). A crash at any step leaves the previous
@@ -33,7 +38,6 @@ import (
 	"net/url"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -158,10 +162,14 @@ type engine struct {
 	gen       uint64
 	nextSeg   uint64
 	walFile   string
-	walOps    []walRecord
-	walPend   []byte
 	walOnDisk int64
 	walDirty  bool
+	// wal is the generation's WAL as one byte log: wal[:walOnDisk] is on
+	// disk, the rest pending. A seal truncates it and keeps the buffer.
+	wal []byte
+	// rec is the record appendLocked frames from: a pointer to a local
+	// would escape through frame.Append and cost an allocation per put.
+	rec       walRecord
 	manifests map[uint64]*manifest
 	pins      []uint64
 
@@ -401,7 +409,7 @@ func (e *engine) replayWAL() error {
 		return fmt.Errorf("store: open: wal %s: %w", e.walFile, err)
 	}
 	recs, valid := decodeWAL(data)
-	e.walOps = recs
+	e.wal = data[:valid]
 	e.walOnDisk = int64(valid)
 	e.walDirty = valid < len(data)
 	for i := range recs {
@@ -513,66 +521,81 @@ func (e *engine) noteReadErr(err error) {
 	e.setErr(err)
 }
 
-// logLocked frames a record into the WAL buffer, spilling to disk past
-// the buffer threshold. Append errors mark the WAL dirty (repaired by
-// atomic rewrite at the next flush) — the mutation itself stays applied;
-// durability is only promised at Sync.
+// logLocked frames a record into the WAL, spilling the pending tail to
+// disk past the buffer threshold.
 func (e *engine) logLocked(rec walRecord) {
-	e.walOps = append(e.walOps, rec)
+	e.appendLocked(rec)
+	e.spillLocked()
+}
+
+// appendLocked frames a record onto the WAL's pending tail. An encode
+// error leaves the log as it was and is surfaced through Stats.
+func (e *engine) appendLocked(rec walRecord) {
+	e.rec = rec
 	var err error
-	e.walPend, err = encodeWAL(e.walPend, e.walOps[len(e.walOps)-1:])
+	e.wal, err = appendWAL(e.wal, &e.rec)
+	e.rec = walRecord{}
 	if err != nil {
 		e.setErr(err)
-		return
 	}
-	if len(e.walPend) >= e.opts.WALBufferBytes {
+}
+
+// spillLocked writes the pending tail once it reaches WALBufferBytes.
+// Append errors mark the WAL dirty (repaired by atomic rewrite at the
+// next flush) — the mutations stay applied; they are only promised at
+// Sync.
+func (e *engine) spillLocked() {
+	if len(e.wal)-int(e.walOnDisk) >= e.opts.WALBufferBytes {
 		if err := e.flushWALLocked(); err == nil {
 			e.setErr(nil)
 		}
 	}
 }
 
-// flushWALLocked makes every logged record durable in the WAL file:
-// append the pending buffer, or — after a torn append — rewrite the whole
-// file atomically from the in-memory record log.
+// flushWALLocked writes every logged record to the WAL file: append the
+// pending tail, or — after a torn append — rewrite the whole file
+// atomically from the byte log.
 func (e *engine) flushWALLocked() error {
 	if e.walDirty {
 		return e.rewriteWALLocked()
 	}
-	if len(e.walPend) == 0 {
+	pending := e.wal[e.walOnDisk:]
+	if len(pending) == 0 {
 		return nil
 	}
-	if err := e.fs.Append(e.path(e.walFile), e.walPend, 0o644); err != nil {
+	if err := e.fs.Append(e.path(e.walFile), pending, 0o644); err != nil {
 		// The file may now hold a torn tail; only an atomic rewrite can
 		// be trusted after this.
 		e.walDirty = true
 		e.setErr(err)
 		return err
 	}
-	e.walOnDisk += int64(len(e.walPend))
-	e.walPend = nil
+	e.walOnDisk = int64(len(e.wal))
 	return nil
 }
 
 func (e *engine) rewriteWALLocked() error {
-	buf, err := encodeWAL(nil, e.walOps)
-	if err != nil {
+	if err := fsx.WriteFileAtomic(e.fs, e.path(e.walFile), e.wal, 0o644); err != nil {
 		e.setErr(err)
 		return err
 	}
-	if err := fsx.WriteFileAtomic(e.fs, e.path(e.walFile), buf, 0o644); err != nil {
-		e.setErr(err)
-		return err
-	}
-	e.walOnDisk = int64(len(buf))
-	e.walPend = nil
+	e.walOnDisk = int64(len(e.wal))
 	e.walDirty = false
 	return nil
 }
 
+// resetWALLocked starts an empty WAL for a freshly committed generation,
+// keeping the buffer.
+func (e *engine) resetWALLocked(file string) {
+	e.walFile = file
+	e.wal = e.wal[:0]
+	e.walOnDisk = 0
+	e.walDirty = false
+}
+
 // maybeSealLocked triggers a seal when the WAL outgrows FlushBytes.
 func (e *engine) maybeSealLocked() {
-	if e.walOnDisk+int64(len(e.walPend)) < e.opts.FlushBytes {
+	if int64(len(e.wal)) < e.opts.FlushBytes {
 		return
 	}
 	if err := e.sealLocked(sealPlan{}); err != nil {
@@ -721,44 +744,86 @@ func (e *engine) stopLoops() {
 func (pe *persistIndex) put(ix *Index, id string, doc Document, auto bool) string {
 	e := pe.eng
 	raw, cdoc, cerr := encodeDoc(doc)
+	if cerr != nil {
+		cdoc = cloneDoc(doc)
+	}
 	e.mu.Lock()
 	ix.mu.Lock()
 	if auto {
 		ix.seq++
-		id = ix.name + "-" + strconv.FormatUint(ix.seq, 10)
+		id = autoID(ix.name, ix.seq)
 	}
-	var ord uint64
-	if old, ok := pe.refs[id]; ok {
-		ord = old.ord
-	} else {
-		ord = pe.nextOrd
-	}
-	if cerr != nil {
-		// Unencodable document: stays queryable in memory, cannot be
-		// made durable. Surface through Stats/health.
-		pe.applyPut(ix, id, ord, memDoc{doc: cloneDoc(doc)})
-		e.setErr(cerr)
-	} else {
-		pe.applyPut(ix, id, ord, memDoc{doc: cdoc, raw: raw})
-		if !pe.dropped {
-			e.logLocked(walRecord{Op: walPut, Ix: ix.name, ID: id, Ord: ord, Seq: ix.seq, Doc: raw})
-		}
-	}
+	pe.putLocked(ix, id, memDoc{doc: cdoc, raw: raw}, cerr)
 	pe.enforceRetentionLocked(ix, !pe.dropped)
 	ix.mu.Unlock()
+	e.spillLocked()
 	e.maybeSealLocked()
 	e.mu.Unlock()
 	return id
 }
 
+// putBatch is the persistent PutBatch body: every document is encoded
+// before the locks are taken, then the batch is applied and logged under
+// one hold of e.mu and ix.mu, with one spill check, one retention pass
+// and one seal check.
+func (pe *persistIndex) putBatch(ix *Index, docs []Document) {
+	e := pe.eng
+	type encoded struct {
+		md  memDoc
+		err error
+	}
+	enc := make([]encoded, len(docs))
+	for i, doc := range docs {
+		enc[i].md.raw, enc[i].md.doc, enc[i].err = encodeOwned(doc)
+	}
+	e.mu.Lock()
+	ix.mu.Lock()
+	for i := range enc {
+		ix.seq++
+		id := autoID(ix.name, ix.seq)
+		if ix.retention > 0 {
+			if _, replace := pe.refs[id]; replace {
+				// A replaced id keeps its slot in the scan order, so
+				// count retention must catch up first for the outcome
+				// to equal one PutAuto per document.
+				pe.enforceRetentionLocked(ix, !pe.dropped)
+			}
+		}
+		pe.putLocked(ix, id, enc[i].md, enc[i].err)
+	}
+	pe.enforceRetentionLocked(ix, !pe.dropped)
+	ix.mu.Unlock()
+	e.spillLocked()
+	e.maybeSealLocked()
+	e.mu.Unlock()
+}
+
+// putLocked installs one encoded document under id and frames its put
+// record onto the WAL. A document that failed to encode (err set, md.doc
+// the caller's copy) stays queryable in memory but cannot be made
+// durable; the error surfaces through Stats and the health probe.
+// Caller holds e.mu and ix.mu.
+func (pe *persistIndex) putLocked(ix *Index, id string, md memDoc, err error) {
+	ord := pe.applyPut(ix, id, pe.nextOrd, md)
+	switch {
+	case err != nil:
+		pe.eng.setErr(err)
+	case !pe.dropped:
+		pe.eng.appendLocked(walRecord{Op: walPut, Ix: ix.name, ID: id, Ord: ord, Seq: ix.seq, Doc: md.raw})
+	}
+}
+
 // applyPut installs a canonical document into the memtable, preserving
-// the scan-order slot (and ord) of a replaced id. Shared with replay.
-func (pe *persistIndex) applyPut(ix *Index, id string, ord uint64, doc memDoc) {
+// the scan-order slot (and ord) of a replaced id, and returns the ord the
+// document holds: ord for a new id, the old one for a replaced id.
+// Shared with replay.
+func (pe *persistIndex) applyPut(ix *Index, id string, ord uint64, doc memDoc) uint64 {
 	if old, ok := pe.refs[id]; ok {
 		if old.seg != nil {
 			old.seg.live--
 		}
-		pe.refs[id] = ref{ord: old.ord}
+		ord = old.ord
+		pe.refs[id] = ref{ord: ord}
 	} else {
 		pe.refs[id] = ref{ord: ord}
 		ix.order = append(ix.order, id)
@@ -767,6 +832,7 @@ func (pe *persistIndex) applyPut(ix *Index, id string, ord uint64, doc memDoc) {
 	if ord >= pe.nextOrd {
 		pe.nextOrd = ord + 1
 	}
+	return ord
 }
 
 // del is the persistent Delete body.

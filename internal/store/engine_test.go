@@ -244,6 +244,13 @@ func TestEngineRetentionDeterminism(t *testing.T) {
 	if n := ix.Count(); n != 3 {
 		t.Errorf("logs Count = %d, want 3", n)
 	}
+	// Each dropped segment's document was orphaned by the drop and
+	// evicted with it; the young ones stay.
+	for hour := 0; hour < 8; hour++ {
+		if _, ok := ix.Get(fmt.Sprintf("h%d", hour)); ok != (hour >= 5) {
+			t.Errorf("Get(h%d) present = %v after the drops, want %v", hour, ok, hour >= 5)
+		}
+	}
 	if n := mod.Count(); n != 8 {
 		t.Errorf("models Count = %d, want 8 (exempt)", n)
 	}
@@ -631,5 +638,78 @@ func TestEngineWALReplayAllOps(t *testing.T) {
 	}
 	if doc, ok := s2.Index("loaded").Get("l2"); !ok || doc["v"] != "two" {
 		t.Fatalf("bulk load lost in WAL replay: %v %v", doc, ok)
+	}
+}
+
+// TestEnginePutBatchMatchesPutAuto: a batch under a retention cap, whose
+// auto IDs run into a manually put document that the cap evicts
+// mid-batch, ends exactly as one PutAuto per document would — on the
+// in-memory engine, on the segment engine live, and on the segment
+// engine after its WAL alone is replayed.
+func TestEnginePutBatchMatchesPutAuto(t *testing.T) {
+	batch := func() []Document {
+		docs := make([]Document, 6)
+		for i := range docs {
+			docs[i] = Document{"n": float64(i)}
+			if i%2 == 1 {
+				docs[i] = Document{"n": i}
+			}
+		}
+		return docs
+	}
+	prime := func(s *Store) *Index {
+		ix := s.Index("logs")
+		ix.SetRetention(2)
+		ix.Put("logs-3", Document{"manual": true})
+		return ix
+	}
+	oracle := New()
+	oix := prime(oracle)
+	for _, doc := range batch() {
+		oix.PutAuto(doc)
+	}
+	want, err := oix.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := oix.Evicted(); ev != 5 {
+		t.Fatalf("oracle Evicted = %d, want 5 (the manual logs-3, then logs-1 to logs-4)", ev)
+	}
+	check := func(what string, ix *Index) {
+		t.Helper()
+		got, err := ix.Dump()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g, w map[string]Document
+		if err := json.Unmarshal(got, &g); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(want, &w); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g, w) || ix.Evicted() != oix.Evicted() {
+			t.Errorf("%s: docs %s evicted %d, want %s evicted %d", what, got, ix.Evicted(), want, oix.Evicted())
+		}
+	}
+	mem := prime(New())
+	mem.PutBatch(batch())
+	check("in-memory", mem)
+
+	dir := t.TempDir()
+	s := openTest(t, dir, clock.NewFake())
+	seg := prime(s)
+	seg.PutBatch(batch())
+	check("segment engine", seg)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.Abort()
+	s2 := openTest(t, dir, clock.NewFake())
+	defer s2.Close()
+	check("WAL replay", s2.Index("logs"))
+	// The sequence carries on where the batch left it.
+	if id := s2.Index("logs").PutAuto(Document{"n": 6}); id != "logs-7" {
+		t.Errorf("PutAuto after replay = %q, want logs-7", id)
 	}
 }

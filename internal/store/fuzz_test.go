@@ -196,6 +196,18 @@ func FuzzManifestDecode(f *testing.F) {
 	})
 }
 
+// encodeWAL frames records into WAL bytes, as the engine's log does one
+// record at a time.
+func encodeWAL(dst []byte, recs []walRecord) ([]byte, error) {
+	for i := range recs {
+		var err error
+		if dst, err = appendWAL(dst, &recs[i]); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
 // FuzzWALDecode: the WAL decoder must never panic, must only ever accept
 // a prefix of what encodeWAL wrote, and the valid-prefix length it
 // reports must never exceed the input.

@@ -260,6 +260,62 @@ func crashWorkload(t *testing.T, dir string, fsys fsx.FS) (acked map[string]Docu
 	return acked, delAcked
 }
 
+// crashBatchWorkload is crashWorkload's write mix done with PutBatch, on
+// a store whose small WAL buffer and seal threshold make batches spill
+// mid-batch and seal inline. Documents alternate between the canonical
+// form PutBatch keeps as given and one the general encoder converts.
+func crashBatchWorkload(t *testing.T, dir string, fsys fsx.FS) (acked map[string]Document, delAcked bool) {
+	t.Helper()
+	s, err := Open(Options{Dir: dir, FS: fsys, WALBufferBytes: 256, FlushBytes: 2 << 10})
+	if err != nil {
+		t.Fatalf("faulted open: %v", err)
+	}
+	defer s.Abort()
+
+	acked = make(map[string]Document)
+	written := make(map[string]Document)
+	seq := 0
+	putBatch := func(phase string, k int) {
+		docs := make([]Document, k)
+		for i := range docs {
+			seq++
+			n := 100 + seq
+			docs[i] = Document{"phase": phase, "n": float64(n)}
+			if i%2 == 1 {
+				docs[i] = Document{"phase": phase, "n": n}
+			}
+			written[fmt.Sprintf("logs-%d", seq)] = Document{"phase": phase, "n": n}
+		}
+		s.Index("logs").PutBatch(docs)
+	}
+	sync := func() {
+		if s.Sync() == nil {
+			for id, doc := range written {
+				acked[id] = doc
+			}
+		}
+	}
+
+	putBatch("wal", 3)
+	sync()
+	deleted := s.Index("logs").Delete("b1")
+	putBatch("wal", 3)
+	if s.Sync() == nil {
+		delAcked = deleted
+		for id, doc := range written {
+			acked[id] = doc
+		}
+	}
+	s.Flush()
+	putBatch("post-flush", 40) // crosses FlushBytes: the batch seals inline
+	sync()
+	s.Compact()
+	putBatch("post-compact", 3)
+	sync()
+	s.Flush()
+	return acked, delAcked
+}
+
 // crashVerify reopens dir on a healthy filesystem and checks the
 // durability contract.
 func crashVerify(t *testing.T, dir string, acked map[string]Document, delAcked bool) {
@@ -316,33 +372,44 @@ func crashVerify(t *testing.T, dir string, acked map[string]Document, delAcked b
 	}
 }
 
-// TestEngineCrashMatrix: meter the healthy workload's write-op count,
+// TestEngineCrashMatrix: meter each workload's healthy write-op count,
 // then replay it once per (kind, write index) with that single write
-// faulted and the process crashed at the end.
+// faulted and the process crashed at the end. The put-at-a-time
+// workload's cells are named <kind>-at-<n>, the batched workload's
+// batched-<kind>-at-<n>.
 func TestEngineCrashMatrix(t *testing.T) {
-	meterDir := t.TempDir()
-	crashBaseline(t, meterDir)
-	meter := chaos.NewFaultFS(nil, chaos.FSConfig{}, nil)
-	acked, delAcked := crashWorkload(t, meterDir, meter)
-	crashVerify(t, meterDir, acked, delAcked)
-	total := int64(meter.Stats().Writes)
-	if total < 8 {
-		t.Fatalf("workload crossed only %d write sites; the matrix has lost its coverage", total)
+	workloads := []struct {
+		prefix string
+		run    func(*testing.T, string, fsx.FS) (map[string]Document, bool)
+	}{
+		{"", crashWorkload},
+		{"batched-", crashBatchWorkload},
 	}
-	for _, kind := range []string{"error", "short", "enospc"} {
-		for at := int64(1); at <= total; at++ {
-			kind, at := kind, at
-			t.Run(fmt.Sprintf("%s-at-%d", kind, at), func(t *testing.T) {
-				t.Parallel()
-				dir := t.TempDir()
-				crashBaseline(t, dir)
-				ffs := chaos.NewFaultFS(nil, chaos.FSConfig{FailAt: at, FailKind: kind}, nil)
-				acked, delAcked := crashWorkload(t, dir, ffs)
-				if st := ffs.Stats(); st.WriteErrors+st.ShortWrites+st.NoSpace != 1 {
-					t.Fatalf("fault plan fired %d faults, want exactly 1 (%+v)", st.WriteErrors+st.ShortWrites+st.NoSpace, st)
-				}
-				crashVerify(t, dir, acked, delAcked)
-			})
+	for _, wl := range workloads {
+		meterDir := t.TempDir()
+		crashBaseline(t, meterDir)
+		meter := chaos.NewFaultFS(nil, chaos.FSConfig{}, nil)
+		acked, delAcked := wl.run(t, meterDir, meter)
+		crashVerify(t, meterDir, acked, delAcked)
+		total := int64(meter.Stats().Writes)
+		if total < 8 {
+			t.Fatalf("%sworkload crossed only %d write sites; the matrix has lost its coverage", wl.prefix, total)
+		}
+		for _, kind := range []string{"error", "short", "enospc"} {
+			for at := int64(1); at <= total; at++ {
+				wl, kind, at := wl, kind, at
+				t.Run(fmt.Sprintf("%s%s-at-%d", wl.prefix, kind, at), func(t *testing.T) {
+					t.Parallel()
+					dir := t.TempDir()
+					crashBaseline(t, dir)
+					ffs := chaos.NewFaultFS(nil, chaos.FSConfig{FailAt: at, FailKind: kind}, nil)
+					acked, delAcked := wl.run(t, dir, ffs)
+					if st := ffs.Stats(); st.WriteErrors+st.ShortWrites+st.NoSpace != 1 {
+						t.Fatalf("fault plan fired %d faults, want exactly 1 (%+v)", st.WriteErrors+st.ShortWrites+st.NoSpace, st)
+					}
+					crashVerify(t, dir, acked, delAcked)
+				})
+			}
 		}
 	}
 }

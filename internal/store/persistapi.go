@@ -32,9 +32,12 @@ func (s *Store) Generation() uint64 {
 	return s.eng.gen
 }
 
-// Sync makes every acknowledged mutation durable in the WAL. This is the
-// engine's fsync point: a crash after a successful Sync replays every
-// mutation made before it.
+// Sync writes every mutation made so far to the WAL file. It is the
+// engine's acknowledgement point: once it returns nil, a process crash
+// (kill -9) and reopen replays every mutation made before it. It does
+// not fsync, and neither do the seal's atomic file replacements, so the
+// writes may still sit in the OS page cache: an OS crash or power loss
+// can lose acknowledged mutations.
 func (s *Store) Sync() error {
 	if s.eng == nil {
 		return nil
@@ -185,8 +188,7 @@ func (s *Store) LoadGeneration(gen uint64) error {
 	e.gen = newGen
 	e.nextSeg = nextSeg
 	e.fs.Remove(e.path(walName(newGen)))
-	e.walFile = m2.WAL
-	e.walOps, e.walPend, e.walOnDisk, e.walDirty = nil, nil, 0, false
+	e.resetWALLocked(m2.WAL)
 	e.manifests[newGen] = m2
 	e.setErr(nil)
 	e.gcLocked()
@@ -290,7 +292,7 @@ func (s *Store) Stats() Stats {
 		Dir:             e.dir,
 		Generation:      e.gen,
 		WALBytes:        e.walOnDisk,
-		WALPending:      len(e.walPend),
+		WALPending:      len(e.wal) - int(e.walOnDisk),
 		WALDirty:        e.walDirty,
 		Flushes:         e.flushes,
 		Compactions:     e.compactions,

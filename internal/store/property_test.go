@@ -13,7 +13,8 @@ import (
 
 // TestPropertyEngineMatchesOracle drives the segment engine and the
 // in-memory engine through the same seeded random operation sequence —
-// puts, deletes, retention caps, flushes, compactions, reopens — and
+// puts, batched puts, deletes, retention caps, flushes, compactions,
+// reopens — and
 // requires every query (Search, CountWhere, Histogram, Terms, Get,
 // Count, Dump) to return identical results. The in-memory engine is the
 // oracle: it predates the segment engine and its behavior is pinned by
@@ -46,6 +47,9 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 	names := []string{"alpha", "beta"}
 	name := func() string { return names[rng.Intn(len(names))] }
 	id := func() string { return fmt.Sprintf("id%02d", rng.Intn(40)) }
+	// autoID names an id PutAuto may generate later, so auto puts, batched
+	// or not, sometimes replace a document in place.
+	autoID := func(n string) string { return fmt.Sprintf("%s-%d", n, 1+rng.Intn(300)) }
 
 	randDoc := func() Document { return propertyDoc(rng, clk) }
 	randQuery := func() Query {
@@ -120,10 +124,24 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 	for i := 0; i < nops; i++ {
 		n := name()
 		switch r := rng.Intn(100); {
-		case r < 35: // put
+		case r < 30: // put
 			d, doc := id(), randDoc()
+			if rng.Intn(8) == 0 {
+				d = autoID(n)
+			}
 			eng.Index(n).Put(d, doc)
 			oracle.Index(n).Put(d, doc)
+		case r < 35: // put batch: the oracle is one PutAuto per document
+			docs := make([]Document, 1+rng.Intn(12))
+			for j := range docs {
+				if rng.Intn(2) == 0 {
+					docs[j] = randDoc()
+				} else {
+					docs[j] = propertyFlatDoc(rng, clk)
+				}
+				oracle.Index(n).PutAuto(docs[j])
+			}
+			eng.Index(n).PutBatch(docs)
 		case r < 45: // put auto
 			doc := randDoc()
 			ei := eng.Index(n).PutAuto(doc)
@@ -217,6 +235,31 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 			t.Fatalf("final Count(%s) diverged: engine %d oracle %d", nm, ec, oc)
 		}
 	}
+}
+
+// propertyFlatDoc is a random document already in the canonical form the
+// segment engine keeps (float64 numbers, RFC 3339 strings), which
+// PutBatch stores without building a second map. Its strings include
+// some JSON must escape or repair; a repaired one sends the document
+// down the general encoder.
+func propertyFlatDoc(rng *rand.Rand, clk clock.Clock) Document {
+	doc := Document{
+		"n": float64(rng.Intn(100)),
+		"s": fmt.Sprintf("v%d", rng.Intn(6)),
+	}
+	if rng.Intn(2) == 0 {
+		doc["time"] = clk.Now().Add(time.Duration(rng.Intn(7200)) * time.Second).Format(time.RFC3339Nano)
+	}
+	if rng.Intn(3) == 0 {
+		doc["flag"] = rng.Intn(2) == 0
+	}
+	if rng.Intn(4) == 0 {
+		doc["none"] = nil
+	}
+	if rng.Intn(3) == 0 {
+		doc["w"] = propertyWeird[rng.Intn(len(propertyWeird))]
+	}
+	return doc
 }
 
 var (

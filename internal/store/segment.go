@@ -163,9 +163,9 @@ type segment struct {
 // encodeSegment serializes docs (already in scan order, tombstones first)
 // into the segment format, returning the bytes and the footer it embedded.
 func encodeSegment(docs []segDoc) ([]byte, *segFooter, error) {
-	buf := make([]byte, 0, 1024)
+	buf := make([]byte, 0, segmentSizeHint(docs))
 	buf = append(buf, segMagic...)
-	ft := &segFooter{Fields: make(map[string]*fieldStat)}
+	ft := &segFooter{Entries: make([]segEntry, 0, len(docs)), Fields: make(map[string]*fieldStat)}
 	vals := make(map[string]map[string]bool)
 	for i := range docs {
 		sd := &docs[i]
@@ -203,6 +203,20 @@ func encodeSegment(docs []segDoc) ([]byte, *segFooter, error) {
 	copy(tail[8:16], segMagic)
 	buf = append(buf, tail[:]...)
 	return buf, ft, nil
+}
+
+// segmentSizeHint estimates encodeSegment's output from the staged docs,
+// so the buffer is allocated once instead of doubling: each record's
+// kept document bytes, its id twice (record and footer entry), and a
+// fixed allowance for the frame header, the record's and the entry's
+// other fields. Documents without kept bytes (compaction reads) count
+// only the allowance; the buffer still grows if a guess falls short.
+func segmentSizeHint(docs []segDoc) int {
+	n := len(segMagic) + 16 + 256
+	for i := range docs {
+		n += frame.HeaderSize + 2*len(docs[i].ID) + len(docs[i].raw) + 96
+	}
+	return n
 }
 
 // statFields folds one live document into the footer's field statistics.

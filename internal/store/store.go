@@ -45,21 +45,28 @@ func New() *Store {
 }
 
 // Index returns the named index, creating it on first use (as
-// Elasticsearch auto-creates indices on write).
+// Elasticsearch auto-creates indices on write). Lookups share the read
+// lock; only a creation takes the write lock, and re-checks under it.
 func (s *Store) Index(name string) *Index {
+	s.mu.RLock()
+	ix, ok := s.indices[name]
+	s.mu.RUnlock()
+	if ok {
+		return ix
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ix, ok := s.indices[name]
-	if !ok {
-		ix = newIndex(name)
-		if s.eng != nil {
-			s.eng.mu.Lock()
-			s.eng.attachLocked(ix)
-			s.eng.logLocked(walRecord{Op: walMkIx, Ix: name})
-			s.eng.mu.Unlock()
-		}
-		s.indices[name] = ix
+	if ix, ok := s.indices[name]; ok {
+		return ix
 	}
+	ix = newIndex(name)
+	if s.eng != nil {
+		s.eng.mu.Lock()
+		s.eng.attachLocked(ix)
+		s.eng.logLocked(walRecord{Op: walMkIx, Ix: name})
+		s.eng.mu.Unlock()
+	}
+	s.indices[name] = ix
 	return ix
 }
 
@@ -174,7 +181,7 @@ func (ix *Index) PutAuto(doc Document) string {
 	}
 	ix.mu.Lock()
 	ix.seq++
-	id := ix.name + "-" + strconv.FormatUint(ix.seq, 10)
+	id := autoID(ix.name, ix.seq)
 	if _, exists := ix.docs[id]; !exists {
 		ix.order = append(ix.order, id)
 	}
@@ -182,6 +189,45 @@ func (ix *Index) PutAuto(doc Document) string {
 	ix.enforceRetentionLocked()
 	ix.mu.Unlock()
 	return id
+}
+
+// PutBatch stores docs under generated IDs, in order, with the outcome of
+// one PutAuto per document, but takes the locks once for the whole batch.
+// The store keeps the maps it is given: the caller must not modify them
+// afterwards. Documents already in the form the persistent engine keeps
+// (float64 numbers, RFC 3339 strings for times) are stored without a
+// second map being built.
+func (ix *Index) PutBatch(docs []Document) {
+	if len(docs) == 0 {
+		return
+	}
+	if ix.pe != nil {
+		ix.pe.putBatch(ix, docs)
+		return
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for _, doc := range docs {
+		ix.seq++
+		id := autoID(ix.name, ix.seq)
+		_, exists := ix.docs[id]
+		if exists && ix.retention > 0 {
+			// A replaced id keeps its slot, so retention catches up first
+			// (see persistIndex.putBatch).
+			ix.enforceRetentionLocked()
+			_, exists = ix.docs[id]
+		}
+		if !exists {
+			ix.order = append(ix.order, id)
+		}
+		ix.docs[id] = doc
+	}
+	ix.enforceRetentionLocked()
+}
+
+// autoID is the ID PutAuto and PutBatch give the document numbered seq.
+func autoID(name string, seq uint64) string {
+	return name + "-" + strconv.FormatUint(seq, 10)
 }
 
 // Get retrieves a document by ID.

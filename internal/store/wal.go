@@ -6,7 +6,13 @@
 // also the only place a torn tail can appear. Replay stops at the first
 // frame whose length or checksum fails: the torn suffix is discarded (it
 // was never acknowledged), and the writer repairs the file by an atomic
-// rewrite from its in-memory record log before appending again.
+// rewrite from its in-memory byte log before appending again.
+//
+// The writer keeps the generation's WAL as one byte log (engine.wal):
+// wal[:walOnDisk] is on disk, the tail is pending. Records are framed
+// straight into it, an append writes the pending tail, a rewrite writes
+// the whole log as it is, and a seal truncates it to zero length, so the
+// buffer is reused from one generation to the next.
 package store
 
 import (
@@ -42,13 +48,11 @@ type walRecord struct {
 	Cap int             `json:"cap,omitempty"`
 }
 
-// encodeWAL frames records into WAL bytes.
-func encodeWAL(dst []byte, recs []walRecord) ([]byte, error) {
-	for i := range recs {
-		var err error
-		if dst, err = frame.Append(dst, &recs[i], appendWALRecord); err != nil {
-			return dst, fmt.Errorf("store: wal: encode %s: %w", recs[i].Op, err)
-		}
+// appendWAL frames one record onto dst; on error dst is unchanged.
+func appendWAL(dst []byte, rec *walRecord) ([]byte, error) {
+	dst, err := frame.Append(dst, rec, appendWALRecord)
+	if err != nil {
+		return dst, fmt.Errorf("store: wal: encode %s: %w", rec.Op, err)
 	}
 	return dst, nil
 }
@@ -59,7 +63,7 @@ func encodeWAL(dst []byte, recs []walRecord) ([]byte, error) {
 // so it keeps json.Marshal, which compacts it.
 func appendWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
 	if rec.Op == walLoad {
-		payload, err := json.Marshal(rec)
+		payload, err := json.Marshal(*rec)
 		return append(dst, payload...), err
 	}
 	dst = append(dst, `{"op":`...)
