@@ -384,7 +384,6 @@ stream:
 			t = clk.Now()
 		}
 		p.InjectHeartbeat(source, t.Add(24*time.Hour))
-		clk.Sleep(100 * time.Millisecond)
 		if err := p.Drain(time.Minute); err != nil {
 			return err
 		}

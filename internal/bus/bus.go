@@ -117,6 +117,9 @@ func New() *Bus {
 	return NewWithClock(clock.New())
 }
 
+// Clock returns the clock the bus stamps publish times from.
+func (b *Bus) Clock() clock.Clock { return b.clk }
+
 // NewWithClock creates an empty broker stamping publish times from clk —
 // the deterministic configuration used by tests and the chaos harness.
 func NewWithClock(clk clock.Clock) *Bus {

@@ -160,9 +160,8 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Message, error) {
 // done, without consuming anything: it returns at once when a subscribed
 // partition holds a message past the group's read offset, and otherwise
 // parks until a publish to any subscribed partition or a rewind of a read
-// offset (Seek, SeekGroup, ResetReadToCommitted) wakes it. A caller that
-// must mark itself busy before offsets move polls with TryPoll and parks
-// here between empty polls.
+// offset (Seek, SeekGroup, ResetReadToCommitted) wakes it. The log
+// manager drains with TryPoll and parks here between empty polls.
 func (c *Consumer) Wait(ctx context.Context) error {
 	w := waiterPool.Get().(*waiter)
 	for _, t := range c.ts {

@@ -11,6 +11,7 @@ import (
 	"loglens/internal/latency"
 	"loglens/internal/logtypes"
 	"loglens/internal/metrics"
+	"loglens/internal/stream"
 	"loglens/internal/testutil"
 )
 
@@ -38,6 +39,12 @@ func quantileWithin(t *testing.T, what string, hv metrics.HistogramValue, q, wan
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("%s p%g = %v, want %v", what, q*100, got, want)
 	}
+}
+
+// sendDirect hands one line straight to the engine, bypassing the log
+// manager and its admission watermark.
+func sendDirect(p *Pipeline, l logtypes.Log) {
+	p.engine.Send(stream.Record{Key: l.Source, Value: l, Time: l.Arrival})
 }
 
 // TestPipelineLatencyExact scripts the whole latency plane on a fake
@@ -86,7 +93,7 @@ func TestPipelineLatencyExact(t *testing.T) {
 	// Wave 1: 90 alpha lines that aged 100ms between arrival and pickup.
 	fc.Advance(100 * time.Millisecond)
 	for i := 0; i < 90; i++ {
-		p.forward(logtypes.Log{
+		sendDirect(p, logtypes.Log{
 			Source:  "alpha",
 			Seq:     uint64(i + 1),
 			Arrival: t0,
@@ -99,7 +106,7 @@ func TestPipelineLatencyExact(t *testing.T) {
 	// Wave 2: 10 beta lines, 25ms old at pickup.
 	fc.SetTime(t0.Add(125 * time.Millisecond))
 	for i := 0; i < 10; i++ {
-		p.forward(logtypes.Log{
+		sendDirect(p, logtypes.Log{
 			Source:  "beta",
 			Seq:     uint64(i + 1),
 			Arrival: t0.Add(100 * time.Millisecond),
@@ -259,7 +266,7 @@ func TestPipelineLatencyDisabled(t *testing.T) {
 	}
 	defer p.Stop()
 	for i := 0; i < 10; i++ {
-		p.forward(logtypes.Log{Source: "alpha", Seq: uint64(i + 1), Arrival: fc.Now(),
+		sendDirect(p, logtypes.Log{Source: "alpha", Seq: uint64(i + 1), Arrival: fc.Now(),
 			Raw: fmt.Sprintf("task d%04d start prio %d", i, i%5)})
 	}
 	testutil.WaitUntil(t, 10*time.Second, func() bool {

@@ -183,10 +183,9 @@ type Pipeline struct {
 	// Config.DisableLatency is set; every method no-ops on nil).
 	lat *latency.Tracker
 
-	cancel       context.CancelFunc
-	wg           sync.WaitGroup
-	runErr       chan error
-	logmgrExited chan struct{}
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+	runErr chan error
 
 	// intakeSvc is the network front door for the current run (nil until
 	// Start with Config.Intake enabled; a fresh service per Start so
@@ -295,13 +294,15 @@ func New(cfg Config) (*Pipeline, error) {
 	if p.ckpt != nil {
 		engineCfg.PanicHook = p.onOperatorPanic
 	}
-	// The freshness gauges re-age at every engine barrier, so lag keeps
-	// growing while the engine is idle or stuck.
-	if p.lat != nil {
-		engineCfg.OnBarrier = p.lat.Refresh
+	// Every barrier, empty ones included, re-ages the freshness gauges (so
+	// lag grows while the engine is stuck) and, after the commit gate,
+	// wakes the Drain and checkpoint-barrier waits.
+	engineCfg.OnBarrier = func() {
+		p.lat.Refresh()
+		p.logmgr.Notify()
 	}
 	if p.commits != nil {
-		engineCfg.BatchHook = p.commits.flush
+		engineCfg.BatchHook = func(resolved uint64) { p.logmgr.Commit(p.commits.due(resolved)) }
 	}
 	p.engine = stream.New(engineCfg, p.operator)
 	p.engine.SetSink(p.sink)
@@ -311,27 +312,21 @@ func New(cfg Config) (*Pipeline, error) {
 		Tracer:       cfg.Tracer,
 		ForwardBatch: p.forwardBatch,
 	}
-	if p.lat != nil {
-		lmCfg.OnAdmit = p.lat.NoteIngest
-	}
 	if p.commits != nil {
 		// At-least-once intake: the consumer commits nothing on its own;
 		// every poll batch becomes a pending commit gated on the engine's
-		// resolved watermark.
-		lmCfg.ManualCommit = true
-		// The watermark must be in the engine's frontier unit (accepted
-		// seqs): heartbeats increment p.forwarded but are seq-less in the
-		// engine, so a forwarded-based watermark would sit permanently
-		// above the frontier after the first live heartbeat and the
-		// offsets behind it would never commit.
-		lmCfg.OnBatch = func(msgs []bus.Message) {
-			p.commits.register(msgs, p.engine.Accepted())
+		// resolved watermark. The watermark must be in the engine's
+		// frontier unit (accepted seqs): heartbeats increment p.forwarded
+		// but are seq-less in the engine, so a forwarded-based watermark
+		// would sit permanently above the frontier after the first live
+		// heartbeat and the offsets behind it would never commit.
+		lmCfg.OnBatch = func([]bus.Message) {
+			p.commits.register(p.logmgr.Handled(), p.engine.Accepted())
 		}
 	}
-	p.logmgr = logmanager.New(p.bus, p.store, lmCfg, p.forward)
 	// Heartbeats arrive tagged on the data channel (§V-B) and become
 	// heartbeat records fanned to every partition of the stateful stage.
-	p.logmgr.OnHeartbeat(func(source string, t time.Time) {
+	p.logmgr = logmanager.New(p.bus, p.store, lmCfg, func(source string, t time.Time) {
 		p.hbTotal.Inc()
 		p.forwarded.Add(1)
 		p.engine.Send(stream.Record{Key: source, Time: t, Heartbeat: true})
@@ -681,11 +676,9 @@ func (p *Pipeline) Start() error {
 		p.runErr <- p.runSupervised("engine:"+engineName, engineCtx, p.engine.Run)
 	}()
 
-	p.logmgrExited = make(chan struct{})
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		defer close(p.logmgrExited)
 		p.runSupervised("log-manager", ctx, p.logmgr.Run)
 	}()
 
@@ -693,11 +686,14 @@ func (p *Pipeline) Start() error {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			t := p.cfg.Clock.NewTicker(p.cfg.Recovery.Interval)
-			defer t.Stop()
+			// Each checkpoint comes one interval after the previous one
+			// ended: a barrier that ran long is not followed at once by a
+			// catch-up tick, so the log manager consumes between them.
 			for {
+				t := p.cfg.Clock.NewTimer(p.cfg.Recovery.Interval)
 				select {
 				case <-ctx.Done():
+					t.Stop()
 					return
 				case <-t.C():
 					p.Checkpoint()
@@ -717,64 +713,59 @@ func (p *Pipeline) Start() error {
 		go func() {
 			defer p.wg.Done()
 			p.hb.Run(ctx, func(hb heartbeat.Heartbeat) {
-				p.publishHeartbeat(hb.Source, hb.Time)
+				p.InjectHeartbeat(hb.Source, hb.Time)
 			})
 		}()
 	}
 	return nil
 }
 
-// publishHeartbeat ships a heartbeat-tagged message on the logs data
-// channel, exactly as the external heartbeat controller does (§V-B). The
-// log manager recognizes the tag and the custom partitioner fans the
-// resulting record to every partition.
-func (p *Pipeline) publishHeartbeat(source string, t time.Time) {
+// InjectHeartbeat ships a heartbeat with an explicit log time on the logs
+// data channel, as the heartbeat controller does (§V-B); replay
+// experiments call it in place of the wall-clock controller. The log
+// manager recognizes the tag, and the record fans out to every partition.
+func (p *Pipeline) InjectHeartbeat(source string, t time.Time) {
 	p.bus.Publish(agent.LogsTopic, source, nil, map[string]string{
 		agent.HeaderSource:    source,
 		agent.HeaderHeartbeat: t.Format(time.RFC3339Nano),
 	})
 }
 
-// Drain waits until every log shipped so far has flowed through the bus
-// into the engine, then waits for the engine to go idle. Call it before
-// reading exact anomaly counts in batch experiments.
+// Drain waits until the log manager has handled everything on the bus
+// when Drain was called, then until the engine has resolved everything
+// forwarded: call it before reading exact anomaly counts. The timeout is
+// real time, so it elapses even when a fake clock stands still.
 func (p *Pipeline) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	// Phase 1: bus drained into the engine. Negative lag counts as
-	// drained — a group restored from a checkpoint can sit ahead of a
-	// rebuilt in-memory topic (heartbeats interleave on the data topic,
-	// so absolute offsets are not stable across a re-streamed run), and
-	// a consumer ahead of the log has nothing left to read.
-	// The log manager's poll commits offsets before it forwards the batch,
-	// so zero lag alone can precede the forwarded count it is about to
-	// raise; not busy, read after the lag, closes that window.
-	for {
-		if p.logmgrLag() <= 0 && !p.logmgr.Busy() {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: drain timed out with bus lag %d", p.logmgrLag())
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	ends := make(map[int]int64)
+	parts, _ := p.bus.Partitions(agent.LogsTopic)
+	for part := 0; part < parts; part++ {
+		ends[part], _ = p.bus.EndOffset(agent.LogsTopic, part)
 	}
-	// Phase 2: engine has processed everything forwarded.
-	for {
-		m := p.engine.Metrics()
-		if m.Records >= p.forwarded.Load() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: drain timed out with %d/%d records", m.Records, p.forwarded.Load())
-		}
-		time.Sleep(time.Millisecond)
+	if p.logmgr.Await(ctx, func() bool { return reached(p.logmgr.Handled(), ends) }) != nil ||
+		p.logmgr.Await(ctx, p.resolvedAll) != nil {
+		return fmt.Errorf("core: drain timed out with bus lag %d and %d/%d records resolved",
+			p.logmgrLag(), p.engine.Metrics().Resolved, p.forwarded.Load())
 	}
+	return nil
 }
 
-// InjectHeartbeat ships one heartbeat with an explicit log time through
-// the data channel — the deterministic replacement for the wall-clock
-// controller in replay experiments.
-func (p *Pipeline) InjectHeartbeat(source string, t time.Time) {
-	p.publishHeartbeat(source, t)
+// reached reports whether have is at or past want on every partition
+// want names.
+func reached(have, want map[int]int64) bool {
+	for part, off := range want {
+		if have[part] < off {
+			return false
+		}
+	}
+	return true
+}
+
+// resolvedAll reports that the engine has resolved every record the log
+// manager forwarded.
+func (p *Pipeline) resolvedAll() bool {
+	return p.engine.Metrics().Resolved >= p.forwarded.Load()
 }
 
 // intakeDrainTimeout bounds how long Stop waits for in-flight intake
@@ -803,12 +794,10 @@ func (p *Pipeline) Stop() error {
 	}
 	p.cancel()
 	// Front-to-back: the log manager must finish its in-flight poll
-	// batch and exit before the engine closes, or a batch counted as
+	// batch and park before the engine closes, or a batch counted as
 	// forwarded could land on an already-closed engine and be rejected —
 	// silently breaking the lines == parsed + unparsed balance.
-	if p.logmgrExited != nil {
-		<-p.logmgrExited
-	}
+	p.logmgr.Await(context.Background(), p.logmgr.Parked)
 	p.engine.Close()
 	err := <-p.runErr
 	p.wg.Wait()
@@ -911,35 +900,32 @@ func (p *Pipeline) OpenStates() int {
 }
 
 func (p *Pipeline) logmgrLag() int64 {
-	c, err := p.bus.Subscribe("log-manager", agent.LogsTopic)
+	c, err := p.bus.Subscribe(logmanager.Group, agent.LogsTopic)
 	if err != nil {
 		return 0
 	}
 	return c.Lag()
 }
 
-// forward is the log manager's per-log downstream hook (the batched
-// forwardBatch hook supersedes it on the poll path; this remains for
-// callers outside the batching loop).
-func (p *Pipeline) forward(l logtypes.Log) {
-	p.forwarded.Add(1)
-	p.linesTotal.Inc()
-	p.engine.Send(stream.Record{Key: l.Source, Value: l, Time: l.Arrival})
-}
-
 // forwardBatch hands one poll batch of logs to the engine as a pooled
 // record-slice hand-off: the engine splits it into per-partition slices
 // at enqueue time and delivers each directly to that partition's worker
 // queue — one queue send per touched partition instead of one per line.
-// The engine takes ownership of the buffer.
+// The engine takes ownership of the buffer. The batch's newest arrival
+// stamp then becomes the freshness plane's admission watermark.
 func (p *Pipeline) forwardBatch(logs []logtypes.Log) {
 	p.forwarded.Add(uint64(len(logs)))
 	p.linesTotal.Add(uint64(len(logs)))
 	buf := p.engine.RecordBuffer()
+	var newest time.Time
 	for _, l := range logs {
 		buf = append(buf, stream.Record{Key: l.Source, Value: l, Time: l.Arrival})
+		if l.Arrival.After(newest) {
+			newest = l.Arrival
+		}
 	}
 	p.engine.SendBatch(buf)
+	p.lat.NoteIngest(newest)
 }
 
 // applyInstruction reacts to model-controller messages. Instructions with

@@ -10,9 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"loglens/internal/agent"
 	"loglens/internal/bus"
 	"loglens/internal/fsx"
+	"loglens/internal/logmanager"
 	"loglens/internal/logtypes"
 	"loglens/internal/obs"
 	"loglens/internal/preprocess"
@@ -67,10 +67,6 @@ type RecoveryConfig struct {
 
 func (c RecoveryConfig) enabled() bool { return c.Dir != "" }
 
-// logmgrGroup is the log manager's consumer group (the logmanager
-// package default, fixed here because checkpoints record it by name).
-const logmgrGroup = "log-manager"
-
 // engineName names the pipeline's one stream engine: the "engine" metric
 // label, the "engine:main" supervisor, and the engine a checkpoint's
 // operator state belongs to.
@@ -79,88 +75,54 @@ const engineName = "main"
 // quiesceTimeout bounds the checkpoint barrier wait.
 const quiesceTimeout = 30 * time.Second
 
-// pendingCommit is one poll batch's offsets waiting for the engine to
-// resolve the records that came out of it.
+// pendingCommit is the log manager's handled offsets after one poll
+// batch, waiting for the engine to resolve the records that came out of
+// it and every batch before.
 type pendingCommit struct {
 	offsets   map[int]int64 // partition -> next offset to consume
 	watermark uint64        // commit when the engine frontier reaches this
 }
 
-// commitTracker implements the at-least-once commit gate for one
-// (group, topic): the log manager registers each consumed poll batch
-// with the engine's accepted-seq watermark (Engine.Accepted after the
-// batch's records were sent — the commit frontier's unit, which
-// excludes seq-less heartbeats), and the
-// engine's BatchHook flushes every pending batch whose watermark the
-// engine's merged commit frontier has passed. The frontier is the
-// longest prefix of accepted records — in acceptance order — that every
-// partition worker has fully processed and sunk, so with partitions
-// progressing at independent paces an offset still only commits once
-// everything consumed before it has cleared the sink, whichever worker
-// was last. A crash in between redelivers the uncommitted suffix.
+// commitTracker implements the at-least-once commit gate: the log
+// manager registers its handled offsets after each poll batch with the
+// engine's accepted-seq watermark (Engine.Accepted after the batch's
+// records were sent — the commit frontier's unit, which excludes
+// seq-less heartbeats), and at every barrier the engine's BatchHook
+// commits the newest registration whose watermark the engine's merged
+// commit frontier has passed. The frontier is the longest prefix of
+// accepted records — in acceptance order — that every partition worker
+// has fully processed and sunk, so with partitions progressing at
+// independent paces an offset still only commits once everything
+// consumed before it has cleared the sink, whichever worker was last. A
+// crash in between redelivers the uncommitted suffix.
 type commitTracker struct {
-	b     bus.Broker
-	group string
-	topic string
-	on    *atomic.Bool // pipeline-level gate; Kill flips it off
+	on *atomic.Bool // pipeline-level gate; Kill flips it off
 
-	mu       sync.Mutex
-	pending  []pendingCommit
-	consumer bus.Reader
+	mu      sync.Mutex
+	pending []pendingCommit
 }
 
-// register queues a consumed batch's offsets behind the watermark.
-func (t *commitTracker) register(msgs []bus.Message, watermark uint64) {
-	if t == nil || len(msgs) == 0 {
-		return
-	}
-	offs := make(map[int]int64)
-	for _, m := range msgs {
-		if m.Offset+1 > offs[m.Partition] {
-			offs[m.Partition] = m.Offset + 1
-		}
-	}
+// register queues handled offsets behind the watermark.
+func (t *commitTracker) register(offsets map[int]int64, watermark uint64) {
 	t.mu.Lock()
-	t.pending = append(t.pending, pendingCommit{offsets: offs, watermark: watermark})
+	t.pending = append(t.pending, pendingCommit{offsets: offsets, watermark: watermark})
 	t.mu.Unlock()
 }
 
-// flush commits every pending batch whose watermark the engine's
-// commit frontier has reached. Wired as the engine's BatchHook, so it
-// runs at every partition worker's micro-batch barrier (serialized by
-// the engine's barrier lock).
-func (t *commitTracker) flush(resolved uint64) {
-	if t == nil || !t.on.Load() {
-		return
+// due drops every registration the engine's commit frontier has reached
+// and returns the newest one's offsets: nil when none has been reached,
+// or when the gate is off.
+func (t *commitTracker) due(resolved uint64) map[int]int64 {
+	if !t.on.Load() {
+		return nil
 	}
 	t.mu.Lock()
-	var merged map[int]int64
-	n := 0
-	for ; n < len(t.pending) && t.pending[n].watermark <= resolved; n++ {
-		for part, off := range t.pending[n].offsets {
-			if merged == nil {
-				merged = make(map[int]int64)
-			}
-			if off > merged[part] {
-				merged[part] = off
-			}
-		}
+	defer t.mu.Unlock()
+	var offsets map[int]int64
+	for len(t.pending) > 0 && t.pending[0].watermark <= resolved {
+		offsets, t.pending = t.pending[0].offsets, t.pending[1:]
 	}
-	t.pending = t.pending[n:]
-	c := t.consumer
-	if c == nil && merged != nil {
-		if nc, err := t.b.Subscribe(t.group, t.topic); err == nil {
-			t.consumer = nc
-			c = nc
-		}
-	}
-	t.mu.Unlock()
-	if c == nil {
-		return
-	}
-	for part, off := range merged {
-		c.Commit(t.topic, part, off)
-	}
+	return offsets
 }
 
 // initRecovery builds the recovery plane. Called from New before the
@@ -178,7 +140,7 @@ func (p *Pipeline) initRecovery() error {
 	}
 	p.quarantine = q
 	p.quarantinedTotal = p.reg.Counter("core_quarantined_total")
-	p.commits = &commitTracker{b: p.bus, group: logmgrGroup, topic: agent.LogsTopic, on: &p.commitsOn}
+	p.commits = &commitTracker{on: &p.commitsOn}
 	return nil
 }
 
@@ -301,42 +263,29 @@ func (p *Pipeline) noteCheckpoint(gen uint64, err error) {
 	p.events.Record(obs.EventCheckpoint, "save", fmt.Sprintf("generation %d", gen), int64(gen))
 }
 
-// quiesce pauses intake and waits until every record consumed so far is
-// fully resolved and its offsets committed — the consistent cut a
-// checkpoint captures: committed == read == resolved.
+// quiesce pauses the log manager, takes the cut at the offsets it has
+// handled (the pause frontier), and waits until the engine has resolved
+// everything forwarded and the group's committed offsets, as the broker
+// reports them, reach the cut: committed == handled == resolved.
+// Messages published after the pause belong to the next checkpoint.
 func (p *Pipeline) quiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	wait := func(cond func() bool, what string) error {
-		for !cond() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("core: checkpoint barrier timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	cut, err := p.logmgr.Pause(ctx)
+	if err != nil {
+		return fmt.Errorf("core: checkpoint barrier timed out waiting for log-manager pause")
+	}
+	// Resolved can move before its barrier's commit hook returns, so the
+	// committed offsets are checked too; the commit gate runs at every
+	// barrier, empty ones included, before the barrier wakes this wait.
+	if p.logmgr.Await(ctx, func() bool { return p.resolvedAll() && reached(p.logmgr.Committed(), cut) }) != nil {
+		what := "offset commit"
+		if !p.resolvedAll() {
+			what = "engine resolution"
 		}
-		return nil
+		return fmt.Errorf("core: checkpoint barrier timed out waiting for %s", what)
 	}
-	p.logmgr.Pause()
-	if err := wait(p.logmgr.Idle, "log-manager pause"); err != nil {
-		return err
-	}
-	// Intake parked: forwarded counts are final. Wait for the engine to
-	// resolve everything consumed so far.
-	if err := wait(func() bool {
-		return p.engine.Metrics().Resolved >= p.forwarded.Load()
-	}, "engine resolution"); err != nil {
-		return err
-	}
-	// Resolved advances after the batch's outputs drain through the sink
-	// (the engine's merged commit frontier), but an observer can see it
-	// move before that barrier's commit hook has returned — so it alone
-	// cannot certify the offsets are committed. The commit gate fires
-	// under the same barrier lock at every barrier — empty ones included
-	// — so zero committed lag means the final sink has run and every
-	// consumed offset is committed.
-	// Negative lag (committed ahead of the topic) also counts as drained:
-	// a restored group's offsets can exceed a rebuilt in-memory topic
-	// when heartbeat interleaving shifted absolute positions.
-	return wait(func() bool { return p.logmgrLag() <= 0 }, "offset commit")
+	return nil
 }
 
 // buildCheckpoint assembles the checkpoint at an already-quiescent
@@ -355,8 +304,8 @@ func (p *Pipeline) buildCheckpoint() *recovery.Checkpoint {
 		},
 		Quarantine: p.quarantine.Pending(),
 	}
-	if offs := p.bus.GroupOffsets(logmgrGroup); len(offs) > 0 {
-		cp.Offsets[logmgrGroup] = offs
+	if offs := p.bus.GroupOffsets(logmanager.Group); len(offs) > 0 {
+		cp.Offsets[logmanager.Group] = offs
 	}
 	p.mu.Lock()
 	if p.current != nil {

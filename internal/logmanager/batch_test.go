@@ -29,18 +29,14 @@ func setupBatched(t *testing.T, cfg Config) (*bus.Bus, *Manager, *[]event) {
 		// The slice is only valid for the duration of the call: copy.
 		events = append(events, event{logs: append([]logtypes.Log(nil), logs...)})
 	}
-	m := New(b, store.New(), cfg, func(l logtypes.Log) {
-		t.Errorf("per-log forward invoked with ForwardBatch set: %+v", l)
-	})
-	m.OnHeartbeat(func(source string, ts time.Time) {
+	m := New(b, store.New(), cfg, func(source string, ts time.Time) {
 		events = append(events, event{hb: true, hbAt: ts})
 	})
 	return b, m, &events
 }
 
-// TestForwardBatchAccumulates: with ForwardBatch set, a poll batch of
-// logs arrives downstream as one call, not one per log, and the per-log
-// forward hook stays silent.
+// TestForwardBatchAccumulates: a poll batch of logs arrives downstream
+// as one ForwardBatch call, not one per log.
 func TestForwardBatchAccumulates(t *testing.T) {
 	b, m, events := setupBatched(t, Config{})
 	a, err := agent.New(b, agent.Config{Source: "web"})
@@ -132,11 +128,12 @@ func TestBatchBufferRecycled(t *testing.T) {
 	}
 }
 
-// TestBusyCoversPollToForward: the poll commits a batch's offsets before
-// the batch goes downstream, so committed lag alone reads "drained" while
-// the batch is still in hand; Busy stays up across that window and drops
-// once the loop has forwarded the batch and polled empty.
-func TestBusyCoversPollToForward(t *testing.T) {
+// TestHandledCoversPollToForward: the auto-committing poll commits a
+// batch's offsets before the batch goes downstream, so committed lag
+// alone reads "drained" while the batch is still in hand. Handled only
+// covers the batch once ForwardBatch has returned, so a wait on it (what
+// Pipeline.Drain does) cannot return mid-forward.
+func TestHandledCoversPollToForward(t *testing.T) {
 	b := bus.New()
 	entered, release := make(chan struct{}), make(chan struct{})
 	m := New(b, store.New(), Config{ForwardBatch: func([]logtypes.Log) {
@@ -154,20 +151,28 @@ func TestBusyCoversPollToForward(t *testing.T) {
 
 	a.Send("one line")
 	<-entered
-	lag, err := b.Subscribe("log-manager", agent.LogsTopic)
+	lag, err := b.Subscribe(Group, agent.LogsTopic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lag.Lag() != 0 || !m.Busy() {
-		t.Fatalf("mid-forward: lag %d busy %v, want 0 and true", lag.Lag(), m.Busy())
+	ends := endOffsets(t, b)
+	if lag.Lag() != 0 || handledThrough(m, ends) {
+		t.Fatalf("mid-forward: lag %d handled %v, want lag 0 and the batch not yet handled", lag.Lag(), m.Handled())
+	}
+	drained := make(chan error, 1)
+	go func() {
+		wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer wcancel()
+		drained <- m.Await(wctx, func() bool { return handledThrough(m, ends) })
+	}()
+	select {
+	case err := <-drained:
+		t.Fatalf("wait on Handled returned mid-forward (%v)", err)
+	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Busy() {
-		if time.Now().After(deadline) {
-			t.Fatal("Busy never dropped after the batch was forwarded")
-		}
-		time.Sleep(time.Millisecond)
+	if err := <-drained; err != nil {
+		t.Fatalf("Handled never covered the forwarded batch: %v", err)
 	}
 	cancel()
 	if err := <-done; err != nil {
@@ -203,13 +208,7 @@ func TestArchiveLandsBeforeForward(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- m.Run(ctx) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Received() < 6 || m.Busy() {
-		if time.Now().After(deadline) {
-			t.Fatal("log manager never drained the batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitHandled(t, b, m)
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -1,12 +1,14 @@
 // Package logmanager implements the log manager of §II: it receives logs
-// from agents over the bus, identifies their sources, controls the
-// incoming rate, archives raw logs into the log storage (organized by
-// source), and forwards them downstream to the parser.
+// from agents over the bus in bounded poll batches, identifies their
+// sources, archives raw logs into the log storage (organized by source),
+// and forwards them downstream to the parser.
 package logmanager
 
 import (
 	"context"
+	"maps"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -19,57 +21,40 @@ import (
 	"loglens/internal/store"
 )
 
+// Group is the log manager's consumer group. Checkpoints record its
+// committed offsets under this name.
+const Group = "log-manager"
+
 // Config tunes the Manager.
 type Config struct {
-	// Group is the consumer-group name (default "log-manager").
-	Group string
-
-	// MaxRatePerSec throttles forwarding (0 = unthrottled): the "rate
-	// control" knob protecting downstream parsing from bursts.
-	MaxRatePerSec int
-
 	// ArchiveLogs stores raw logs into the log storage (default
 	// behaviour; the evaluation harness disables it for pure-throughput
 	// runs). Each poll batch is archived with one store.PutBatch per
-	// source index, before the batch is forwarded (with ForwardBatch) and
-	// before OnBatch registers its offsets.
+	// source index, before the batch is forwarded and before OnBatch
+	// registers its offsets.
 	ArchiveLogs bool
 
-	// Metrics, when set, mirrors the received/heartbeat/dropped counters
-	// into the registry (logmanager_* names).
+	// Metrics, when set, holds the received/heartbeat/dropped counters
+	// (logmanager_* names); nil keeps them private.
 	Metrics *metrics.Registry
 
 	// Tracer, when set, stamps StageBus for every log consumed off the
 	// bus.
 	Tracer metrics.Tracer
 
-	// ManualCommit runs the consumer with auto-commit disabled: the
-	// committed offsets only advance when someone (the recovery layer's
-	// commit gate) calls Commit on the group. Run also switches to a
-	// pausable polling loop so a checkpoint can quiesce intake.
-	ManualCommit bool
-
-	// OnBatch, when set, is invoked after every handled poll batch with
-	// the consumed messages — the recovery layer registers their offsets
-	// as a pending commit gated on downstream processing.
+	// OnBatch, when set, runs the consumer with auto-commit disabled and
+	// is invoked after every handled poll batch with the consumed
+	// messages: the committed offsets only advance when the recovery
+	// layer's commit gate, which registers the batch here, calls Commit.
 	OnBatch func(msgs []bus.Message)
 
-	// ForwardBatch, when set, replaces the per-log forward hook: logs
-	// accumulate across a poll batch and are handed downstream in one
-	// call, amortizing the per-record hand-off into per-partition batch
-	// slices on the engine's worker queues. The slice is owned by the
-	// Manager and valid only for the duration of the call.
-	// Heartbeat-tagged messages flush the pending batch first, so
-	// log/heartbeat ordering is preserved. ForwardBatch runs before
-	// OnBatch, so downstream counters include the batch when the commit
-	// gate registers it.
+	// ForwardBatch receives a poll batch's logs in one call, one hand-off
+	// per batch instead of per record. The slice is the Manager's, valid
+	// only during the call. A heartbeat-tagged message flushes the logs
+	// before it first, so log/heartbeat order holds. ForwardBatch runs
+	// before OnBatch, so downstream counters include the batch when the
+	// commit gate registers it. Nil drops the logs after archiving.
 	ForwardBatch func(logs []logtypes.Log)
-
-	// OnAdmit, when set, receives the newest Arrival stamp of every
-	// forwarded poll batch — the admission watermark of the freshness
-	// plane. One scan per batch (≤ pollBatchMax logs) keeps the cost
-	// off the per-line path.
-	OnAdmit func(newest time.Time)
 }
 
 // pollBatchMax caps how many messages one poll may return. Unbounded
@@ -84,15 +69,11 @@ type Manager struct {
 	cfg       Config
 	bus       bus.Broker
 	store     *store.Store
-	forward   func(logtypes.Log)
-	forwardHB func(source string, t time.Time)
+	heartbeat func(source string, t time.Time)
 
-	received atomic.Uint64
-	dropped  atomic.Uint64
-
-	// batch accumulates logs between flushes when ForwardBatch is set.
-	// It is touched only from the single consumption loop (Run XOR
-	// DrainOnce), so it needs no lock.
+	// batch accumulates logs between flushes. It is touched only from
+	// the single consumption loop (Run XOR DrainOnce), so it needs no
+	// lock.
 	batch []logtypes.Log
 
 	// archive holds the pending archive documents per source until
@@ -100,201 +81,265 @@ type Manager struct {
 	// batch.
 	archive map[string][]store.Document
 
-	// paused/idle implement checkpoint quiescence: Pause stops the
-	// ManualCommit polling loop from consuming; idle reports that the
-	// loop has observed the pause and is parked, so no more forwards are
-	// in flight.
-	paused atomic.Bool
-	idle   atomic.Bool
+	// mu guards the loop state Pause, Handled and Await read.
+	mu        sync.Mutex
+	consumer  bus.Reader         // the running loop's, for Commit
+	handled   map[int]int64      // see Handled
+	paused    chan struct{}      // non-nil while a Pause is in force
+	parked    atomic.Bool        // see Parked; written under mu
+	interrupt context.CancelFunc // ends the current consuming stretch
+	changed   chan struct{}      // while someone Awaits; closed on progress
 
-	// busy covers the auto-committing loop from just before a poll until
-	// the polled batch has been forwarded (see Run).
-	busy atomic.Bool
-
-	recvCounter *metrics.Counter
-	hbCounter   *metrics.Counter
-	dropCounter *metrics.Counter
+	recvCounter, hbCounter, dropCounter *metrics.Counter
 }
 
-// New constructs a Manager. forward is the downstream hook (the parser
-// stage); st may be nil when ArchiveLogs is false.
-func New(b bus.Broker, st *store.Store, cfg Config, forward func(logtypes.Log)) *Manager {
-	if cfg.Group == "" {
-		cfg.Group = "log-manager"
+// New constructs a Manager. st may be nil when ArchiveLogs is false.
+// heartbeat, when set, receives the heartbeat-tagged messages arriving
+// on the data channel (§V-B).
+func New(b bus.Broker, st *store.Store, cfg Config, heartbeat func(source string, t time.Time)) *Manager {
+	m := &Manager{
+		cfg:       cfg,
+		bus:       b,
+		store:     st,
+		heartbeat: heartbeat,
+		archive:   make(map[string][]store.Document),
+		handled:   make(map[int]int64),
 	}
-	m := &Manager{cfg: cfg, bus: b, store: st, forward: forward, archive: make(map[string][]store.Document)}
-	if cfg.Metrics != nil {
-		m.recvCounter = cfg.Metrics.Counter("logmanager_received_total")
-		m.hbCounter = cfg.Metrics.Counter("logmanager_heartbeats_total")
-		m.dropCounter = cfg.Metrics.Counter("logmanager_dropped_total")
+	m.parked.Store(true)
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
+	m.recvCounter = reg.Counter("logmanager_received_total")
+	m.hbCounter = reg.Counter("logmanager_heartbeats_total")
+	m.dropCounter = reg.Counter("logmanager_dropped_total")
 	return m
 }
 
-// OnHeartbeat installs the hook invoked for heartbeat-tagged messages
-// arriving on the data channel (§V-B).
-func (m *Manager) OnHeartbeat(fn func(source string, t time.Time)) {
-	m.forwardHB = fn
-}
-
 // Received returns the number of logs consumed from the bus.
-func (m *Manager) Received() uint64 { return m.received.Load() }
+func (m *Manager) Received() uint64 { return m.recvCounter.Value() }
 
-// Pause asks the ManualCommit polling loop to stop consuming; Idle
-// reports when it has parked. Pause before a checkpoint barrier, Resume
-// after. Without ManualCommit these are advisory only (the blocking Poll
-// loop keeps consuming).
-func (m *Manager) Pause()  { m.paused.Store(true) }
-func (m *Manager) Resume() { m.paused.Store(false) }
-
-// Idle reports that the polling loop is parked on a Pause: nothing is
-// being consumed or forwarded, so upstream counters are final.
-func (m *Manager) Idle() bool { return m.idle.Load() }
-
-// Busy reports that the auto-committing loop may hold a polled batch it has
-// not yet forwarded. Read it after observing a committed lag of zero: not
-// busy then means everything consumed so far has gone downstream. Always
-// false under ManualCommit, where commits already trail the sink.
-func (m *Manager) Busy() bool { return m.busy.Load() }
-
-// Run consumes the logs topic until the context is done.
+// Run consumes the logs topic until ctx is done. A consumer with Wait
+// (the in-process bus) is drained with TryPoll and parks in Wait when
+// that comes back empty; other readers (netbus) long-poll with Poll. A
+// Pause cuts either park short.
 func (m *Manager) Run(ctx context.Context) error {
-	consumer, err := m.bus.Subscribe(m.cfg.Group, agent.LogsTopic)
+	consumer, err := m.bus.Subscribe(Group, agent.LogsTopic)
 	if err != nil {
 		return err
 	}
-	var limiter *time.Ticker
-	if m.cfg.MaxRatePerSec > 0 {
-		limiter = time.NewTicker(time.Second / time.Duration(m.cfg.MaxRatePerSec))
-		defer limiter.Stop()
-	}
-	if m.cfg.ManualCommit {
+	if m.cfg.OnBatch != nil {
 		consumer.DisableAutoCommit()
-		return m.runPausable(ctx, consumer, limiter)
 	}
-	// A poll commits the offsets of what it returns, before any of it is
-	// forwarded. busy is raised before the poll and lowered only after an
-	// empty one, so "committed lag 0, then not busy" proves that every
-	// polled batch has been forwarded. The in-process consumer can wait
-	// for data without consuming; other readers fall back to the blocking
-	// poll, where busy rises only once the poll has returned.
+	// Handled starts at the group's position: a restored group can sit
+	// ahead of a rebuilt topic, with nothing below its offsets to handle.
+	committed := m.Committed()
+	m.mu.Lock()
+	m.consumer = consumer
+	for part, off := range committed {
+		m.handled[part] = max(m.handled[part], off)
+	}
+	m.signalLocked()
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		m.parked.Store(true)
+		m.signalLocked()
+		m.mu.Unlock()
+	}()
 	waiter, _ := consumer.(interface{ Wait(context.Context) error })
+	for ctx.Err() == nil && err == nil {
+		run, stop := m.unpaused(ctx)
+		for run.Err() == nil && err == nil {
+			var msgs []bus.Message
+			if waiter == nil {
+				msgs, err = consumer.Poll(run, pollBatchMax)
+			} else if msgs = consumer.TryPoll(pollBatchMax); len(msgs) == 0 {
+				err = waiter.Wait(run)
+			}
+			if run.Err() != nil {
+				err = nil
+			}
+			m.handleBatch(msgs)
+		}
+		stop()
+	}
+	return err
+}
+
+// unpaused parks while a Pause is in force, then returns the context of
+// the next consuming stretch, which the next Pause cancels.
+func (m *Manager) unpaused(ctx context.Context) (context.Context, context.CancelFunc) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for resume := m.paused; resume != nil && ctx.Err() == nil; resume = m.paused {
+		m.parked.Store(true)
+		m.signalLocked()
+		m.mu.Unlock()
+		select {
+		case <-resume:
+		case <-ctx.Done():
+		}
+		m.mu.Lock()
+	}
+	run, stop := context.WithCancel(ctx)
+	m.interrupt = stop
+	m.parked.Store(false)
+	return run, stop
+}
+
+// Pause stops the consumption loop, finishing a batch in hand or cutting
+// a park short, and returns the cut, Handled at the park, or ctx's error
+// if the loop does not park in time. The pause holds until Resume.
+func (m *Manager) Pause(ctx context.Context) (map[int]int64, error) {
+	m.mu.Lock()
+	if m.paused == nil {
+		m.paused = make(chan struct{})
+	}
+	if m.interrupt != nil {
+		m.interrupt()
+	}
+	m.mu.Unlock()
+	if err := m.Await(ctx, m.Parked); err != nil {
+		return nil, err
+	}
+	return m.Handled(), nil
+}
+
+// Parked reports that the loop is not consuming: it is parked on a
+// Pause, or not running.
+func (m *Manager) Parked() bool { return m.parked.Load() }
+
+// Resume lets a paused loop consume again.
+func (m *Manager) Resume() {
+	m.mu.Lock()
+	if m.paused != nil {
+		close(m.paused)
+		m.paused = nil
+	}
+	m.mu.Unlock()
+}
+
+// Handled returns, per logs-topic partition, the offset after the last
+// message the loop has archived and forwarded.
+func (m *Manager) Handled() map[int]int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return maps.Clone(m.handled)
+}
+
+// Committed returns the group's committed offsets per logs-topic
+// partition, as the broker reports them.
+func (m *Manager) Committed() map[int]int64 {
+	out := make(map[int]int64)
+	for key, off := range m.bus.GroupOffsets(Group) {
+		if topic, part, err := bus.SplitPartitionKey(key); err == nil && topic == agent.LogsTopic {
+			out[part] = off
+		}
+	}
+	return out
+}
+
+// Commit advances the group's committed offsets to offsets, per
+// logs-topic partition, through the running loop's consumer. Commits
+// never regress.
+func (m *Manager) Commit(offsets map[int]int64) {
+	m.mu.Lock()
+	c := m.consumer
+	m.mu.Unlock()
+	for part, off := range offsets {
+		c.Commit(agent.LogsTopic, part, off)
+	}
+}
+
+// Await blocks until cond holds or ctx is done. It re-checks cond, which
+// runs without the Manager's lock, after every batch the loop handles,
+// when the loop parks, and at every Notify.
+func (m *Manager) Await(ctx context.Context, cond func() bool) error {
 	for {
-		m.busy.Store(true)
-		msgs := consumer.TryPoll(pollBatchMax)
-		if len(msgs) == 0 {
-			m.busy.Store(false)
-			var err error
-			if waiter != nil {
-				err = waiter.Wait(ctx)
-			} else {
-				msgs, err = consumer.Poll(ctx, pollBatchMax)
-				m.busy.Store(true)
-			}
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil
-				}
-				return err
-			}
-			if len(msgs) == 0 {
-				continue
-			}
+		m.mu.Lock()
+		if m.changed == nil {
+			m.changed = make(chan struct{})
 		}
-		for _, msg := range msgs {
-			if limiter != nil {
-				select {
-				case <-limiter.C:
-				case <-ctx.Done():
-					return nil
-				}
-			}
-			m.handle(msg)
+		changed := m.changed
+		m.mu.Unlock()
+		if cond() {
+			return nil
 		}
-		m.flushBatch()
-		if m.cfg.OnBatch != nil {
-			m.cfg.OnBatch(msgs)
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 }
 
-// runPausable is the ManualCommit consumption loop: non-blocking polls so
-// a Pause takes effect between batches, with Idle acknowledging that the
-// loop is parked.
-func (m *Manager) runPausable(ctx context.Context, consumer bus.Reader, limiter *time.Ticker) error {
-	for {
-		if ctx.Err() != nil {
-			return nil
+// Notify wakes Await, so a condition on downstream progress (the
+// engine's micro-batch barriers) is re-checked when it may have changed.
+func (m *Manager) Notify() {
+	m.mu.Lock()
+	m.signalLocked()
+	m.mu.Unlock()
+}
+
+func (m *Manager) signalLocked() {
+	if m.changed != nil {
+		close(m.changed)
+		m.changed = nil
+	}
+}
+
+// handleBatch identifies, archives and forwards one poll batch, records
+// its offsets as handled, then hands it to OnBatch.
+func (m *Manager) handleBatch(msgs []bus.Message) {
+	if len(msgs) == 0 {
+		return
+	}
+	for _, msg := range msgs {
+		m.handle(msg)
+	}
+	m.flushBatch()
+	m.mu.Lock()
+	for i, msg := range msgs {
+		// A poll returns each partition's messages as one ascending run:
+		// the last of a run is its highest offset.
+		if i+1 == len(msgs) || msgs[i+1].Partition != msg.Partition {
+			m.handled[msg.Partition] = max(m.handled[msg.Partition], msg.Offset+1)
 		}
-		if m.paused.Load() {
-			m.idle.Store(true)
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		m.idle.Store(false)
-		msgs := consumer.TryPoll(pollBatchMax)
-		if len(msgs) == 0 {
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		for _, msg := range msgs {
-			if limiter != nil {
-				select {
-				case <-limiter.C:
-				case <-ctx.Done():
-					return nil
-				}
-			}
-			m.handle(msg)
-		}
-		m.flushBatch()
-		if m.cfg.OnBatch != nil {
-			m.cfg.OnBatch(msgs)
-		}
+	}
+	m.signalLocked()
+	m.mu.Unlock()
+	if m.cfg.OnBatch != nil {
+		m.cfg.OnBatch(msgs)
 	}
 }
 
 // DrainOnce consumes and forwards everything currently pending, without
 // blocking — used by batch-mode harnesses that replay a finite corpus.
 func (m *Manager) DrainOnce() int {
-	consumer, err := m.bus.Subscribe(m.cfg.Group, agent.LogsTopic)
+	consumer, err := m.bus.Subscribe(Group, agent.LogsTopic)
 	if err != nil {
 		return 0
 	}
 	n := 0
-	for {
-		msgs := consumer.TryPoll(pollBatchMax)
-		if len(msgs) == 0 {
-			return n
-		}
-		for _, msg := range msgs {
-			m.handle(msg)
-			n++
-		}
-		m.flushBatch()
+	for msgs := consumer.TryPoll(pollBatchMax); len(msgs) > 0; msgs = consumer.TryPoll(pollBatchMax) {
+		m.handleBatch(msgs)
+		n += len(msgs)
 	}
+	return n
 }
 
 // flushBatch archives the pending logs, then hands the accumulated logs
 // downstream in one call and recycles the buffer. Entries are zeroed
 // before reuse so the backing array does not pin raw-log payloads across
-// batches. Without ForwardBatch the logs went downstream one by one as
-// they were handled, so their archive write trails them; it still lands
-// before OnBatch.
+// batches.
 func (m *Manager) flushBatch() {
 	m.flushArchive()
 	if len(m.batch) == 0 {
 		return
 	}
-	m.cfg.ForwardBatch(m.batch)
-	if m.cfg.OnAdmit != nil {
-		newest := m.batch[0].Arrival
-		for _, l := range m.batch[1:] {
-			if l.Arrival.After(newest) {
-				newest = l.Arrival
-			}
-		}
-		m.cfg.OnAdmit(newest)
+	if m.cfg.ForwardBatch != nil {
+		m.cfg.ForwardBatch(m.batch)
 	}
 	for i := range m.batch {
 		m.batch[i] = logtypes.Log{}
@@ -311,10 +356,9 @@ func (m *Manager) flushArchive() {
 	clear(m.archive)
 }
 
-// handle identifies the source, queues the archive write, and forwards
-// one message.
-// Heartbeat-tagged messages are routed to the heartbeat hook instead of
-// the log path.
+// handle identifies the source and queues one message's archive write
+// and downstream hand-off. Heartbeat-tagged messages go to the heartbeat
+// hook instead.
 func (m *Manager) handle(msg bus.Message) {
 	source := msg.Headers[agent.HeaderSource]
 	if source == "" {
@@ -324,23 +368,21 @@ func (m *Manager) handle(msg bus.Message) {
 	if hb := msg.Headers[agent.HeaderHeartbeat]; hb != "" {
 		t, err := time.Parse(time.RFC3339Nano, hb)
 		if err != nil || source == "" {
-			m.drop()
+			m.dropCounter.Inc()
 			return
 		}
-		if m.hbCounter != nil {
-			m.hbCounter.Inc()
-		}
-		if m.forwardHB != nil {
+		m.hbCounter.Inc()
+		if m.heartbeat != nil {
 			// A heartbeat must not overtake logs consumed before it:
 			// expiry driven by an early heartbeat would see states the
 			// buffered logs have yet to open.
 			m.flushBatch()
-			m.forwardHB(source, t)
+			m.heartbeat(source, t)
 		}
 		return
 	}
 	if source == "" {
-		m.drop()
+		m.dropCounter.Inc()
 		return
 	}
 	var seq uint64
@@ -360,10 +402,7 @@ func (m *Manager) handle(msg bus.Message) {
 		Arrival: msg.Time,
 		Raw:     raw,
 	}
-	m.received.Add(1)
-	if m.recvCounter != nil {
-		m.recvCounter.Inc()
-	}
+	m.recvCounter.Inc()
 	if m.cfg.Tracer != nil {
 		m.cfg.Tracer.Stamp(source, seq, metrics.StageBus,
 			msg.Topic+"/"+strconv.Itoa(msg.Partition)+"@"+strconv.FormatInt(msg.Offset, 10))
@@ -372,19 +411,5 @@ func (m *Manager) handle(msg bus.Message) {
 	if m.cfg.ArchiveLogs && m.store != nil {
 		m.archive[source] = append(m.archive[source], modelmgr.ArchiveDoc(l))
 	}
-	if m.cfg.ForwardBatch != nil {
-		m.batch = append(m.batch, l)
-		return
-	}
-	if m.forward != nil {
-		m.forward(l)
-	}
-}
-
-// drop accounts one unroutable message.
-func (m *Manager) drop() {
-	m.dropped.Add(1)
-	if m.dropCounter != nil {
-		m.dropCounter.Inc()
-	}
+	m.batch = append(m.batch, l)
 }

@@ -14,22 +14,60 @@ import (
 	"loglens/internal/store"
 )
 
-func setup(t *testing.T, cfg Config) (*bus.Bus, *store.Store, *Manager, *[]logtypes.Log, *sync.Mutex) {
+// setup builds a Manager whose ForwardBatch collects copies of the
+// forwarded logs and whose heartbeat hook is hb.
+func setup(t *testing.T, cfg Config, hb func(source string, ts time.Time)) (*bus.Bus, *store.Store, *Manager, *[]logtypes.Log, *sync.Mutex) {
 	t.Helper()
 	b := bus.New()
 	st := store.New()
 	var mu sync.Mutex
 	var forwarded []logtypes.Log
-	m := New(b, st, cfg, func(l logtypes.Log) {
+	cfg.ForwardBatch = func(logs []logtypes.Log) {
 		mu.Lock()
-		forwarded = append(forwarded, l)
+		forwarded = append(forwarded, logs...)
 		mu.Unlock()
-	})
-	return b, st, m, &forwarded, &mu
+	}
+	return b, st, New(b, st, cfg, hb), &forwarded, &mu
+}
+
+// endOffsets snapshots the logs topic's end offset per partition.
+func endOffsets(t *testing.T, b *bus.Bus) map[int]int64 {
+	t.Helper()
+	n, err := b.Partitions(agent.LogsTopic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := make(map[int]int64)
+	for part := 0; part < n; part++ {
+		ends[part], _ = b.EndOffset(agent.LogsTopic, part)
+	}
+	return ends
+}
+
+// handledThrough reports whether m has handled every message below ends.
+func handledThrough(m *Manager, ends map[int]int64) bool {
+	handled := m.Handled()
+	for part, end := range ends {
+		if handled[part] < end {
+			return false
+		}
+	}
+	return true
+}
+
+// awaitHandled waits until m has handled everything published so far.
+func awaitHandled(t *testing.T, b *bus.Bus, m *Manager) {
+	t.Helper()
+	ends := endOffsets(t, b)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := m.Await(ctx, func() bool { return handledThrough(m, ends) }); err != nil {
+		t.Fatalf("handled %v, want %v: %v", m.Handled(), ends, err)
+	}
 }
 
 func TestDrainOnceForwardsAndArchives(t *testing.T) {
-	b, st, m, forwarded, mu := setup(t, Config{ArchiveLogs: true})
+	b, st, m, forwarded, mu := setup(t, Config{ArchiveLogs: true}, nil)
 	a, err := agent.New(b, agent.Config{Source: "web"})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +100,7 @@ func TestDrainOnceForwardsAndArchives(t *testing.T) {
 }
 
 func TestArchiveDisabled(t *testing.T) {
-	b, st, m, _, _ := setup(t, Config{})
+	b, st, m, _, _ := setup(t, Config{}, nil)
 	a, _ := agent.New(b, agent.Config{Source: "web"})
 	a.Send("x")
 	m.DrainOnce()
@@ -72,7 +110,7 @@ func TestArchiveDisabled(t *testing.T) {
 }
 
 func TestSourceFallbackToKey(t *testing.T) {
-	b, _, m, forwarded, mu := setup(t, Config{})
+	b, _, m, forwarded, mu := setup(t, Config{}, nil)
 	b.CreateTopic(agent.LogsTopic, 2)
 	// A message without the source header but with a key.
 	b.Publish(agent.LogsTopic, "keyed-source", []byte("raw"), nil)
@@ -85,7 +123,7 @@ func TestSourceFallbackToKey(t *testing.T) {
 }
 
 func TestUnidentifiableDropped(t *testing.T) {
-	b, _, m, forwarded, mu := setup(t, Config{})
+	b, _, m, forwarded, mu := setup(t, Config{}, nil)
 	b.CreateTopic(agent.LogsTopic, 1)
 	b.Publish(agent.LogsTopic, "", []byte("orphan"), nil)
 	m.DrainOnce()
@@ -97,7 +135,7 @@ func TestUnidentifiableDropped(t *testing.T) {
 }
 
 func TestRunConsumesLive(t *testing.T) {
-	b, _, m, forwarded, mu := setup(t, Config{})
+	b, _, m, forwarded, mu := setup(t, Config{}, nil)
 	a, _ := agent.New(b, agent.Config{Source: "live"})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -107,19 +145,12 @@ func TestRunConsumesLive(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.Send("x")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(*forwarded)
-		mu.Unlock()
-		if n == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("forwarded %d of 3", n)
-		}
-		time.Sleep(time.Millisecond)
+	awaitHandled(t, b, m)
+	mu.Lock()
+	if n := len(*forwarded); n != 3 {
+		t.Errorf("forwarded %d of 3", n)
 	}
+	mu.Unlock()
 	cancel()
 	select {
 	case err := <-done:
@@ -131,36 +162,10 @@ func TestRunConsumesLive(t *testing.T) {
 	}
 }
 
-func TestRateControl(t *testing.T) {
-	b, _, m, _, _ := setup(t, Config{MaxRatePerSec: 100})
-	a, _ := agent.New(b, agent.Config{Source: "s"})
-	for i := 0; i < 10; i++ {
-		a.Send("x")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- m.Run(ctx) }()
-	start := time.Now()
-	for m.Received() < 10 && time.Since(start) < 5*time.Second {
-		time.Sleep(time.Millisecond)
-	}
-	elapsed := time.Since(start)
-	cancel()
-	<-done
-	if m.Received() != 10 {
-		t.Fatalf("received %d", m.Received())
-	}
-	if elapsed < 80*time.Millisecond {
-		t.Errorf("rate control ignored: 10 logs at 100/s in %v", elapsed)
-	}
-}
-
 func TestHeartbeatTagRouting(t *testing.T) {
-	b, _, m, forwarded, mu := setup(t, Config{})
-	b.CreateTopic(agent.LogsTopic, 1)
 	var hbMu sync.Mutex
 	var hbs []time.Time
-	m.OnHeartbeat(func(source string, ts time.Time) {
+	b, _, m, forwarded, mu := setup(t, Config{}, func(source string, ts time.Time) {
 		if source != "svc" {
 			t.Errorf("source = %q", source)
 		}
@@ -168,6 +173,7 @@ func TestHeartbeatTagRouting(t *testing.T) {
 		hbs = append(hbs, ts)
 		hbMu.Unlock()
 	})
+	b.CreateTopic(agent.LogsTopic, 1)
 	want := time.Date(2016, 2, 23, 9, 0, 31, 0, time.UTC)
 	b.Publish(agent.LogsTopic, "svc", nil, map[string]string{
 		agent.HeaderSource:    "svc",

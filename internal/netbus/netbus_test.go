@@ -322,6 +322,30 @@ func TestResumeRedeliversUncommitted(t *testing.T) {
 	}
 }
 
+// TestLongPollEndsWithConnection: a long-poll whose connection is gone
+// reads nothing, so a message published after the client vanished is
+// still there for its reconnected self.
+func TestLongPollEndsWithConnection(t *testing.T) {
+	srv := NewServer(bus.New())
+	if err := srv.Bus().CreateTopic("logs", 1); err != nil {
+		t.Fatal(err)
+	}
+	poll := Request{Group: "g", Topics: []string{"logs"}, Max: 10, Manual: true, WaitMs: 5000}
+	alive, gone := context.WithCancel(context.Background())
+	parked := make(chan Response)
+	go func() { parked <- srv.handlePoll(alive, poll) }()
+	gone()
+	if _, _, err := srv.Bus().Publish("logs", "k", []byte("m"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if resp := <-parked; len(resp.Msgs) != 0 {
+		t.Fatalf("long-poll of a closed connection read %d messages", len(resp.Msgs))
+	}
+	if resp := srv.handlePoll(context.Background(), poll); len(resp.Msgs) != 1 {
+		t.Fatalf("reconnected poll got %d messages, want the 1 published", len(resp.Msgs))
+	}
+}
+
 func TestSeekAllowsIntentionalRedelivery(t *testing.T) {
 	_, c := startBroker(t, Options{})
 	if err := c.CreateTopic("logs", 1); err != nil {

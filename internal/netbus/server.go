@@ -18,6 +18,10 @@ import (
 // is enormous.
 const maxServerWait = 5 * time.Second
 
+// pollLinger is how long a long-poll lingers once a message is pending
+// before it reads, as Kafka's fetch.max.wait does.
+const pollLinger = time.Millisecond
+
 // Server is the broker: it owns an in-process bus (the authoritative
 // log) and serves the RPC protocol over TCP. Stop tears down the
 // listener and every connection while keeping the bus and the publisher
@@ -164,6 +168,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	var wmu sync.Mutex
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
+	// Long-polls end with their connection: one that read messages for a
+	// client already gone would take them from its reconnected self.
+	alive, gone := context.WithCancel(context.Background())
+	defer gone()
 	fr := frameReader{r: bufio.NewReaderSize(conn, 64<<10)}
 	strs := newStrTable()
 	// One payload buffer serves every frame: a request is decoded, with
@@ -186,7 +194,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		hwg.Add(1)
 		go func(op byte, id uint64, req Request) {
 			defer hwg.Done()
-			resp := s.handle(op, req)
+			resp := s.handle(alive, op, req)
 			s.respond(conn, &wmu, op, id, resp)
 		}(op, id, req)
 	}
@@ -205,8 +213,9 @@ func (s *Server) respond(conn net.Conn, wmu *sync.Mutex, op byte, id uint64, res
 	putFrameBuf(bp, frame)
 }
 
-// handle executes one request against the bus.
-func (s *Server) handle(op byte, req Request) Response {
+// handle executes one request against the bus; alive ends with the
+// request's connection.
+func (s *Server) handle(alive context.Context, op byte, req Request) Response {
 	if s.served != nil {
 		s.served.Inc()
 	}
@@ -269,7 +278,7 @@ func (s *Server) handle(op byte, req Request) Response {
 		}
 		return Response{Offset: off}
 	case OpPoll:
-		return s.handlePoll(req)
+		return s.handlePoll(alive, req)
 	case OpCommit:
 		s.bus.CommitGroup(req.Group, req.Topic, req.Partition, req.Offset)
 		return Response{}
@@ -309,7 +318,7 @@ func (s *Server) handle(op byte, req Request) Response {
 	return Response{Err: ErrBadOp.Error()}
 }
 
-func (s *Server) handlePoll(req Request) Response {
+func (s *Server) handlePoll(alive context.Context, req Request) Response {
 	c, err := s.consumer(req.Group, req.Topics, req.Manual)
 	if err != nil {
 		return errResponse(err)
@@ -321,13 +330,19 @@ func (s *Server) handlePoll(req Request) Response {
 	if wait > maxServerWait {
 		wait = maxServerWait
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), wait)
+	ctx, cancel := context.WithTimeout(alive, wait)
 	defer cancel()
-	msgs, err := c.Poll(ctx, req.Max)
-	if err != nil {
+	if c.Wait(ctx) != nil {
 		return Response{} // long-poll timeout: empty batch, client re-polls
 	}
-	return Response{Msgs: msgs}
+	// Something is pending: let the batch fill for pollLinger first, so a
+	// consumer that keeps up takes a batch per round trip, not a message.
+	select {
+	case <-s.bus.Clock().After(pollLinger):
+	case <-alive.Done():
+		return Response{}
+	}
+	return Response{Msgs: c.TryPoll(req.Max)}
 }
 
 // consumer resolves (creating on first use) the server-side consumer for

@@ -9,12 +9,11 @@
 #
 # Allowlist rationale:
 #   internal/clock/        the Real clock is the one legitimate caller
-#   internal/core/pipeline.go  Drain/Stop poll real deadlines: they bound
-#                          how long the test process itself waits, and
+#   internal/testutil/wait.go  WaitUntil's failure deadline is real: it
 #                          must elapse even when fake time stands still
-#   internal/core/recovery.go  the checkpoint barrier timeout is the same
-#                          kind of real deadline as Drain's
-#   internal/testutil/wait.go  same: WaitUntil's failure deadline is real
+#   (internal/core needs no entry: Drain's and the checkpoint barrier's
+#   real deadlines are context timeouts, and both wait on the log
+#   manager's progress notification instead of polling)
 #   internal/netbus/       socket Set{Read,Write}Deadline needs absolute
 #                          wall-clock times; all retry/backoff pacing in
 #                          the package still runs on the injected clock
@@ -28,10 +27,6 @@
 # remaining site is listed in wait_allowlist with its reason; the list
 # is meant to shrink, not grow:
 #   internal/clock/        the Real clock wraps the time package
-#   internal/core/pipeline.go  Drain's real deadline poll (as above)
-#   internal/core/recovery.go  the checkpoint barrier's real deadline poll
-#   internal/logmanager/logmanager.go  runPausable's pause/empty-poll
-#                          sleeps and its MaxRatePerSec rate limiter
 #   internal/experiments/rebroadcast.go  the rebroadcast experiment waits
 #                          for sent records to flow before each swap
 #   internal/testutil/     WaitUntil's backoff between condition checks
@@ -44,7 +39,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-allowlist='^internal/clock/|^internal/core/pipeline\.go|^internal/core/recovery\.go|^internal/testutil/wait\.go|^internal/netbus/|^cmd/loadtest/|^examples/datacenter/'
+allowlist='^internal/clock/|^internal/testutil/wait\.go|^internal/netbus/|^cmd/loadtest/|^examples/datacenter/'
 
 violations=$(grep -rn --include='*.go' -E 'time\.(Now|Since)\(' \
     internal cmd examples 2>/dev/null \
@@ -56,7 +51,7 @@ if [ -n "$violations" ]; then
     echo "$violations" >&2
     exit 1
 fi
-wait_allowlist='^internal/clock/|^internal/core/pipeline\.go|^internal/core/recovery\.go|^internal/logmanager/logmanager\.go|^internal/experiments/rebroadcast\.go|^internal/testutil/|^cmd/shiplogs/|^cmd/loadtest/|^examples/'
+wait_allowlist='^internal/clock/|^internal/experiments/rebroadcast\.go|^internal/testutil/|^cmd/shiplogs/|^cmd/loadtest/|^examples/'
 
 waits=$(grep -rn --include='*.go' -E 'time\.(Sleep|After|NewTicker|Tick)\(' \
     internal cmd examples 2>/dev/null \
