@@ -1,23 +1,46 @@
 // Seal and compaction: the single commit path of the persistent engine.
 // Every durable state change beyond a WAL append — memtable seals,
-// compaction rewrites, age-based segment drops — funnels through
-// sealLocked, which stages new segment files, writes the next manifest
-// generation, moves CURRENT, and only then mutates in-memory state and
-// GCs. The crash invariant falls out of the ordering: any failure before
-// the CURRENT swap leaves generation G and wal-G fully authoritative,
-// and stray staged files are swept by a later GC.
+// compaction rewrites, age-based segment drops — is one seal in three
+// steps:
+//
+//   - the cut (cutLocked, under e.mu) flushes the WAL, records its
+//     length, captures what the next generation holds — each index's
+//     memtable documents in scan order, its tombstones, the segments it
+//     keeps, the manifest fields — and mints the segment names;
+//   - the build (build, which needs no engine lock) encodes the
+//     segments into one engine-owned buffer, writes the segment files
+//     and encodes the manifest;
+//   - the commit (commitLocked, under e.mu) writes wal-(G+1) holding
+//     only the records logged after the cut, then the manifest, then
+//     CURRENT, and only then folds the result into memory and GCs.
+//
+// The crash invariant falls out of the ordering: until CURRENT moves,
+// wal-G still holds every record from before and after the cut, so any
+// failure leaves generation G authoritative and stray files from the
+// failed seal are swept by a later GC; once it moves, wal-(G+1) holds
+// the tail.
+//
+// The put that pushes the WAL past FlushBytes only cuts and hands the
+// build and the commit to a background sealer (sealAsync). Every other
+// seal waits for one in flight, then runs all three steps inline with
+// e.mu held throughout (sealLocked), so mutations land between a cut and
+// its commit only behind a plain memtable seal — never behind a
+// compaction or an age drop.
 package store
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
+	"slices"
 	"sort"
 	"time"
 
 	"loglens/internal/fsx"
 )
 
-// sealPlan parameterizes one commit.
+// sealPlan parameterizes one seal.
 type sealPlan struct {
 	// policy applies the compaction policy per index (too many segments
 	// or too many dead documents → rewrite instead of append).
@@ -29,18 +52,40 @@ type sealPlan struct {
 	drop map[*Index]map[*segment]bool
 }
 
-// stagedIndex is the per-index outcome computed during staging.
+// sealJob is one seal between its cut and its commit.
+type sealJob struct {
+	// m is the next generation as of the cut; build fills in the new
+	// segments and encodes it into manifest.
+	m        *manifest
+	manifest []byte
+	// walLen is len(e.wal) at the cut: the records after it form
+	// wal-(G+1).
+	walLen int
+	bucket time.Time
+	// idx parallels m.Indices.
+	idx []*stagedIndex
+}
+
+// stagedIndex is one index's share of a seal.
 type stagedIndex struct {
-	ix      *Index
-	newSeg  *segment // nil when nothing was written
-	data    []byte   // encoded newSeg bytes (written before manifest)
-	compact bool     // newSeg replaces all segments
-	memIDs  []string // ids sealed out of the memtable (incremental)
+	ix *Index
+	// docs are the new segment's records, tombstones first; nil when
+	// nothing is written. refs[i] is the ref docs[i]'s id held at the
+	// cut (zero for a tombstone): the commit re-points only the ids
+	// still holding it, and a compaction's build reads the documents
+	// that sat in segments through it.
+	docs []segDoc
+	refs []ref
+	file string // the new segment's name, minted at the cut
+	// dead is the tombstone set taken at the cut, put back if the seal
+	// fails.
+	dead map[string]bool
 	// evicted is the age-drop eviction delta: how many live documents
 	// the dropped segments held. Zero means no id is orphaned.
 	evicted uint64
-	segs    []manifestSegment
-	keep    []*segment // surviving old segments, in order
+	keep    []*segment        // surviving old segments, in order
+	segs    []manifestSegment // keep's entries; build appends newSeg's
+	newSeg  *segment          // set by build
 }
 
 // needsCompact reports whether the compaction policy wants a rewrite.
@@ -69,11 +114,40 @@ func (e *engine) needsCompact(pe *persistIndex, addingSeg bool) bool {
 	return false
 }
 
-// sealLocked is the commit path. Caller holds e.mu. The in-memory state
-// is only mutated after CURRENT points at the new generation.
+// sealLocked runs one seal inline: it waits for a seal in flight, then
+// cuts, builds and commits with e.mu held throughout. Caller holds e.mu.
 func (e *engine) sealLocked(plan sealPlan) error {
-	if err := e.flushWALLocked(); err != nil {
+	e.waitSealLocked()
+	job, err := e.cutLocked(plan)
+	if job == nil {
 		return err
+	}
+	return e.commitLocked(job, e.build(job))
+}
+
+// sealAsync is the background sealer of a seal a put has cut: the build
+// runs without the engine lock while puts go on logging behind the cut,
+// then the commit takes it.
+func (e *engine) sealAsync(job *sealJob) {
+	err := e.build(job)
+	e.mu.Lock()
+	e.commitLocked(job, err)
+	e.mu.Unlock()
+}
+
+// waitSealLocked blocks until no background seal is in flight. Caller
+// holds e.mu, which the wait releases.
+func (e *engine) waitSealLocked() {
+	for e.sealing != nil {
+		e.sealDone.Wait()
+	}
+}
+
+// cutLocked captures the next generation, returning nil when nothing
+// changed since the last commit. Caller holds e.mu.
+func (e *engine) cutLocked(plan sealPlan) (*sealJob, error) {
+	if err := e.flushWALLocked(); err != nil {
+		return nil, err
 	}
 	changed := len(e.wal) > 0
 	for _, victims := range plan.drop {
@@ -82,81 +156,40 @@ func (e *engine) sealLocked(plan sealPlan) error {
 		}
 	}
 	if !changed {
-		return nil
+		return nil, nil
 	}
 
-	now := e.clk.Now().Truncate(e.opts.BucketDuration)
 	ordered := append([]*Index(nil), e.indices...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].name < ordered[j].name })
-
 	newGen := e.gen + 1
-	m := &manifest{
-		Generation: newGen,
-		WAL:        walName(newGen),
-		Pins:       append([]uint64(nil), e.pins...),
+	job := &sealJob{
+		m: &manifest{
+			Generation: newGen,
+			WAL:        walName(newGen),
+			Pins:       append([]uint64(nil), e.pins...),
+		},
+		walLen: len(e.wal),
+		bucket: e.clk.Now().Truncate(e.opts.BucketDuration),
 	}
-	var staged []*stagedIndex
 	for _, ix := range ordered {
-		st, err := e.stageIndex(ix, plan, now)
-		if err != nil {
-			e.setErr(err)
-			return err
-		}
-		staged = append(staged, st)
-		m.Indices = append(m.Indices, manifestIndex{
+		st := e.cutIndex(ix, plan)
+		job.idx = append(job.idx, st)
+		job.m.Indices = append(job.m.Indices, manifestIndex{
 			Name:      ix.name,
 			Seq:       ix.seq,
 			Evicted:   ix.evicted + st.evicted,
 			Retention: ix.retention,
 			Watermark: ix.pe.watermark,
 			NextOrd:   ix.pe.nextOrd,
-			Segments:  st.segs,
 		})
 	}
-	m.NextSeg = e.nextSeg
-
-	// Write staged segment files, then the manifest, then CURRENT.
-	for _, st := range staged {
-		if st.newSeg == nil {
-			continue
-		}
-		if err := fsx.WriteFileAtomic(e.fs, e.path(st.newSeg.file), st.data, 0o644); err != nil {
-			e.setErr(err)
-			return err
-		}
-	}
-	data, err := encodeManifest(m)
-	if err != nil {
-		e.setErr(err)
-		return err
-	}
-	if err := fsx.WriteFileAtomic(e.fs, e.path(manifestName(newGen)), data, 0o644); err != nil {
-		e.setErr(err)
-		return err
-	}
-	if err := fsx.WriteFileAtomic(e.fs, e.path("CURRENT"), []byte(manifestName(newGen)+"\n"), 0o644); err != nil {
-		e.setErr(err)
-		return err
-	}
-
-	// Committed: fold the staged state in under each index's write lock.
-	for _, st := range staged {
-		e.commitIndex(st)
-	}
-	e.gen = newGen
-	e.manifests[newGen] = m
-	// A GC'd past lineage may have left a stale WAL under the new name.
-	e.fs.Remove(e.path(walName(newGen)))
-	e.resetWALLocked(m.WAL)
-	e.flushes++
-	e.setErr(nil)
-	e.gcLocked()
-	return nil
+	job.m.NextSeg = e.nextSeg
+	return job, nil
 }
 
-// stageIndex computes one index's next segment list without mutating
-// anything. e.mu excludes all writers, so pe state is stable to read.
-func (e *engine) stageIndex(ix *Index, plan sealPlan, bucket time.Time) (*stagedIndex, error) {
+// cutIndex captures one index's next segment list. Documents that sit
+// in segments are read by the build, through their refs.
+func (e *engine) cutIndex(ix *Index, plan sealPlan) *stagedIndex {
 	pe := ix.pe
 	st := &stagedIndex{ix: ix}
 	victims := plan.drop[ix]
@@ -165,192 +198,261 @@ func (e *engine) stageIndex(ix *Index, plan sealPlan, bucket time.Time) (*staged
 			st.evicted += uint64(sg.live)
 		}
 	}
+	if len(pe.dead) > 0 {
+		st.dead, pe.dead = pe.dead, make(map[string]bool)
+	}
 
-	compact := plan.compactAll || (plan.policy && e.needsCompact(pe, len(pe.mem) > 0 || len(pe.dead) > 0))
-	if compact {
-		st.compact = true
-		docs := make([]segDoc, 0, len(ix.order))
+	if plan.compactAll || (plan.policy && e.needsCompact(pe, len(pe.mem) > 0 || len(st.dead) > 0)) {
+		// Compaction: every live document is rewritten into one segment,
+		// which replaces all the old ones.
+		e.compactions++
+		st.docs = make([]segDoc, 0, len(ix.order))
+		st.refs = make([]ref, 0, len(ix.order))
 		for _, id := range ix.order {
 			r := pe.refs[id]
 			if r.seg != nil && victims[r.seg] {
 				continue
 			}
-			sd := segDoc{ID: id, Ord: r.ord}
-			if r.seg == nil {
-				md := pe.mem[id]
-				sd.Doc, sd.raw = md.doc, md.raw
-			} else {
-				var err error
-				sd.Doc, err = r.seg.fetchDoc(r)
-				if err != nil {
-					return nil, fmt.Errorf("store: compact %q: %w", ix.name, err)
-				}
+			st.capture(pe, id, r)
+		}
+	} else {
+		// Incremental: survivors keep their slots; the memtable and the
+		// tombstones seal into one appended segment.
+		for _, sg := range pe.segs {
+			if victims[sg] || sg.live == 0 && sg.tombs == 0 {
+				// Dropped by age, or fully shadowed and pinning nothing.
+				continue
 			}
-			docs = append(docs, sd)
+			st.keep = append(st.keep, sg)
+			st.segs = append(st.segs, manifestSegment{
+				File: sg.file, Bytes: sg.bytes, CRC: sg.crc, Count: sg.footer.Count, Bucket: sg.bucket,
+			})
 		}
-		if len(docs) > 0 {
-			if err := e.stageSegment(st, docs, bucket); err != nil {
-				return nil, err
-			}
-		}
-		e.compactions++
-		return st, nil
-	}
-
-	// Incremental: survivors keep their slots; memtable + tombstones
-	// seal into one appended segment.
-	for _, sg := range pe.segs {
-		if victims[sg] {
-			continue
-		}
-		if sg.live == 0 && sg.tombs == 0 {
-			// Fully shadowed and pinning nothing: drop from the new
-			// generation.
-			continue
-		}
-		st.keep = append(st.keep, sg)
-		st.segs = append(st.segs, manifestSegment{
-			File: sg.file, Bytes: sg.bytes, CRC: sg.crc, Count: sg.footer.Count, Bucket: sg.bucket,
-		})
-	}
-	if len(pe.mem) > 0 || len(pe.dead) > 0 {
-		docs := make([]segDoc, 0, len(pe.dead)+len(pe.mem))
-		for id := range pe.dead {
+		st.docs = make([]segDoc, 0, len(st.dead)+len(pe.mem))
+		for id := range st.dead {
 			if _, back := pe.mem[id]; !back {
-				docs = append(docs, segDoc{ID: id, Del: true})
+				st.docs = append(st.docs, segDoc{ID: id, Del: true})
 			}
 		}
-		sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
+		sort.Slice(st.docs, func(i, j int) bool { return st.docs[i].ID < st.docs[j].ID })
+		tombs := len(st.docs)
+		st.refs = make([]ref, tombs, tombs+len(pe.mem))
 		// The scan order is ascending by ord and holds every memtable id;
 		// new ids sit at its tail, so walking back from the end finds
 		// them all after about len(pe.mem) steps when nothing older was
-		// replaced.
-		st.memIDs = make([]string, len(pe.mem))
-		n := len(pe.mem)
-		for i := len(ix.order) - 1; i >= 0 && n > 0; i-- {
-			if _, ok := pe.mem[ix.order[i]]; ok {
+		// replaced. They are captured newest first, then put back in
+		// scan order.
+		for i, n := len(ix.order)-1, len(pe.mem); i >= 0 && n > 0; i-- {
+			if r := pe.refs[ix.order[i]]; r.seg == nil {
+				st.capture(pe, ix.order[i], r)
 				n--
-				st.memIDs[n] = ix.order[i]
 			}
 		}
-		for _, id := range st.memIDs {
-			md := pe.mem[id]
-			docs = append(docs, segDoc{ID: id, Ord: pe.refs[id].ord, Doc: md.doc, raw: md.raw})
-		}
-		if len(docs) > 0 {
-			if err := e.stageSegment(st, docs, bucket); err != nil {
-				return nil, err
-			}
-		}
+		slices.Reverse(st.docs[tombs:])
+		slices.Reverse(st.refs[tombs:])
 	}
-	return st, nil
+	if len(st.docs) > 0 {
+		st.file = e.segFileName(ix.name)
+		// A delete from now on may hit a document this seal writes.
+		pe.sealing = true
+	}
+	return st
 }
 
-// stageSegment encodes docs into a new segment file (not yet written).
-func (e *engine) stageSegment(st *stagedIndex, docs []segDoc, bucket time.Time) error {
-	data, ft, err := encodeSegment(docs)
+// capture appends id's document as of the cut.
+func (st *stagedIndex) capture(pe *persistIndex, id string, r ref) {
+	sd := segDoc{ID: id, Ord: r.ord}
+	if r.seg == nil {
+		md := pe.mem[id]
+		sd.Doc, sd.raw = md.doc, md.raw
+	}
+	st.docs = append(st.docs, sd)
+	st.refs = append(st.refs, r)
+}
+
+// build encodes and writes the cut's segment files, then encodes the
+// manifest. It takes no engine lock: the cut handed it everything it
+// reads, and only one seal is ever in flight, so it owns e.segBuf.
+func (e *engine) build(job *sealJob) error {
+	for i, st := range job.idx {
+		if len(st.docs) > 0 {
+			if err := e.buildSegment(st, job.bucket); err != nil {
+				return err
+			}
+		}
+		job.m.Indices[i].Segments = st.segs
+	}
+	var err error
+	job.manifest, err = encodeManifest(job.m)
+	return err
+}
+
+// buildSegment writes st's documents as its new segment file.
+func (e *engine) buildSegment(st *stagedIndex, bucket time.Time) error {
+	for i := range st.docs {
+		if r := st.refs[i]; r.seg != nil {
+			doc, err := r.seg.fetchDoc(r)
+			if err != nil {
+				return fmt.Errorf("store: compact %q: %w", st.ix.name, err)
+			}
+			st.docs[i].Doc = doc
+		}
+	}
+	data, ft, err := encodeSegment(e.segBuf[:0], st.docs)
 	if err != nil {
 		return err
 	}
+	if int64(cap(data)) <= 4*e.opts.FlushBytes {
+		// Memtable-sized: the next seal encodes into it again. A large
+		// compaction's buffer is left to the garbage collector.
+		e.segBuf = data
+	}
 	sg := &segment{
-		file:   e.segFileName(st.ix.name),
+		file:   st.file,
 		bytes:  int64(len(data)),
 		crc:    crc32.ChecksumIEEE(data),
 		bucket: bucket,
 		footer: ft,
 	}
-	for i := range docs {
-		if docs[i].Del {
+	for i := range st.docs {
+		if st.docs[i].Del {
 			sg.tombs++
 		}
 	}
+	if err := fsx.WriteFileAtomic(e.fs, e.path(sg.file), data, 0o644); err != nil {
+		return err
+	}
 	st.newSeg = sg
-	st.data = data
 	st.segs = append(st.segs, manifestSegment{
 		File: sg.file, Bytes: sg.bytes, CRC: sg.crc, Count: ft.Count, Bucket: sg.bucket,
 	})
 	return nil
 }
 
-// commitIndex folds a staged result into live state under the index's
-// write lock: victims evicted, shadowed segments dropped, memtable refs
-// re-pointed into the new segment.
+// commitLocked finishes a built seal: wal-(G+1), manifest and CURRENT
+// hit the disk in that order, then memory follows and GC runs. A failed
+// build or write abandons the seal, leaving generation G and its WAL
+// authoritative. Caller holds e.mu.
+func (e *engine) commitLocked(job *sealJob, err error) error {
+	defer func() {
+		e.sealing = nil
+		e.sealDone.Broadcast()
+	}()
+	if err == nil {
+		err = e.publishLocked(job)
+	}
+	if err != nil {
+		e.setErr(err)
+		for _, st := range job.idx {
+			st.ix.pe.sealing = false
+			for id := range st.dead {
+				st.ix.pe.dead[id] = true
+			}
+		}
+		return err
+	}
+
+	for _, st := range job.idx {
+		e.commitIndex(st)
+	}
+	e.gen = job.m.Generation
+	e.manifests[e.gen] = job.m
+	// Every document the cut captured is re-pointed or replaced by now,
+	// so no memtable document still aliases the WAL bytes being
+	// overwritten (replayWAL's documents do).
+	n := copy(e.wal, e.wal[job.walLen:])
+	e.wal = e.wal[:n]
+	e.walFile, e.walOnDisk, e.walDirty = job.m.WAL, int64(n), false
+	e.flushes++
+	e.setErr(nil)
+	e.gcLocked()
+	return nil
+}
+
+// publishLocked writes the WAL tail, the manifest and CURRENT. The tail
+// goes to wal-(G+1) before the manifest names it; with no tail, a stale
+// file under that name (left by a seal that failed after writing it) is
+// removed so replay cannot pick it up.
+func (e *engine) publishLocked(job *sealJob) error {
+	wal := e.path(job.m.WAL)
+	if tail := e.wal[job.walLen:]; len(tail) > 0 {
+		if err := fsx.WriteFileAtomic(e.fs, wal, tail, 0o644); err != nil {
+			return err
+		}
+	} else if err := e.fs.Remove(wal); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	gen := job.m.Generation
+	if err := fsx.WriteFileAtomic(e.fs, e.path(manifestName(gen)), job.manifest, 0o644); err != nil {
+		return err
+	}
+	return fsx.WriteFileAtomic(e.fs, e.path("CURRENT"), []byte(manifestName(gen)+"\n"), 0o644)
+}
+
+// commitIndex folds a committed seal into live state under the index's
+// write lock: ids still holding the document the cut captured are
+// re-pointed into the new segment, age-drop victims evicted, shadowed
+// segments dropped.
 func (e *engine) commitIndex(st *stagedIndex) {
 	ix := st.ix
 	pe := ix.pe
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	pe.sealing = false
 
-	if st.newSeg != nil {
-		fh, err := e.fs.Open(e.path(st.newSeg.file))
+	keepSet := make(map[*segment]bool, len(st.keep)+1)
+	for _, sg := range st.keep {
+		keepSet[sg] = true
+	}
+	newSegs := append(make([]*segment, 0, len(st.keep)+1), st.keep...)
+	if sg := st.newSeg; sg != nil {
+		fh, err := e.fs.Open(e.path(sg.file))
 		if err != nil {
 			// The file was just written; failure to reopen is a disk
 			// fault. Refs below still point at it; reads will error and
 			// be counted.
 			e.noteReadErr(err)
 		} else {
-			st.newSeg.fh = fh
+			sg.fh = fh
 		}
-	}
-
-	old := pe.segs
-	if st.compact {
-		if st.newSeg != nil {
-			st.newSeg.live = st.newSeg.footer.Count
-			for i := range st.newSeg.footer.Entries {
-				en := &st.newSeg.footer.Entries[i]
-				pe.refs[en.ID] = ref{ord: en.Ord, seg: st.newSeg, off: en.Off, length: en.Len}
-			}
-			pe.segs = []*segment{st.newSeg}
-		} else {
-			pe.segs = nil
-		}
-		// Every live id was merged into newSeg; anything still pointing
-		// at an old segment was an age-retention victim — evict it.
-		if st.evicted > 0 {
-			evictOrphansLocked(ix, func(r ref) bool { return r.seg == nil || r.seg == st.newSeg })
-		}
-		clear(pe.mem)
-		clear(pe.dead)
-		e.segsDropped += uint64(len(old))
-		for _, sg := range old {
-			sg.close()
-		}
-		return
-	}
-
-	keepSet := make(map[*segment]bool, len(st.keep)+1)
-	for _, sg := range st.keep {
-		keepSet[sg] = true
-	}
-	if st.newSeg != nil {
-		for i := range st.newSeg.footer.Entries {
-			en := &st.newSeg.footer.Entries[i]
-			if en.Del {
+		sealed := 0 // memtable documents re-pointed
+		for i := range sg.footer.Entries {
+			en := &sg.footer.Entries[i]
+			if en.Del || pe.refs[en.ID] != st.refs[i] {
+				// A tombstone, or replaced, deleted or evicted since the
+				// cut.
 				continue
 			}
-			pe.refs[en.ID] = ref{ord: en.Ord, seg: st.newSeg, off: en.Off, length: en.Len}
-			st.newSeg.live++
+			if st.refs[i].seg == nil {
+				sealed++
+			}
+			pe.refs[en.ID] = ref{ord: en.Ord, seg: sg, off: en.Off, length: en.Len}
+			sg.live++
 		}
-		keepSet[st.newSeg] = true
+		if sealed == len(pe.mem) {
+			// The memtable held only sealed documents. Clearing it keeps
+			// the map free of the deleted slots that slow later puts.
+			clear(pe.mem)
+		} else {
+			for i := range sg.footer.Entries {
+				if id := sg.footer.Entries[i].ID; st.refs[i].seg == nil && pe.refs[id].seg == sg {
+					delete(pe.mem, id)
+				}
+			}
+		}
+		keepSet[sg] = true
+		newSegs = append(newSegs, sg)
 	}
 	if st.evicted > 0 {
 		evictOrphansLocked(ix, func(r ref) bool { return r.seg == nil || keepSet[r.seg] })
 	}
-	newSegs := make([]*segment, 0, len(st.keep)+1)
-	newSegs = append(newSegs, st.keep...)
-	if st.newSeg != nil {
-		newSegs = append(newSegs, st.newSeg)
-	}
-	for _, sg := range old {
+	for _, sg := range pe.segs {
 		if !keepSet[sg] {
 			e.segsDropped++
 			sg.close()
 		}
 	}
 	pe.segs = newSegs
-	clear(pe.mem)
-	clear(pe.dead)
 }
 
 // evictOrphansLocked drops every id whose ref fails keep — the ids whose

@@ -13,7 +13,11 @@
 //   - Seals move memtables into immutable segment files (segment.go),
 //     written atomically, then commit a new manifest generation and move
 //     CURRENT (manifest.go). A crash at any step leaves the previous
-//     generation plus its WAL fully intact.
+//     generation plus its WAL fully intact. The put that pushes the WAL
+//     past FlushBytes only cuts the seal under e.mu; a background sealer
+//     writes the segments without the lock and commits in one short
+//     critical section (compact.go). Puts wait only once another
+//     FlushBytes of WAL has piled up behind the seal in flight.
 //   - Queries read the merged view: memtable documents plus segment
 //     documents fetched by directory offset, in the exact insertion order
 //     the in-memory engine would use, with footer statistics skipping
@@ -24,10 +28,10 @@
 //     replace whole segments in the next manifest; checkpoint restore
 //     re-points at a pinned older generation (incremental checkpoints).
 //
-// Locking: engine.mu is the write lock (all mutations, seals, GC), taken
-// before any Index lock; Index locks alone guard reads. lastErr lives
-// under its own leaf mutex so read paths can record disk errors without
-// touching engine.mu.
+// Locking: engine.mu is the write lock (all mutations, the cut and the
+// commit of every seal, GC), taken before any Index lock; Index locks
+// alone guard reads. lastErr lives under its own leaf mutex so read
+// paths can record disk errors without touching engine.mu.
 package store
 
 import (
@@ -115,7 +119,9 @@ func (o *Options) defaults() {
 }
 
 // ref locates one live document: in the memtable (seg nil) or framed at
-// [off, off+length) of a sealed segment.
+// [off, off+length) of a sealed segment. For a memtable ref, off is
+// instead the put's stamp, unique within the engine, so a seal's commit
+// tells the document it captured from a later put of the same id.
 type ref struct {
 	ord    uint64
 	seg    *segment
@@ -139,6 +145,9 @@ type persistIndex struct {
 	// dropped marks a detached (DeleteIndex'd) index: stale handles keep
 	// working in memory but no longer log to the WAL.
 	dropped bool
+	// sealing marks an index the seal in flight writes a segment for: a
+	// delete must leave a tombstone even while it has no segments yet.
+	sealing bool
 }
 
 // memDoc is one memtable document: the canonical form queries read, and
@@ -172,10 +181,23 @@ type engine struct {
 	rec       walRecord
 	manifests map[uint64]*manifest
 	pins      []uint64
+	// stamp numbers memtable puts (see ref).
+	stamp uint64
+
+	// sealing is the background seal in flight, between its cut and its
+	// commit; sealDone (on mu) is broadcast when it ends. goSeal starts
+	// the sealer (a goroutine; tests substitute a stepper).
+	sealing  *sealJob
+	sealDone sync.Cond
+	goSeal   func(func())
+	// segBuf is the segment encoding buffer, owned by the one seal that
+	// is building.
+	segBuf []byte
 
 	flushes     uint64
 	compactions uint64
 	segsDropped uint64
+	putWaits    uint64
 
 	segsSkipped atomic.Uint64
 	segDocsRead atomic.Uint64
@@ -204,7 +226,9 @@ func Open(opts Options) (*Store, error) {
 		byName:    make(map[string]*Index),
 		manifests: make(map[uint64]*manifest),
 		stop:      make(chan struct{}),
+		goSeal:    func(f func()) { go f() },
 	}
+	e.sealDone.L = &e.mu
 	s := &Store{indices: make(map[string]*Index), eng: e}
 	e.st = s
 	if err := e.fs.MkdirAll(e.dir, 0o755); err != nil {
@@ -593,13 +617,35 @@ func (e *engine) resetWALLocked(file string) {
 	e.walDirty = false
 }
 
-// maybeSealLocked triggers a seal when the WAL outgrows FlushBytes.
-func (e *engine) maybeSealLocked() {
-	if int64(len(e.wal)) < e.opts.FlushBytes {
-		return
+// maybeSealLocked cuts a background seal once the WAL outgrows
+// FlushBytes, returning it for the caller to launch after releasing
+// e.mu (nil when there is none). With a seal already in flight it waits
+// only once another FlushBytes has piled up behind that seal's cut — the
+// backlog bound that caps the WAL in memory at about twice FlushBytes.
+func (e *engine) maybeSealLocked() *sealJob {
+	if e.sealing != nil {
+		if int64(len(e.wal)-e.sealing.walLen) < e.opts.FlushBytes {
+			return nil
+		}
+		e.putWaits++
+		e.waitSealLocked()
 	}
-	if err := e.sealLocked(sealPlan{}); err != nil {
+	if int64(len(e.wal)) < e.opts.FlushBytes {
+		return nil
+	}
+	job, err := e.cutLocked(sealPlan{})
+	if err != nil {
 		e.setErr(err)
+	}
+	e.sealing = job
+	return job
+}
+
+// launch hands a cut seal to the background sealer. Caller does not hold
+// e.mu.
+func (e *engine) launch(job *sealJob) {
+	if job != nil {
+		e.goSeal(func() { e.sealAsync(job) })
 	}
 }
 
@@ -757,8 +803,9 @@ func (pe *persistIndex) put(ix *Index, id string, doc Document, auto bool) strin
 	pe.enforceRetentionLocked(ix, !pe.dropped)
 	ix.mu.Unlock()
 	e.spillLocked()
-	e.maybeSealLocked()
+	job := e.maybeSealLocked()
 	e.mu.Unlock()
+	e.launch(job)
 	return id
 }
 
@@ -794,8 +841,9 @@ func (pe *persistIndex) putBatch(ix *Index, docs []Document) {
 	pe.enforceRetentionLocked(ix, !pe.dropped)
 	ix.mu.Unlock()
 	e.spillLocked()
-	e.maybeSealLocked()
+	job := e.maybeSealLocked()
 	e.mu.Unlock()
+	e.launch(job)
 }
 
 // putLocked installs one encoded document under id and frames its put
@@ -823,11 +871,11 @@ func (pe *persistIndex) applyPut(ix *Index, id string, ord uint64, doc memDoc) u
 			old.seg.live--
 		}
 		ord = old.ord
-		pe.refs[id] = ref{ord: ord}
 	} else {
-		pe.refs[id] = ref{ord: ord}
 		ix.order = append(ix.order, id)
 	}
+	pe.eng.stamp++
+	pe.refs[id] = ref{ord: ord, off: int64(pe.eng.stamp)}
 	pe.mem[id] = doc
 	if ord >= pe.nextOrd {
 		pe.nextOrd = ord + 1
@@ -859,9 +907,10 @@ func (pe *persistIndex) applyDelete(ix *Index, id string) bool {
 	if r.seg != nil {
 		r.seg.live--
 	}
-	if len(pe.segs) > 0 {
-		// An older copy may live in some segment; a tombstone at the
-		// next seal keeps it dead across reopen.
+	if len(pe.segs) > 0 || pe.sealing {
+		// An older copy may live in some segment, or in the one the seal
+		// in flight writes; a tombstone at the next seal keeps it dead
+		// across reopen.
 		pe.dead[id] = true
 	}
 	for i, oid := range ix.order {
@@ -948,8 +997,9 @@ func (pe *persistIndex) load(ix *Index, data []byte, docs map[string]Document) {
 		e.logLocked(walRecord{Op: walLoad, Ix: ix.name, Doc: json.RawMessage(data)})
 	}
 	ix.mu.Unlock()
-	e.maybeSealLocked()
+	job := e.maybeSealLocked()
 	e.mu.Unlock()
+	e.launch(job)
 }
 
 func (pe *persistIndex) applyLoad(ix *Index, docs map[string]Document) {
@@ -963,6 +1013,7 @@ func (pe *persistIndex) applyLoad(ix *Index, docs map[string]Document) {
 	pe.dead = make(map[string]bool)
 	pe.watermark = pe.nextOrd
 	ix.order = ix.order[:0]
+	ix.seq = loadedSeq(ix.name, docs)
 	ids := make([]string, 0, len(docs))
 	for id := range docs {
 		ids = append(ids, id)
@@ -971,7 +1022,8 @@ func (pe *persistIndex) applyLoad(ix *Index, docs map[string]Document) {
 	for _, id := range ids {
 		ord := pe.nextOrd
 		pe.nextOrd++
-		pe.refs[id] = ref{ord: ord}
+		pe.eng.stamp++
+		pe.refs[id] = ref{ord: ord, off: int64(pe.eng.stamp)}
 		pe.mem[id] = memDoc{doc: docs[id]}
 		ix.order = append(ix.order, id)
 	}

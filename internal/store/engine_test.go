@@ -7,12 +7,42 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"loglens/internal/chaos"
 	"loglens/internal/clock"
 	"loglens/internal/testutil"
 )
+
+// stepSealer stands in for an engine's sealer goroutine: a seal a put
+// has cut waits until the test steps it, so the test decides what lands
+// between the cut and the commit, and runs stay deterministic. A put
+// that would wait on the backlog bound, and every inline seal, waits
+// for the pending seal — the test steps it first.
+type stepSealer struct{ pending func() }
+
+func newStepSealer(s *Store) *stepSealer {
+	ss := &stepSealer{}
+	ss.attach(s)
+	return ss
+}
+
+// attach makes ss the sealer of s (a reopened store, say).
+func (ss *stepSealer) attach(s *Store) {
+	s.eng.goSeal = func(seal func()) { ss.pending = seal }
+}
+
+// step runs the pending seal's build and commit, if there is one.
+func (ss *stepSealer) step() bool {
+	seal := ss.pending
+	ss.pending = nil
+	if seal != nil {
+		seal()
+	}
+	return seal != nil
+}
 
 // openTest opens a persistent store on dir with a fake clock, failing the
 // test on error.
@@ -712,4 +742,250 @@ func TestEnginePutBatchMatchesPutAuto(t *testing.T) {
 	if id := s2.Index("logs").PutAuto(Document{"n": 6}); id != "logs-7" {
 		t.Errorf("PutAuto after replay = %q, want logs-7", id)
 	}
+}
+
+// TestEngineSealOffThePutPath: the put that crosses FlushBytes only cuts
+// the seal — generation unchanged, SealInFlight reported — and puts go on
+// behind the cut without waiting until another FlushBytes has piled up.
+// The put past that bound waits for the sealer (counted in PutWaits),
+// then cuts the next seal itself; nothing acknowledged is lost.
+func TestEngineSealOffThePutPath(t *testing.T) {
+	const flush = 2 << 10
+	dir := t.TempDir()
+	s := openTest(t, dir, clock.NewFake(), func(o *Options) { o.FlushBytes = flush })
+	sealer := newStepSealer(s)
+	ix := s.Index("logs")
+	gen := s.Generation()
+	doc := func(i int) Document { return Document{"raw": fmt.Sprintf("line %04d", i), "n": i} }
+	n := 0
+	for !s.Stats().SealInFlight {
+		ix.PutAuto(doc(n))
+		n++
+	}
+	if st := s.Stats(); st.Generation != gen || st.PutWaits != 0 {
+		t.Fatalf("after the cut: generation %d (want %d), put waits %d", st.Generation, gen, st.PutWaits)
+	}
+	for sealBacklog(s)+walBound(doc(n)) < flush {
+		ix.PutAuto(doc(n))
+		n++
+	}
+	if st := s.Stats(); !st.SealInFlight || st.PutWaits != 0 || st.Generation != gen {
+		t.Fatalf("puts below the backlog bound: %+v", st)
+	}
+
+	// A batch that takes the backlog past FlushBytes waits for the seal.
+	batch := make([]Document, 64)
+	for i := range batch {
+		batch[i] = doc(n + i)
+	}
+	n += len(batch)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ix.PutBatch(batch)
+	}()
+	testutil.WaitUntil(t, 5*time.Second, func() bool { return s.Stats().PutWaits == 1 },
+		"the put past the backlog bound never waited")
+	select {
+	case <-done:
+		t.Fatal("the put past the backlog bound returned with the seal still in flight")
+	default:
+	}
+	sealer.step()
+	<-done
+	st := s.Stats()
+	if st.Generation != gen+1 || !st.SealInFlight || st.PutWaits != 1 {
+		t.Fatalf("after the wait: generation %d (want %d), in flight %v (want the waiter's cut), put waits %d",
+			st.Generation, gen+1, st.SealInFlight, st.PutWaits)
+	}
+	j, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(j), `"seal_in_flight":true`) || !strings.Contains(string(j), `"put_waits":1`) {
+		t.Fatalf("/api/storage fields missing: %s", j)
+	}
+	sealer.step()
+	if st := s.Stats(); st.SealInFlight || st.Generation != gen+2 {
+		t.Fatalf("after the second seal: %+v", st)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.Abort()
+
+	s2 := openTest(t, dir, clock.NewFake())
+	defer s2.Close()
+	if got := s2.Index("logs").Count(); got != n {
+		t.Fatalf("reopen holds %d documents, want %d", got, n)
+	}
+	for i := 0; i < n; i++ {
+		if d, ok := s2.Index("logs").Get(autoID("logs", uint64(i+1))); !ok || d["n"] != float64(i) {
+			t.Fatalf("document %d after reopen: %v, %v", i, d, ok)
+		}
+	}
+}
+
+// TestEngineAbortWithSealInFlight: Abort — Pipeline.Kill's path — with a
+// background seal between its cut and its commit waits for the sealer,
+// so no file is written once it returns, and a reopen returns every
+// acknowledged document and no deleted one.
+func TestEngineAbortWithSealInFlight(t *testing.T) {
+	dir := t.TempDir()
+	fsys := chaos.NewFaultFS(nil, chaos.FSConfig{}, nil) // counts writes
+	s := openTest(t, dir, clock.NewFake(), func(o *Options) {
+		o.FS = fsys
+		o.FlushBytes = 2 << 10
+	})
+	gate, sealed := make(chan struct{}), make(chan struct{})
+	s.eng.goSeal = func(seal func()) {
+		go func() {
+			defer close(sealed)
+			<-gate
+			seal()
+		}()
+	}
+	ix := s.Index("logs")
+	n := 0
+	for !s.Stats().SealInFlight {
+		ix.Put(fmt.Sprintf("d%03d", n), Document{"n": n})
+		n++
+	}
+	// Behind the cut: a put, a delete of a document the seal is writing,
+	// a delete of a document it is not.
+	ix.Put("late", Document{"n": -1})
+	ix.Delete("d001")
+	ix.Put("gone", Document{"n": -2})
+	ix.Delete("gone")
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	aborted := make(chan struct{})
+	go func() {
+		defer close(aborted)
+		s.Abort()
+	}()
+	select {
+	case <-aborted:
+		t.Fatal("Abort returned while the seal was still in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	<-aborted
+	writes := fsys.Stats().Writes
+	<-sealed
+	if after := fsys.Stats().Writes; after != writes {
+		t.Fatalf("%d writes after Abort returned", after-writes)
+	}
+
+	s2 := openTest(t, dir, clock.NewFake())
+	defer s2.Close()
+	ix2 := s2.Index("logs")
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("d%03d", i)
+		d, ok := ix2.Get(id)
+		if id == "d001" {
+			if ok {
+				t.Fatalf("deleted %s came back: %v", id, d)
+			}
+			continue
+		}
+		if !ok || d["n"] != float64(i) {
+			t.Fatalf("acknowledged %s after reopen: %v, %v", id, d, ok)
+		}
+	}
+	if _, ok := ix2.Get("late"); !ok {
+		t.Fatal("acknowledged put behind the cut lost")
+	}
+	if d, ok := ix2.Get("gone"); ok {
+		t.Fatalf("deleted document behind the cut came back: %v", d)
+	}
+}
+
+// TestEngineConcurrentWritesWithBackgroundSeals runs writers and a reader
+// against a store whose small FlushBytes keeps the real background sealer
+// busy: batches, replacements and deletes land while seals build and
+// commit, and the reader queries throughout. The live view and a reopen
+// must both hold exactly what the writers left.
+func TestEngineConcurrentWritesWithBackgroundSeals(t *testing.T) {
+	const writers, rounds = 4, 150
+	dir := t.TempDir()
+	s := openTest(t, dir, clock.NewFake(), func(o *Options) {
+		o.FlushBytes = 8 << 10
+		o.WALBufferBytes = 1 << 10
+	})
+	names := []string{"even", "odd"}
+	want := make([]map[string]float64, writers) // per writer: id → n
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		want[g] = make(map[string]float64)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ix := s.Index(names[g%2])
+			for i := 0; i < rounds; i++ {
+				batch := make([]Document, 4)
+				for j := range batch {
+					batch[j] = Document{"g": float64(g), "n": float64(i*10 + j), "pad": strings.Repeat("x", 40)}
+				}
+				ix.PutBatch(batch)
+				id := fmt.Sprintf("w%d-%d", g, i%7)
+				ix.Put(id, Document{"g": float64(g), "n": float64(i)})
+				want[g][id] = float64(i)
+				if i%5 == 4 {
+					del := fmt.Sprintf("w%d-%d", g, (i+3)%7)
+					ix.Delete(del)
+					delete(want[g], del)
+				}
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, name := range names {
+				s.Index(name).Search(Query{Term: map[string]any{"g": float64(1)}, SortBy: "n", Desc: true, Limit: 5})
+				s.Index(name).Count()
+			}
+			s.Stats()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-read
+
+	check := func(s *Store, when string) {
+		t.Helper()
+		total := 0
+		for g := range want {
+			ix := s.Index(names[g%2])
+			for id, n := range want[g] {
+				if d, ok := ix.Get(id); !ok || d["n"] != n {
+					t.Fatalf("%s: %s/%s = %v, %v; want n=%v", when, names[g%2], id, d, ok, n)
+				}
+			}
+			total += len(want[g]) + rounds*4
+		}
+		if got := s.Index("even").Count() + s.Index("odd").Count(); got != total {
+			t.Fatalf("%s: %d documents, want %d", when, got, total)
+		}
+	}
+	check(s, "live")
+	if st := s.Stats(); st.Flushes == 0 {
+		t.Fatalf("no background seal ran: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openTest(t, dir, clock.NewFake())
+	defer s2.Close()
+	check(s2, "reopen")
 }

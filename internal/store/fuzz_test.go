@@ -41,7 +41,7 @@ func fuzzSeedSegment() []byte {
 		{ID: "a", Ord: 1, Doc: Document{"n": float64(1), "s": "x", "time": "2020-01-01T00:00:00Z"}},
 		{ID: "b", Ord: 2, Doc: Document{"n": float64(2), "flag": true}},
 	}
-	data, _, err := encodeSegment(docs)
+	data, _, err := encodeSegment(nil, docs)
 	if err != nil {
 		panic(err)
 	}
@@ -78,7 +78,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		if ft.Count != live {
 			t.Fatalf("accepted segment disagrees with itself: Count=%d, %d live docs", ft.Count, live)
 		}
-		again, ft2, err := encodeSegment(docs)
+		again, ft2, err := encodeSegment(nil, docs)
 		if err != nil {
 			t.Fatalf("accepted segment failed to re-encode: %v", err)
 		}

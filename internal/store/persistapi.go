@@ -118,6 +118,7 @@ func (s *Store) LoadGeneration(gen uint64) error {
 	defer s.mu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.waitSealLocked()
 	m := e.manifests[gen]
 	if m == nil {
 		data, err := e.fs.ReadFile(e.path(manifestName(gen)))
@@ -216,7 +217,9 @@ func (s *Store) Close() error {
 
 // Abort releases the engine without flushing anything — the crash-
 // simulation half of Close, used by Pipeline.Kill. Unsynced mutations
-// are lost, exactly as a real crash would lose them.
+// are lost, exactly as a real crash would lose them. A background seal
+// in flight is waited for, so nothing writes to the directory once
+// Abort returns.
 func (s *Store) Abort() {
 	if s.eng == nil {
 		return
@@ -225,6 +228,7 @@ func (s *Store) Abort() {
 	e.stopLoops()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.waitSealLocked()
 	for _, ix := range e.indices {
 		for _, sg := range ix.pe.segs {
 			sg.close()
@@ -245,7 +249,9 @@ type IndexStats struct {
 }
 
 // Stats is the storage health snapshot served at /api/storage and fed to
-// the storage health probe.
+// the storage health probe. SealInFlight reports a background seal
+// between its cut and its commit; PutWaits counts the puts that waited
+// for one because another FlushBytes of WAL had piled up behind it.
 type Stats struct {
 	Persistent      bool         `json:"persistent"`
 	Dir             string       `json:"dir,omitempty"`
@@ -256,6 +262,8 @@ type Stats struct {
 	Flushes         uint64       `json:"flushes,omitempty"`
 	Compactions     uint64       `json:"compactions,omitempty"`
 	SegmentsDropped uint64       `json:"segments_dropped,omitempty"`
+	SealInFlight    bool         `json:"seal_in_flight,omitempty"`
+	PutWaits        uint64       `json:"put_waits,omitempty"`
 	SegmentsSkipped uint64       `json:"segments_skipped,omitempty"`
 	SegmentDocsRead uint64       `json:"segment_docs_read,omitempty"`
 	ReadErrors      uint64       `json:"read_errors,omitempty"`
@@ -297,6 +305,8 @@ func (s *Store) Stats() Stats {
 		Flushes:         e.flushes,
 		Compactions:     e.compactions,
 		SegmentsDropped: e.segsDropped,
+		SealInFlight:    e.sealing != nil,
+		PutWaits:        e.putWaits,
 		SegmentsSkipped: e.segsSkipped.Load(),
 		SegmentDocsRead: e.segDocsRead.Load(),
 		ReadErrors:      e.readErrs.Load(),

@@ -13,12 +13,13 @@ import (
 
 // TestPropertyEngineMatchesOracle drives the segment engine and the
 // in-memory engine through the same seeded random operation sequence —
-// puts, batched puts, deletes, retention caps, flushes, compactions,
-// reopens — and
-// requires every query (Search, CountWhere, Histogram, Terms, Get,
-// Count, Dump) to return identical results. The in-memory engine is the
-// oracle: it predates the segment engine and its behavior is pinned by
-// the rest of the suite.
+// puts, batched puts, deletes, retention caps, loads, flushes,
+// compactions, reopens — and requires every query (Search, CountWhere,
+// Histogram, Terms, Get, Count, Dump) to return identical results. Size
+// seals run on a stepped sealer, so mutations and queries interleave
+// with a seal between its cut and its commit, deterministically for a
+// seed. The in-memory engine is the oracle: it predates the segment
+// engine and its behavior is pinned by the rest of the suite.
 func TestPropertyEngineMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		seed := seed
@@ -41,8 +42,20 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 		o.MaxSegments = 4
 	}
 	eng := openTest(t, dir, clk, opts)
+	sealer := newStepSealer(eng)
 	oracle := New()
-	defer func() { eng.Close() }()
+	defer func() {
+		sealer.step()
+		eng.Close()
+	}()
+	// guard steps the seal in flight when logging up to bound more WAL
+	// bytes could reach the backlog bound, where the put would wait for
+	// the stepper.
+	guard := func(bound int) {
+		if int64(sealBacklog(eng)+bound) >= eng.eng.opts.FlushBytes {
+			sealer.step()
+		}
+	}
 
 	names := []string{"alpha", "beta"}
 	name := func() string { return names[rng.Intn(len(names))] }
@@ -123,12 +136,13 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 
 	for i := 0; i < nops; i++ {
 		n := name()
-		switch r := rng.Intn(100); {
+		switch r := rng.Intn(106); {
 		case r < 30: // put
 			d, doc := id(), randDoc()
 			if rng.Intn(8) == 0 {
 				d = autoID(n)
 			}
+			guard(walBound(doc))
 			eng.Index(n).Put(d, doc)
 			oracle.Index(n).Put(d, doc)
 		case r < 35: // put batch: the oracle is one PutAuto per document
@@ -141,9 +155,11 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 				}
 				oracle.Index(n).PutAuto(docs[j])
 			}
+			guard(walBound(docs...))
 			eng.Index(n).PutBatch(docs)
 		case r < 45: // put auto
 			doc := randDoc()
+			guard(walBound(doc))
 			ei := eng.Index(n).PutAuto(doc)
 			oi := oracle.Index(n).PutAuto(doc)
 			if ei != oi {
@@ -196,6 +212,7 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 			}
 		case r < 92: // flush / sync
 			if rng.Intn(2) == 0 {
+				sealer.step()
 				if err := eng.Flush(); err != nil {
 					t.Fatalf("op %d: Flush: %v", i, err)
 				}
@@ -203,6 +220,7 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 				t.Fatalf("op %d: Sync: %v", i, err)
 			}
 		case r < 94: // compact
+			sealer.step()
 			if err := eng.Compact(); err != nil {
 				t.Fatalf("op %d: Compact: %v", i, err)
 			}
@@ -214,14 +232,38 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 			if en != on {
 				t.Fatalf("op %d: DeleteIndex(%s) diverged: engine %v oracle %v", i, n, en, on)
 			}
-		default: // reopen: close cleanly, open again, state must survive
+		case r < 100: // reopen: close cleanly, open again, state must survive
+			sealer.step()
 			if err := eng.Close(); err != nil {
 				t.Fatalf("op %d: Close: %v", i, err)
 			}
 			eng = openTest(t, dir, clk, opts)
+			sealer.attach(eng)
 			for _, nm := range names {
 				checkDump(nm)
 			}
+		case r < 102: // load a small snapshot over the index
+			docs := make(map[string]Document)
+			for k := rng.Intn(5); k > 0; k-- {
+				d := id()
+				if rng.Intn(3) == 0 {
+					d = autoID(n)
+				}
+				docs[d] = propertyFlatDoc(rng, clk)
+			}
+			data, err := json.Marshal(docs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			guard(2*len(data) + 256)
+			if err := eng.Index(n).Load(data); err != nil {
+				t.Fatalf("op %d: engine Load: %v", i, err)
+			}
+			if err := oracle.Index(n).Load(data); err != nil {
+				t.Fatalf("op %d: oracle Load: %v", i, err)
+			}
+		default: // the sealer builds and commits the seal in flight
+			sealer.step()
 		}
 		if i%500 == 499 {
 			for _, nm := range names {
@@ -235,6 +277,33 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 			t.Fatalf("final Count(%s) diverged: engine %d oracle %d", nm, ec, oc)
 		}
 	}
+}
+
+// sealBacklog is how many WAL bytes s has logged behind its seal in
+// flight (zero when there is none).
+func sealBacklog(s *Store) int {
+	e := s.eng
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.sealing == nil {
+		return 0
+	}
+	return len(e.wal) - e.sealing.walLen
+}
+
+// walBound over-estimates the WAL bytes one put of docs logs: each
+// document's JSON twice over (its canonical form is shorter than that)
+// plus room for the record's other fields and a retention record.
+func walBound(docs ...Document) int {
+	n := 256
+	for _, doc := range docs {
+		j, err := json.Marshal(doc)
+		if err != nil {
+			return 1 << 30
+		}
+		n += 2*len(j) + 256
+	}
+	return n
 }
 
 // propertyFlatDoc is a random document already in the canonical form the

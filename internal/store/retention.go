@@ -14,11 +14,13 @@ import "time"
 
 // retentionTickLocked drops segments whose bucket window ended before
 // now-Retention, committing a new generation when anything is
-// droppable. Caller holds e.mu.
+// droppable. It waits for a seal in flight first, so the victims are
+// picked from the segment lists that seal leaves. Caller holds e.mu.
 func (e *engine) retentionTickLocked(now time.Time) error {
 	if e.opts.Retention <= 0 {
 		return nil
 	}
+	e.waitSealLocked()
 	cutoff := now.Add(-e.opts.Retention)
 	var plan sealPlan
 	for _, ix := range e.indices {

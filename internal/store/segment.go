@@ -162,8 +162,14 @@ type segment struct {
 
 // encodeSegment serializes docs (already in scan order, tombstones first)
 // into the segment format, returning the bytes and the footer it embedded.
-func encodeSegment(docs []segDoc) ([]byte, *segFooter, error) {
-	buf := make([]byte, 0, segmentSizeHint(docs))
+// The bytes are appended to dst[:0], which is reused when it is large
+// enough, so a caller keeping the result as its next dst encodes every
+// segment into one buffer.
+func encodeSegment(dst []byte, docs []segDoc) ([]byte, *segFooter, error) {
+	buf := dst[:0]
+	if hint := segmentSizeHint(docs); cap(buf) < hint {
+		buf = make([]byte, 0, hint)
+	}
 	buf = append(buf, segMagic...)
 	ft := &segFooter{Entries: make([]segEntry, 0, len(docs)), Fields: make(map[string]*fieldStat)}
 	vals := make(map[string]map[string]bool)

@@ -553,22 +553,27 @@ func (ix *Index) Load(data []byte) error {
 	}
 	sort.Strings(ids)
 	ix.order = ids
-	// Rebase the auto-ID sequence past every loaded generated ID, so
-	// PutAuto after a snapshot restore never reuses (and silently
-	// overwrites) an ID the snapshot already holds — matching the
-	// persistent engine, which restores its sequence counters.
-	ix.seq = 0
-	prefix := ix.name + "-"
+	ix.seq = loadedSeq(ix.name, docs)
+	return nil
+}
+
+// loadedSeq is an index's auto-ID sequence after a Load of docs: past
+// every generated ID the snapshot holds, so PutAuto after a snapshot
+// restore never reuses (and silently overwrites) one. Both engines
+// rebase on Load, the persistent one also on replay.
+func loadedSeq(name string, docs map[string]Document) uint64 {
+	seq := uint64(0)
+	prefix := name + "-"
 	for id := range docs {
 		suffix, ok := strings.CutPrefix(id, prefix)
 		if !ok {
 			continue
 		}
-		if n, err := strconv.ParseUint(suffix, 10, 64); err == nil && n > ix.seq {
-			ix.seq = n
+		if n, err := strconv.ParseUint(suffix, 10, 64); err == nil && n > seq {
+			seq = n
 		}
 	}
-	return nil
+	return seq
 }
 
 func matches(doc Document, q Query) bool {

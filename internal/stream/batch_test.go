@@ -120,6 +120,42 @@ func TestRecordBufferRecycles(t *testing.T) {
 	}
 }
 
+// TestRecycledBuffersHoldNoPayload: batches of shrinking and growing
+// length cycle through the same pooled arrays — passed straight through
+// to one partition, and split across three — and every buffer the pool
+// hands out afterwards holds no record payload anywhere in [0:cap):
+// each recycle clears the used prefix, and the rest of a pooled buffer
+// is already zero.
+func TestRecycledBuffersHoldNoPayload(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		e := New(Config{Partitions: parts}, func(*Context, Record) []any { return nil })
+		done := make(chan error, 1)
+		go func() { done <- e.Run(t.Context()) }()
+		for _, n := range []int{300, 16, 1, 1024, 40, 2, 700} {
+			buf := e.RecordBuffer()
+			for i := 0; i < n; i++ {
+				buf = append(buf, Record{Key: fmt.Sprintf("k%d", i%5), Value: "payload"})
+			}
+			if err := e.SendBatch(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Close()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 8; k++ {
+			buf := e.RecordBuffer() // kept out of the pool: each Get draws another
+			full := buf[:cap(buf)]
+			for i := range full {
+				if full[i] != (Record{}) {
+					t.Fatalf("partitions=%d: pooled buffer %d (cap %d) holds a record at %d: %+v", parts, k, cap(buf), i, full[i])
+				}
+			}
+		}
+	}
+}
+
 // TestSendAfterSendBatchOrdered: a record sent with Send immediately
 // after a SendBatch from the same goroutine is processed after the
 // batch's records — the ordering the log manager relies on when a

@@ -718,7 +718,8 @@ func (e *Engine) flushParts(parts [][]Record) (undelivered int) {
 
 // RecordBuffer returns an empty record slice from the engine's arena for
 // use with SendBatch. Steady-state batches cycle through the pool, so
-// batching producers allocate no slices per batch.
+// batching producers allocate no slices per batch. Fill it only by
+// appending: the pool relies on a buffer being zero past its length.
 func (e *Engine) RecordBuffer() []Record {
 	if v := e.recPool.Get(); v != nil {
 		return (*v.(*[]Record))[:0]
@@ -726,16 +727,15 @@ func (e *Engine) RecordBuffer() []Record {
 	return make([]Record, 0, 256)
 }
 
-// putRecordBuffer recycles an absorbed batch slice. Elements are zeroed
-// first so pooled arrays do not pin record payloads.
+// putRecordBuffer recycles an absorbed batch slice. Its used prefix is
+// zeroed so pooled arrays do not pin record payloads; the rest already
+// is, because a pooled buffer is zero past its length and every buffer
+// handed back was filled only by appending from length zero.
 func (e *Engine) putRecordBuffer(recs []Record) {
 	if cap(recs) == 0 {
 		return
 	}
-	recs = recs[:cap(recs)]
-	for i := range recs {
-		recs[i] = Record{}
-	}
+	clear(recs)
 	recs = recs[:0]
 	e.recPool.Put(&recs)
 }
