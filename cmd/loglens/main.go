@@ -52,7 +52,6 @@ type options struct {
 	loadModel    string
 	saveModel    string
 	volumeWindow time.Duration
-	stateDir     string
 	listen       string
 	metrics      bool
 	traceOut     string
@@ -90,14 +89,13 @@ func main() {
 	flag.StringVar(&o.loadModel, "load-model", "", "load a model JSON file instead of training")
 	flag.StringVar(&o.saveModel, "save-model", "", "write the trained model to this JSON file")
 	flag.DurationVar(&o.volumeWindow, "volume-window", 0, "also learn a per-pattern rate profile with this window (enables the volume detector)")
-	flag.StringVar(&o.stateDir, "state-dir", "", "persist log/model/anomaly storage to this directory at exit (and restore at startup)")
 	flag.StringVar(&o.listen, "listen", "", "also serve the bus protocol to remote agents (shiplogs -bus) on this TCP address (e.g. :5044); not with -bus")
 	flag.BoolVar(&o.metrics, "metrics", false, "dump the metrics registry (expvar-style text) to stderr after the stream ends")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the retained span window as Chrome trace JSON to this file at exit")
 	flag.StringVar(&o.ckptDir, "checkpoint-dir", "", "enable crash recovery: write periodic checkpoints to this directory and restore from it at startup")
 	flag.DurationVar(&o.ckptInterval, "checkpoint-interval", 30*time.Second, "periodic checkpoint cadence when -checkpoint-dir is set (0 = only explicit/final checkpoints)")
-	flag.StringVar(&o.dataDir, "data-dir", "", "persist storage to this directory with the segment engine (WAL + immutable segments; survives restarts without -state-dir snapshots)")
-	flag.DurationVar(&o.retention, "retention", 0, "with -data-dir: age log/anomaly segments out after this duration (0 keeps everything; models are always kept)")
+	flag.StringVar(&o.dataDir, "data-dir", "", "persist log/model/anomaly storage to this directory (WAL + immutable segments; survives restarts)")
+	flag.DurationVar(&o.retention, "retention", 0, "age log/anomaly segments out after this duration (0 keeps everything; models are always kept)")
 	flag.StringVar(&o.syslogUDP, "listen-syslog-udp", "", "accept syslog datagrams (RFC3164/RFC5424) on this UDP address (e.g. :5514)")
 	flag.StringVar(&o.syslogTCP, "listen-syslog-tcp", "", "accept syslog streams (newline or octet-counted framing) on this TCP address (e.g. :5514)")
 	flag.StringVar(&o.listenHTTP, "listen-http", "", "accept JSON log batches via POST /api/ingest on this address (e.g. :5515)")
@@ -186,14 +184,6 @@ func run(o options) error {
 		}
 		if restored {
 			fmt.Fprintf(os.Stderr, "restored from checkpoint in %s\n", o.ckptDir)
-		}
-	}
-	if o.stateDir != "" {
-		if _, err := os.Stat(o.stateDir); err == nil {
-			if err := p.Store().LoadDir(o.stateDir); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "restored storage from %s\n", o.stateDir)
 		}
 	}
 
@@ -404,13 +394,6 @@ stream:
 	if o.metrics {
 		fmt.Fprintln(os.Stderr, "--- metrics ---")
 		p.Metrics().Snapshot().WriteText(os.Stderr)
-	}
-
-	if o.stateDir != "" {
-		if err := p.Store().SaveDir(o.stateDir); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "storage persisted to %s\n", o.stateDir)
 	}
 
 	if dashAddr != "" && ctx.Err() == nil {

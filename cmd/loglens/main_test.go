@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"loglens/internal/core"
+	"loglens/internal/store"
 )
 
 func writeCorpus(t *testing.T, dir string) (trainPath, testPath string) {
@@ -36,7 +40,7 @@ func TestRunTrainAndStream(t *testing.T) {
 	dir := t.TempDir()
 	trainPath, streamPath := writeCorpus(t, dir)
 	modelPath := filepath.Join(dir, "model.json")
-	stateDir := filepath.Join(dir, "state")
+	dataDir := filepath.Join(dir, "data")
 
 	o := options{
 		trainPath:  trainPath,
@@ -46,7 +50,7 @@ func TestRunTrainAndStream(t *testing.T) {
 		finalHB:    true,
 		quiet:      true,
 		saveModel:  modelPath,
-		stateDir:   stateDir,
+		dataDir:    dataDir,
 		metrics:    true,
 	}
 	if err := run(o); err != nil {
@@ -55,22 +59,48 @@ func TestRunTrainAndStream(t *testing.T) {
 	if _, err := os.Stat(modelPath); err != nil {
 		t.Errorf("model not saved: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(stateDir, "anomalies.index.json")); err != nil {
-		t.Errorf("state not persisted: %v", err)
+	first := storedAnomalies(t, dataDir)
+	if len(first) == 0 {
+		t.Fatal("first run stored no anomalies in the data dir")
 	}
 
-	// Second run: load the saved model and restore the state dir.
+	// Second run: load the saved model and reopen the data dir. Its store
+	// starts from the first run's anomalies and adds its own after them.
 	o2 := options{
 		loadModel:  modelPath,
 		streamPath: streamPath,
 		source:     "tasks",
 		hbInterval: 0,
 		quiet:      true,
-		stateDir:   stateDir,
+		dataDir:    dataDir,
 	}
 	if err := run(o2); err != nil {
 		t.Fatal(err)
 	}
+	second := storedAnomalies(t, dataDir)
+	if len(second) <= len(first) {
+		t.Fatalf("second run holds %d anomalies, want more than the first run's %d", len(second), len(first))
+	}
+	for id, doc := range first {
+		if got, ok := second[id]; !ok || !reflect.DeepEqual(got, doc) {
+			t.Errorf("anomaly %s after the second run = %v, want the first run's %v", id, got, doc)
+		}
+	}
+}
+
+// storedAnomalies reads the anomaly index a run left in dataDir.
+func storedAnomalies(t *testing.T, dataDir string) map[string]store.Document {
+	t.Helper()
+	st, err := store.Open(store.Options{Dir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	out := make(map[string]store.Document)
+	for _, h := range st.Index(core.AnomaliesIndex).Search(store.Query{}) {
+		out[h.ID] = h.Doc
+	}
+	return out
 }
 
 func TestRunFlagValidation(t *testing.T) {

@@ -1,7 +1,8 @@
-// Persistent-storage wiring: StorageConfig turns the pipeline's store
-// into the segment-file engine (internal/store's persistent mode), which
-// in turn makes checkpoints incremental — internal/recovery records the
-// store's manifest generation instead of copying every index.
+// Storage wiring: StorageConfig opens the pipeline's store in a data
+// directory, which makes it persistent and checkpoints incremental —
+// internal/recovery records the store's manifest generation instead of
+// copying every index. Without a directory the store runs the same
+// engine in memory.
 package core
 
 import (
@@ -14,17 +15,18 @@ import (
 	"loglens/internal/store"
 )
 
-// StorageConfig enables the persistent segment-file store. Persistence is
-// on when Dir is non-empty; the zero value keeps the store in memory.
+// StorageConfig configures the pipeline's store. The zero value keeps it
+// in memory.
 type StorageConfig struct {
-	// Dir is the data directory; non-empty enables the segment engine.
+	// Dir is the data directory; non-empty makes the store persistent.
 	Dir string
 	// Retention, when positive, ages whole segments of log/anomaly
 	// storage out once they fall behind this horizon. Model storage is
 	// always exempt. Zero keeps everything.
 	Retention time.Duration
 	// FS is the filesystem the engine writes through (default the OS;
-	// the chaos harness injects storage faults here).
+	// the chaos harness injects storage faults here). Setting it without
+	// Dir fails the open.
 	FS fsx.FS
 	// FlushInterval, CompactInterval, and RetentionInterval enable the
 	// engine's background maintenance loops on the pipeline clock when
@@ -35,14 +37,9 @@ type StorageConfig struct {
 	RetentionInterval time.Duration
 }
 
-func (c StorageConfig) enabled() bool { return c.Dir != "" }
-
-// openStore builds the pipeline's store: the persistent segment engine
-// when storage is configured, the in-memory engine otherwise.
+// openStore opens the pipeline's store: in cfg.Storage.Dir, or in memory
+// when it is empty.
 func openStore(cfg Config) (*store.Store, error) {
-	if !cfg.Storage.enabled() {
-		return store.New(), nil
-	}
 	st, err := store.Open(store.Options{
 		Dir:               cfg.Storage.Dir,
 		FS:                cfg.Storage.FS,

@@ -31,7 +31,7 @@ func TestPersistentStoreKillRestart(t *testing.T) {
 	_, prod := conservationCorpus(nParsed, nUnparsed)
 	n := uint64(len(prod))
 
-	// Golden run on the in-memory engine: the persistent run must be
+	// Golden run on the in-memory store: the persistent run must be
 	// indistinguishable from it, which also pins the query paths.
 	golden := goldenRun(t, prod)
 	assertConservation(t, golden, n)

@@ -265,7 +265,7 @@ func TestSourcesEndpoint(t *testing.T) {
 	}
 }
 
-// TestStorageEndpoint serves /api/storage for both engines: the
+// TestStorageEndpoint serves /api/storage in both modes: the
 // in-memory pipeline reports persistent=false with per-index counts, and
 // a persistent pipeline reports the segment engine's generation and
 // flush accounting.

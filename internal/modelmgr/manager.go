@@ -142,26 +142,15 @@ func ArchiveDoc(l logtypes.Log) store.Document {
 	}
 }
 
-// archivedLog decodes one log-storage document. It accepts both forms a
-// stored log comes back in: the canonical one (float64 seq, RFC 3339
-// arrival), which ArchiveDoc writes and the persistent store returns for
-// any document, and a uint64 seq with a time.Time arrival, which the
-// in-memory store returns as they were put.
+// archivedLog decodes one log-storage document, in the canonical form
+// the store returns every document in: a float64 seq and an RFC 3339
+// arrival.
 func archivedLog(source string, doc store.Document) logtypes.Log {
-	l := logtypes.Log{Source: source}
-	l.Raw, _ = doc["raw"].(string)
-	switch v := doc["seq"].(type) {
-	case uint64:
-		l.Seq = v
-	case float64:
-		l.Seq = uint64(v)
-	}
-	switch v := doc["arrival"].(type) {
-	case time.Time:
-		l.Arrival = v
-	case string:
-		l.Arrival, _ = time.Parse(time.RFC3339Nano, v)
-	}
+	raw, _ := doc["raw"].(string)
+	seq, _ := doc["seq"].(float64)
+	arrival, _ := doc["arrival"].(string)
+	l := logtypes.Log{Source: source, Raw: raw, Seq: uint64(seq)}
+	l.Arrival, _ = time.Parse(time.RFC3339Nano, arrival)
 	return l
 }
 

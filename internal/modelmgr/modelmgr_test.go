@@ -327,7 +327,7 @@ func TestUnmarshalEmptyModel(t *testing.T) {
 }
 
 // TestRebuildPersistentMatchesMemory: Rebuild decodes stored logs the
-// same way on both store engines. The lines carry no timestamp, so the
+// same way from an in-memory and a persistent store. The lines carry no timestamp, so the
 // volume profile buckets them by their stored arrival; a lost arrival
 // (or seq) would shift every bucket to year 1. Logs archived the old way
 // (uint64 seq, time.Time arrival, one PutAuto each) and the log

@@ -1,4 +1,4 @@
-// Encode-once documents: the persistent engine needs every document twice
+// Encode-once documents: the engine needs every document twice
 // over — as JSON bytes for the WAL and the segment record, and as the
 // canonical Document queries read (float64 numbers, RFC 3339 strings,
 // nested map[string]any/[]any), which is exactly what json.Unmarshal
@@ -35,7 +35,7 @@ func encodeDoc(doc Document) (json.RawMessage, Document, error) {
 
 // canonicalize JSON round-trips a document so memtable and segment copies
 // have identical dynamic types (float64 numbers, RFC3339 strings) — the
-// property the oracle-equivalence tests lean on. It is the fallback for
+// property the equivalence tests lean on. It is the fallback for
 // documents the canonical encoder does not cover.
 func canonicalize(doc Document) (json.RawMessage, Document, error) {
 	raw, err := json.Marshal(doc)

@@ -1,4 +1,4 @@
-// Seal and compaction: the single commit path of the persistent engine.
+// Seal and compaction: the single commit path of the engine.
 // Every durable state change beyond a WAL append — memtable seals,
 // compaction rewrites, age-based segment drops — is one seal in three
 // steps:
@@ -59,9 +59,10 @@ type sealJob struct {
 	m        *manifest
 	manifest []byte
 	// walLen is len(e.wal) at the cut: the records after it form
-	// wal-(G+1).
-	walLen int
-	bucket time.Time
+	// wal-(G+1). walSize is e.walSize() at the cut.
+	walLen  int
+	walSize int64
+	bucket  time.Time
 	// idx parallels m.Indices.
 	idx []*stagedIndex
 }
@@ -89,14 +90,14 @@ type stagedIndex struct {
 }
 
 // needsCompact reports whether the compaction policy wants a rewrite.
-func (e *engine) needsCompact(pe *persistIndex, addingSeg bool) bool {
+func (e *engine) needsCompact(ix *Index, addingSeg bool) bool {
 	total, live, tombs := 0, 0, 0
-	for _, sg := range pe.segs {
+	for _, sg := range ix.segs {
 		total += sg.footer.Count
 		live += sg.live
 		tombs += sg.tombs
 	}
-	n := len(pe.segs)
+	n := len(ix.segs)
 	if addingSeg {
 		n++
 	}
@@ -149,7 +150,7 @@ func (e *engine) cutLocked(plan sealPlan) (*sealJob, error) {
 	if err := e.flushWALLocked(); err != nil {
 		return nil, err
 	}
-	changed := len(e.wal) > 0
+	changed := e.walSize() > 0
 	for _, victims := range plan.drop {
 		if len(victims) > 0 {
 			changed = true
@@ -168,8 +169,9 @@ func (e *engine) cutLocked(plan sealPlan) (*sealJob, error) {
 			WAL:        walName(newGen),
 			Pins:       append([]uint64(nil), e.pins...),
 		},
-		walLen: len(e.wal),
-		bucket: e.clk.Now().Truncate(e.opts.BucketDuration),
+		walLen:  len(e.wal),
+		walSize: e.walSize(),
+		bucket:  e.clk.Now().Truncate(e.opts.BucketDuration),
 	}
 	for _, ix := range ordered {
 		st := e.cutIndex(ix, plan)
@@ -179,8 +181,8 @@ func (e *engine) cutLocked(plan sealPlan) (*sealJob, error) {
 			Seq:       ix.seq,
 			Evicted:   ix.evicted + st.evicted,
 			Retention: ix.retention,
-			Watermark: ix.pe.watermark,
-			NextOrd:   ix.pe.nextOrd,
+			Watermark: ix.watermark,
+			NextOrd:   ix.nextOrd,
 		})
 	}
 	job.m.NextSeg = e.nextSeg
@@ -190,35 +192,34 @@ func (e *engine) cutLocked(plan sealPlan) (*sealJob, error) {
 // cutIndex captures one index's next segment list. Documents that sit
 // in segments are read by the build, through their refs.
 func (e *engine) cutIndex(ix *Index, plan sealPlan) *stagedIndex {
-	pe := ix.pe
 	st := &stagedIndex{ix: ix}
 	victims := plan.drop[ix]
-	for _, sg := range pe.segs {
+	for _, sg := range ix.segs {
 		if victims[sg] {
 			st.evicted += uint64(sg.live)
 		}
 	}
-	if len(pe.dead) > 0 {
-		st.dead, pe.dead = pe.dead, make(map[string]bool)
+	if len(ix.dead) > 0 {
+		st.dead, ix.dead = ix.dead, make(map[string]bool)
 	}
 
-	if plan.compactAll || (plan.policy && e.needsCompact(pe, len(pe.mem) > 0 || len(st.dead) > 0)) {
+	if plan.compactAll || (plan.policy && e.needsCompact(ix, len(ix.mem) > 0 || len(st.dead) > 0)) {
 		// Compaction: every live document is rewritten into one segment,
 		// which replaces all the old ones.
 		e.compactions++
 		st.docs = make([]segDoc, 0, len(ix.order))
 		st.refs = make([]ref, 0, len(ix.order))
 		for _, id := range ix.order {
-			r := pe.refs[id]
+			r := ix.refs[id]
 			if r.seg != nil && victims[r.seg] {
 				continue
 			}
-			st.capture(pe, id, r)
+			st.capture(ix, id, r)
 		}
 	} else {
 		// Incremental: survivors keep their slots; the memtable and the
 		// tombstones seal into one appended segment.
-		for _, sg := range pe.segs {
+		for _, sg := range ix.segs {
 			if victims[sg] || sg.live == 0 && sg.tombs == 0 {
 				// Dropped by age, or fully shadowed and pinning nothing.
 				continue
@@ -228,42 +229,36 @@ func (e *engine) cutIndex(ix *Index, plan sealPlan) *stagedIndex {
 				File: sg.file, Bytes: sg.bytes, CRC: sg.crc, Count: sg.footer.Count, Bucket: sg.bucket,
 			})
 		}
-		st.docs = make([]segDoc, 0, len(st.dead)+len(pe.mem))
+		st.docs = make([]segDoc, 0, len(st.dead)+len(ix.mem))
 		for id := range st.dead {
-			if _, back := pe.mem[id]; !back {
+			if _, back := ix.mem[id]; !back {
 				st.docs = append(st.docs, segDoc{ID: id, Del: true})
 			}
 		}
 		sort.Slice(st.docs, func(i, j int) bool { return st.docs[i].ID < st.docs[j].ID })
 		tombs := len(st.docs)
-		st.refs = make([]ref, tombs, tombs+len(pe.mem))
-		// The scan order is ascending by ord and holds every memtable id;
-		// new ids sit at its tail, so walking back from the end finds
-		// them all after about len(pe.mem) steps when nothing older was
-		// replaced. They are captured newest first, then put back in
-		// scan order.
-		for i, n := len(ix.order)-1, len(pe.mem); i >= 0 && n > 0; i-- {
-			if r := pe.refs[ix.order[i]]; r.seg == nil {
-				st.capture(pe, ix.order[i], r)
-				n--
-			}
-		}
+		st.refs = make([]ref, tombs, tombs+len(ix.mem))
+		// Captured newest first, then put back in scan order.
+		ix.memNewestFirst(func(id string, _ memDoc) bool {
+			st.capture(ix, id, ix.refs[id])
+			return true
+		})
 		slices.Reverse(st.docs[tombs:])
 		slices.Reverse(st.refs[tombs:])
 	}
 	if len(st.docs) > 0 {
 		st.file = e.segFileName(ix.name)
 		// A delete from now on may hit a document this seal writes.
-		pe.sealing = true
+		ix.sealing = true
 	}
 	return st
 }
 
 // capture appends id's document as of the cut.
-func (st *stagedIndex) capture(pe *persistIndex, id string, r ref) {
+func (st *stagedIndex) capture(ix *Index, id string, r ref) {
 	sd := segDoc{ID: id, Ord: r.ord}
 	if r.seg == nil {
-		md := pe.mem[id]
+		md := ix.mem[id]
 		sd.Doc, sd.raw = md.doc, md.raw
 	}
 	st.docs = append(st.docs, sd)
@@ -344,9 +339,9 @@ func (e *engine) commitLocked(job *sealJob, err error) error {
 	if err != nil {
 		e.setErr(err)
 		for _, st := range job.idx {
-			st.ix.pe.sealing = false
+			st.ix.sealing = false
 			for id := range st.dead {
-				st.ix.pe.dead[id] = true
+				st.ix.dead[id] = true
 			}
 		}
 		return err
@@ -362,6 +357,7 @@ func (e *engine) commitLocked(job *sealJob, err error) error {
 	// overwritten (replayWAL's documents do).
 	n := copy(e.wal, e.wal[job.walLen:])
 	e.wal = e.wal[:n]
+	e.unkept -= job.walSize - int64(job.walLen)
 	e.walFile, e.walOnDisk, e.walDirty = job.m.WAL, int64(n), false
 	e.flushes++
 	e.setErr(nil)
@@ -395,10 +391,9 @@ func (e *engine) publishLocked(job *sealJob) error {
 // segments dropped.
 func (e *engine) commitIndex(st *stagedIndex) {
 	ix := st.ix
-	pe := ix.pe
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	pe.sealing = false
+	ix.sealing = false
 
 	keepSet := make(map[*segment]bool, len(st.keep)+1)
 	for _, sg := range st.keep {
@@ -418,7 +413,7 @@ func (e *engine) commitIndex(st *stagedIndex) {
 		sealed := 0 // memtable documents re-pointed
 		for i := range sg.footer.Entries {
 			en := &sg.footer.Entries[i]
-			if en.Del || pe.refs[en.ID] != st.refs[i] {
+			if en.Del || ix.refs[en.ID] != st.refs[i] {
 				// A tombstone, or replaced, deleted or evicted since the
 				// cut.
 				continue
@@ -426,17 +421,17 @@ func (e *engine) commitIndex(st *stagedIndex) {
 			if st.refs[i].seg == nil {
 				sealed++
 			}
-			pe.refs[en.ID] = ref{ord: en.Ord, seg: sg, off: en.Off, length: en.Len}
+			ix.refs[en.ID] = ref{ord: en.Ord, seg: sg, off: en.Off, length: en.Len}
 			sg.live++
 		}
-		if sealed == len(pe.mem) {
+		if sealed == len(ix.mem) {
 			// The memtable held only sealed documents. Clearing it keeps
 			// the map free of the deleted slots that slow later puts.
-			clear(pe.mem)
+			clear(ix.mem)
 		} else {
 			for i := range sg.footer.Entries {
-				if id := sg.footer.Entries[i].ID; st.refs[i].seg == nil && pe.refs[id].seg == sg {
-					delete(pe.mem, id)
+				if id := sg.footer.Entries[i].ID; st.refs[i].seg == nil && ix.refs[id].seg == sg {
+					delete(ix.mem, id)
 				}
 			}
 		}
@@ -446,13 +441,13 @@ func (e *engine) commitIndex(st *stagedIndex) {
 	if st.evicted > 0 {
 		evictOrphansLocked(ix, func(r ref) bool { return r.seg == nil || keepSet[r.seg] })
 	}
-	for _, sg := range pe.segs {
+	for _, sg := range ix.segs {
 		if !keepSet[sg] {
 			e.segsDropped++
 			sg.close()
 		}
 	}
-	pe.segs = newSegs
+	ix.segs = newSegs
 }
 
 // evictOrphansLocked drops every id whose ref fails keep — the ids whose
@@ -461,17 +456,16 @@ func (e *engine) commitIndex(st *stagedIndex) {
 // order, so commitIndex calls it only when a dropped segment held live
 // documents; every other seal stays linear in the memtable.
 func evictOrphansLocked(ix *Index, keep func(ref) bool) {
-	pe := ix.pe
 	out := ix.order[:0]
 	for _, id := range ix.order {
-		r := pe.refs[id]
+		r := ix.refs[id]
 		if keep(r) {
 			out = append(out, id)
 			continue
 		}
-		delete(pe.refs, id)
-		delete(pe.mem, id)
-		delete(pe.dead, id)
+		delete(ix.refs, id)
+		delete(ix.mem, id)
+		delete(ix.dead, id)
 		ix.evicted++
 	}
 	ix.order = out

@@ -1,7 +1,11 @@
-// The persistent engine: an append-only segment-file store behind the
-// unchanged Index API. Architecture (bitcask-meets-LSM, sized for the
-// LogLens workload of append-heavy logs/anomalies plus small hot model
-// documents):
+// The segment engine: an append-only segment-file store behind the Index
+// API, and the store's only engine. Its files go through an fsx.FS: the
+// OS in a data directory (Open), or a fresh fsx.Mem (New), which is the
+// same engine with nothing persisted; such a volatile store keeps no WAL
+// bytes, no encoded memtable copies and one generation, since no reopen
+// could read them. Architecture (bitcask-meets-LSM,
+// sized for the LogLens workload of append-heavy logs/anomalies plus
+// small hot model documents):
 //
 //   - Every mutation is framed into the current WAL (wal.go) and applied
 //     to a per-index memtable. PutBatch logs a whole batch under one
@@ -19,8 +23,8 @@
 //     critical section (compact.go). Puts wait only once another
 //     FlushBytes of WAL has piled up behind the seal in flight.
 //   - Queries read the merged view: memtable documents plus segment
-//     documents fetched by directory offset, in the exact insertion order
-//     the in-memory engine would use, with footer statistics skipping
+//     documents fetched by directory offset, in insertion order (the scan
+//     order, Index.order), with footer statistics skipping
 //     segments that provably cannot match. A sorted, limited search
 //     (searchTopLocked) also leaves unread the segments whose sort-field
 //     bounds cannot place a document among its hits.
@@ -51,9 +55,10 @@ import (
 	"loglens/internal/fsx"
 )
 
-// Options configures a persistent store opened with Open.
+// Options configures a store opened with Open.
 type Options struct {
-	// Dir is the data directory (created if missing).
+	// Dir is the data directory (created if missing). Empty opens the
+	// store over a fresh in-memory fsx.Mem; FS must then be nil.
 	Dir string
 	// FS is the filesystem seam (fsx.OS when nil); chaos.FaultFS in the
 	// crash tests.
@@ -129,33 +134,13 @@ type ref struct {
 	length int32
 }
 
-// persistIndex is the per-index persistent state hanging off an Index.
-type persistIndex struct {
-	eng  *engine
-	refs map[string]ref
-	mem  map[string]memDoc
-	segs []*segment
-	// dead collects ids deleted since the last manifest whose older
-	// copies may live in segments; sealed as tombstones.
-	dead map[string]bool
-	// watermark: every ord below it has been evicted (count-cap FIFO or
-	// Load replacement); segment entries below it are dropped at open.
-	watermark uint64
-	nextOrd   uint64
-	// dropped marks a detached (DeleteIndex'd) index: stale handles keep
-	// working in memory but no longer log to the WAL.
-	dropped bool
-	// sealing marks an index the seal in flight writes a segment for: a
-	// delete must leave a tombstone even while it has no segments yet.
-	sealing bool
-}
-
-// memDoc is one memtable document: the canonical form queries read, and
-// the JSON bytes it was encoded to (nil when it has none), which the WAL
-// logged and the seal writes out again as they are.
+// memDoc is one memtable document: the canonical form queries read, its
+// ord, and the JSON bytes it was encoded to (nil when it has none), which
+// the WAL logged and the seal writes out again as they are.
 type memDoc struct {
 	doc Document
 	raw []byte
+	ord uint64
 }
 
 type engine struct {
@@ -164,6 +149,11 @@ type engine struct {
 	clk  clock.Clock
 	opts Options
 	st   *Store
+	// volatile marks a store without a directory: nothing it writes can
+	// be read after the process ends, so it keeps no WAL bytes (see
+	// appendLocked), no encoded bytes in its memtables (putLocked) and
+	// one generation.
+	volatile bool
 
 	mu        sync.Mutex
 	indices   []*Index
@@ -176,6 +166,9 @@ type engine struct {
 	// wal is the generation's WAL as one byte log: wal[:walOnDisk] is on
 	// disk, the rest pending. A seal truncates it and keeps the buffer.
 	wal []byte
+	// unkept counts the bytes of the records a volatile store logged
+	// this generation without keeping them; walSize adds it to len(wal).
+	unkept int64
 	// rec is the record appendLocked frames from: a pointer to a local
 	// would escape through frame.Append and cost an allocation per put.
 	rec       walRecord
@@ -211,16 +204,21 @@ type engine struct {
 	wg       sync.WaitGroup
 }
 
-// Open opens (or creates) a persistent store in opts.Dir. The returned
-// Store serves the same API as New(); Close seals and releases it.
+// Open opens (or creates) a store in opts.Dir, persistent unless Dir is
+// empty. Close seals and releases it.
 func Open(opts Options) (*Store, error) {
-	opts.defaults()
-	if opts.Dir == "" {
-		return nil, errors.New("store: open: empty data dir")
+	volatile := opts.Dir == ""
+	if volatile {
+		if opts.FS != nil {
+			return nil, errors.New("store: open: an FS needs a Dir")
+		}
+		opts.FS, opts.Keep = fsx.NewMem(), 1
 	}
+	opts.defaults()
 	e := &engine{
 		fs:        opts.FS,
 		dir:       opts.Dir,
+		volatile:  volatile,
 		clk:       opts.Clock,
 		opts:      opts,
 		byName:    make(map[string]*Index),
@@ -328,16 +326,15 @@ func (e *engine) scanManifests() {
 // segments processed oldest to newest, newer entries shadowing older
 // ones, tombstones erasing, watermarked ords dropped.
 func (e *engine) loadIndex(ix *Index, mi *manifestIndex) error {
-	pe := ix.pe
 	ix.seq = mi.Seq
 	ix.evicted = mi.Evicted
 	ix.retention = mi.Retention
-	pe.watermark = mi.Watermark
-	pe.nextOrd = mi.NextOrd
-	pe.segs = pe.segs[:0]
-	pe.refs = make(map[string]ref)
-	pe.mem = make(map[string]memDoc)
-	pe.dead = make(map[string]bool)
+	ix.watermark = mi.Watermark
+	ix.nextOrd = mi.NextOrd
+	ix.segs = ix.segs[:0]
+	ix.refs = make(map[string]ref)
+	ix.mem = make(map[string]memDoc)
+	ix.dead = make(map[string]bool)
 	for j := range mi.Segments {
 		sg, err := e.openSegment(mi.Segments[j])
 		if err != nil {
@@ -347,24 +344,24 @@ func (e *engine) loadIndex(ix *Index, mi *manifestIndex) error {
 			en := &sg.footer.Entries[k]
 			if en.Del {
 				sg.tombs++
-				if old, ok := pe.refs[en.ID]; ok {
+				if old, ok := ix.refs[en.ID]; ok {
 					if old.seg != nil {
 						old.seg.live--
 					}
-					delete(pe.refs, en.ID)
+					delete(ix.refs, en.ID)
 				}
 				continue
 			}
-			if en.Ord < pe.watermark {
+			if en.Ord < ix.watermark {
 				continue
 			}
-			if old, ok := pe.refs[en.ID]; ok && old.seg != nil {
+			if old, ok := ix.refs[en.ID]; ok && old.seg != nil {
 				old.seg.live--
 			}
-			pe.refs[en.ID] = ref{ord: en.Ord, seg: sg, off: en.Off, length: en.Len}
+			ix.refs[en.ID] = ref{ord: en.Ord, seg: sg, off: en.Off, length: en.Len}
 			sg.live++
 		}
-		pe.segs = append(pe.segs, sg)
+		ix.segs = append(ix.segs, sg)
 	}
 	rebuildOrder(ix)
 	return nil
@@ -372,13 +369,12 @@ func (e *engine) loadIndex(ix *Index, mi *manifestIndex) error {
 
 // rebuildOrder derives the scan order (ascending ord) from the directory.
 func rebuildOrder(ix *Index) {
-	pe := ix.pe
 	ix.order = ix.order[:0]
-	for id := range pe.refs {
+	for id := range ix.refs {
 		ix.order = append(ix.order, id)
 	}
 	sort.Slice(ix.order, func(i, j int) bool {
-		return pe.refs[ix.order[i]].ord < pe.refs[ix.order[j]].ord
+		return ix.refs[ix.order[i]].ord < ix.refs[ix.order[j]].ord
 	})
 }
 
@@ -459,20 +455,20 @@ func (e *engine) applyRecord(rec *walRecord) {
 		if err := json.Unmarshal(rec.Doc, &doc); err != nil {
 			return
 		}
-		ix.pe.applyPut(ix, rec.ID, rec.Ord, memDoc{doc: doc, raw: rec.Doc})
+		ix.applyPut(rec.ID, rec.Ord, memDoc{doc: doc, raw: rec.Doc})
 		ix.seq = rec.Seq
 	case walDel:
 		if ix := e.byName[rec.Ix]; ix != nil {
-			ix.pe.applyDelete(ix, rec.ID)
+			ix.applyDelete(rec.ID)
 		}
 	case walRetn:
 		if ix := e.byName[rec.Ix]; ix != nil {
-			ix.pe.applyWatermark(ix, rec.W, rec.Ev)
+			ix.applyWatermark(rec.W, rec.Ev)
 		}
 	case walCap:
 		if ix := e.byName[rec.Ix]; ix != nil {
 			ix.retention = rec.Cap
-			ix.pe.enforceRetentionLocked(ix, false)
+			ix.enforceRetentionLocked(false)
 		}
 	case walLoad:
 		ix := e.ensureIndexLocked(rec.Ix)
@@ -480,7 +476,7 @@ func (e *engine) applyRecord(rec *walRecord) {
 		if err := json.Unmarshal(rec.Doc, &docs); err != nil {
 			return
 		}
-		ix.pe.applyLoad(ix, docs)
+		ix.applyLoad(docs)
 	}
 }
 
@@ -491,22 +487,17 @@ func (e *engine) ensureIndexLocked(name string) *Index {
 	if ix := e.byName[name]; ix != nil {
 		return ix
 	}
-	ix := newIndex(name)
-	e.attachLocked(ix)
-	e.st.indices[name] = ix
-	return ix
-}
-
-// attachLocked wires a freshly created Index into the engine.
-func (e *engine) attachLocked(ix *Index) {
-	ix.pe = &persistIndex{
+	ix := &Index{
+		name: name,
 		eng:  e,
 		refs: make(map[string]ref),
 		mem:  make(map[string]memDoc),
 		dead: make(map[string]bool),
 	}
 	e.indices = append(e.indices, ix)
-	e.byName[ix.name] = ix
+	e.byName[name] = ix
+	e.st.indices[name] = ix
+	return ix
 }
 
 // detachLocked removes an index from the engine (DeleteIndex / delix
@@ -522,7 +513,7 @@ func (e *engine) detachLocked(ix *Index) {
 	}
 	delete(e.byName, ix.name)
 	ix.mu.Lock()
-	ix.pe.dropped = true
+	ix.dropped = true
 	ix.mu.Unlock()
 }
 
@@ -553,8 +544,14 @@ func (e *engine) logLocked(rec walRecord) {
 }
 
 // appendLocked frames a record onto the WAL's pending tail. An encode
-// error leaves the log as it was and is surfaced through Stats.
+// error leaves the log as it was and is surfaced through Stats. A
+// volatile store only counts the record toward FlushBytes: no reopen
+// could replay it.
 func (e *engine) appendLocked(rec walRecord) {
+	if e.volatile {
+		e.unkept += walRecordSize(&rec)
+		return
+	}
 	e.rec = rec
 	var err error
 	e.wal, err = appendWAL(e.wal, &e.rec)
@@ -608,11 +605,16 @@ func (e *engine) rewriteWALLocked() error {
 	return nil
 }
 
+// walSize is the generation's WAL size, kept or not: what FlushBytes
+// is measured against.
+func (e *engine) walSize() int64 { return int64(len(e.wal)) + e.unkept }
+
 // resetWALLocked starts an empty WAL for a freshly committed generation,
 // keeping the buffer.
 func (e *engine) resetWALLocked(file string) {
 	e.walFile = file
 	e.wal = e.wal[:0]
+	e.unkept = 0
 	e.walOnDisk = 0
 	e.walDirty = false
 }
@@ -624,13 +626,13 @@ func (e *engine) resetWALLocked(file string) {
 // backlog bound that caps the WAL in memory at about twice FlushBytes.
 func (e *engine) maybeSealLocked() *sealJob {
 	if e.sealing != nil {
-		if int64(len(e.wal)-e.sealing.walLen) < e.opts.FlushBytes {
+		if e.walSize()-e.sealing.walSize < e.opts.FlushBytes {
 			return nil
 		}
 		e.putWaits++
 		e.waitSealLocked()
 	}
-	if int64(len(e.wal)) < e.opts.FlushBytes {
+	if e.walSize() < e.opts.FlushBytes {
 		return nil
 	}
 	job, err := e.cutLocked(sealPlan{})
@@ -784,11 +786,11 @@ func (e *engine) stopLoops() {
 	e.wg.Wait()
 }
 
-// --- persistent Index mutations -------------------------------------
+// --- Index mutations -------------------------------------------------
 
-// put is the persistent Put/PutAuto body.
-func (pe *persistIndex) put(ix *Index, id string, doc Document, auto bool) string {
-	e := pe.eng
+// put is the Put/PutAuto body.
+func (ix *Index) put(id string, doc Document, auto bool) string {
+	e := ix.eng
 	raw, cdoc, cerr := encodeDoc(doc)
 	if cerr != nil {
 		cdoc = cloneDoc(doc)
@@ -799,8 +801,8 @@ func (pe *persistIndex) put(ix *Index, id string, doc Document, auto bool) strin
 		ix.seq++
 		id = autoID(ix.name, ix.seq)
 	}
-	pe.putLocked(ix, id, memDoc{doc: cdoc, raw: raw}, cerr)
-	pe.enforceRetentionLocked(ix, !pe.dropped)
+	ix.putLocked(id, memDoc{doc: cdoc, raw: raw}, cerr)
+	ix.enforceRetentionLocked(!ix.dropped)
 	ix.mu.Unlock()
 	e.spillLocked()
 	job := e.maybeSealLocked()
@@ -809,55 +811,22 @@ func (pe *persistIndex) put(ix *Index, id string, doc Document, auto bool) strin
 	return id
 }
 
-// putBatch is the persistent PutBatch body: every document is encoded
-// before the locks are taken, then the batch is applied and logged under
-// one hold of e.mu and ix.mu, with one spill check, one retention pass
-// and one seal check.
-func (pe *persistIndex) putBatch(ix *Index, docs []Document) {
-	e := pe.eng
-	type encoded struct {
-		md  memDoc
-		err error
-	}
-	enc := make([]encoded, len(docs))
-	for i, doc := range docs {
-		enc[i].md.raw, enc[i].md.doc, enc[i].err = encodeOwned(doc)
-	}
-	e.mu.Lock()
-	ix.mu.Lock()
-	for i := range enc {
-		ix.seq++
-		id := autoID(ix.name, ix.seq)
-		if ix.retention > 0 {
-			if _, replace := pe.refs[id]; replace {
-				// A replaced id keeps its slot in the scan order, so
-				// count retention must catch up first for the outcome
-				// to equal one PutAuto per document.
-				pe.enforceRetentionLocked(ix, !pe.dropped)
-			}
-		}
-		pe.putLocked(ix, id, enc[i].md, enc[i].err)
-	}
-	pe.enforceRetentionLocked(ix, !pe.dropped)
-	ix.mu.Unlock()
-	e.spillLocked()
-	job := e.maybeSealLocked()
-	e.mu.Unlock()
-	e.launch(job)
-}
-
 // putLocked installs one encoded document under id and frames its put
 // record onto the WAL. A document that failed to encode (err set, md.doc
 // the caller's copy) stays queryable in memory but cannot be made
 // durable; the error surfaces through Stats and the health probe.
 // Caller holds e.mu and ix.mu.
-func (pe *persistIndex) putLocked(ix *Index, id string, md memDoc, err error) {
-	ord := pe.applyPut(ix, id, pe.nextOrd, md)
+func (ix *Index) putLocked(id string, md memDoc, err error) {
+	raw := md.raw
+	if ix.eng.volatile {
+		md.raw = nil // its seal encodes the document again
+	}
+	ord := ix.applyPut(id, ix.nextOrd, md)
 	switch {
 	case err != nil:
-		pe.eng.setErr(err)
-	case !pe.dropped:
-		pe.eng.appendLocked(walRecord{Op: walPut, Ix: ix.name, ID: id, Ord: ord, Seq: ix.seq, Doc: md.raw})
+		ix.eng.setErr(err)
+	case !ix.dropped:
+		ix.eng.appendLocked(walRecord{Op: walPut, Ix: ix.name, ID: id, Ord: ord, Seq: ix.seq, Doc: raw})
 	}
 }
 
@@ -865,8 +834,8 @@ func (pe *persistIndex) putLocked(ix *Index, id string, md memDoc, err error) {
 // the scan-order slot (and ord) of a replaced id, and returns the ord the
 // document holds: ord for a new id, the old one for a replaced id.
 // Shared with replay.
-func (pe *persistIndex) applyPut(ix *Index, id string, ord uint64, doc memDoc) uint64 {
-	if old, ok := pe.refs[id]; ok {
+func (ix *Index) applyPut(id string, ord uint64, doc memDoc) uint64 {
+	if old, ok := ix.refs[id]; ok {
 		if old.seg != nil {
 			old.seg.live--
 		}
@@ -874,44 +843,31 @@ func (pe *persistIndex) applyPut(ix *Index, id string, ord uint64, doc memDoc) u
 	} else {
 		ix.order = append(ix.order, id)
 	}
-	pe.eng.stamp++
-	pe.refs[id] = ref{ord: ord, off: int64(pe.eng.stamp)}
-	pe.mem[id] = doc
-	if ord >= pe.nextOrd {
-		pe.nextOrd = ord + 1
+	ix.eng.stamp++
+	ix.refs[id] = ref{ord: ord, off: int64(ix.eng.stamp)}
+	doc.ord = ord
+	ix.mem[id] = doc
+	if ord >= ix.nextOrd {
+		ix.nextOrd = ord + 1
 	}
 	return ord
 }
 
-// del is the persistent Delete body.
-func (pe *persistIndex) del(ix *Index, id string) bool {
-	e := pe.eng
-	e.mu.Lock()
-	ix.mu.Lock()
-	ok := pe.applyDelete(ix, id)
-	if ok && !pe.dropped {
-		e.logLocked(walRecord{Op: walDel, Ix: ix.name, ID: id})
-	}
-	ix.mu.Unlock()
-	e.mu.Unlock()
-	return ok
-}
-
-func (pe *persistIndex) applyDelete(ix *Index, id string) bool {
-	r, ok := pe.refs[id]
+func (ix *Index) applyDelete(id string) bool {
+	r, ok := ix.refs[id]
 	if !ok {
 		return false
 	}
-	delete(pe.refs, id)
-	delete(pe.mem, id)
+	delete(ix.refs, id)
+	delete(ix.mem, id)
 	if r.seg != nil {
 		r.seg.live--
 	}
-	if len(pe.segs) > 0 || pe.sealing {
+	if len(ix.segs) > 0 || ix.sealing {
 		// An older copy may live in some segment, or in the one the seal
 		// in flight writes; a tombstone at the next seal keeps it dead
 		// across reopen.
-		pe.dead[id] = true
+		ix.dead[id] = true
 	}
 	for i, oid := range ix.order {
 		if oid == id {
@@ -922,10 +878,10 @@ func (pe *persistIndex) applyDelete(ix *Index, id string) bool {
 	return true
 }
 
-// enforceRetentionLocked applies the count cap exactly like the oracle:
-// FIFO eviction off the order front, watermark advanced past the evicted
-// ords, one retn record summarizing the batch.
-func (pe *persistIndex) enforceRetentionLocked(ix *Index, logIt bool) {
+// enforceRetentionLocked applies the count cap: FIFO eviction off the
+// order front, watermark advanced past the evicted ords, one retn record
+// summarizing the batch.
+func (ix *Index) enforceRetentionLocked(logIt bool) {
 	if ix.retention <= 0 {
 		return
 	}
@@ -933,85 +889,54 @@ func (pe *persistIndex) enforceRetentionLocked(ix *Index, logIt bool) {
 	for len(ix.order) > ix.retention {
 		id := ix.order[0]
 		ix.order = ix.order[1:]
-		r := pe.refs[id]
-		delete(pe.refs, id)
-		delete(pe.mem, id)
-		delete(pe.dead, id)
+		r := ix.refs[id]
+		delete(ix.refs, id)
+		delete(ix.mem, id)
+		delete(ix.dead, id)
 		if r.seg != nil {
 			r.seg.live--
 		}
 		ix.evicted++
-		pe.watermark = r.ord + 1
+		ix.watermark = r.ord + 1
 		evictedAny = true
 	}
-	if evictedAny && logIt && !pe.dropped {
-		pe.eng.logLocked(walRecord{Op: walRetn, Ix: ix.name, W: pe.watermark, Ev: ix.evicted})
+	if evictedAny && logIt && !ix.dropped {
+		ix.eng.logLocked(walRecord{Op: walRetn, Ix: ix.name, W: ix.watermark, Ev: ix.evicted})
 	}
 }
 
 // applyWatermark replays a retn record: evict every ord below w.
-func (pe *persistIndex) applyWatermark(ix *Index, w, ev uint64) {
+func (ix *Index) applyWatermark(w, ev uint64) {
 	for len(ix.order) > 0 {
 		id := ix.order[0]
-		r := pe.refs[id]
+		r := ix.refs[id]
 		if r.ord >= w {
 			break
 		}
 		ix.order = ix.order[1:]
-		delete(pe.refs, id)
-		delete(pe.mem, id)
-		delete(pe.dead, id)
+		delete(ix.refs, id)
+		delete(ix.mem, id)
+		delete(ix.dead, id)
 		if r.seg != nil {
 			r.seg.live--
 		}
 	}
-	if w > pe.watermark {
-		pe.watermark = w
+	if w > ix.watermark {
+		ix.watermark = w
 	}
 	ix.evicted = ev
 }
 
-// setRetention is the persistent SetRetention body.
-func (pe *persistIndex) setRetention(ix *Index, max int) {
-	e := pe.eng
-	e.mu.Lock()
-	ix.mu.Lock()
-	ix.retention = max
-	if !pe.dropped {
-		e.logLocked(walRecord{Op: walCap, Ix: ix.name, Cap: max})
-	}
-	pe.enforceRetentionLocked(ix, !pe.dropped)
-	ix.mu.Unlock()
-	e.mu.Unlock()
-}
-
-// load is the persistent Load body: replace the index wholesale. The
-// watermark jumps past every pre-existing ord, which is what keeps old
-// segment entries dead across reopen without tombstoning each one.
-func (pe *persistIndex) load(ix *Index, data []byte, docs map[string]Document) {
-	e := pe.eng
-	e.mu.Lock()
-	ix.mu.Lock()
-	pe.applyLoad(ix, docs)
-	if !pe.dropped {
-		e.logLocked(walRecord{Op: walLoad, Ix: ix.name, Doc: json.RawMessage(data)})
-	}
-	ix.mu.Unlock()
-	job := e.maybeSealLocked()
-	e.mu.Unlock()
-	e.launch(job)
-}
-
-func (pe *persistIndex) applyLoad(ix *Index, docs map[string]Document) {
-	for _, r := range pe.refs {
+func (ix *Index) applyLoad(docs map[string]Document) {
+	for _, r := range ix.refs {
 		if r.seg != nil {
 			r.seg.live--
 		}
 	}
-	pe.refs = make(map[string]ref, len(docs))
-	pe.mem = make(map[string]memDoc, len(docs))
-	pe.dead = make(map[string]bool)
-	pe.watermark = pe.nextOrd
+	ix.refs = make(map[string]ref, len(docs))
+	ix.mem = make(map[string]memDoc, len(docs))
+	ix.dead = make(map[string]bool)
+	ix.watermark = ix.nextOrd
 	ix.order = ix.order[:0]
 	ix.seq = loadedSeq(ix.name, docs)
 	ids := make([]string, 0, len(docs))
@@ -1020,24 +945,24 @@ func (pe *persistIndex) applyLoad(ix *Index, docs map[string]Document) {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		ord := pe.nextOrd
-		pe.nextOrd++
-		pe.eng.stamp++
-		pe.refs[id] = ref{ord: ord, off: int64(pe.eng.stamp)}
-		pe.mem[id] = memDoc{doc: docs[id]}
+		ord := ix.nextOrd
+		ix.nextOrd++
+		ix.eng.stamp++
+		ix.refs[id] = ref{ord: ord, off: int64(ix.eng.stamp)}
+		ix.mem[id] = memDoc{doc: docs[id], ord: ord}
 		ix.order = append(ix.order, id)
 	}
 }
 
-// --- persistent Index reads ------------------------------------------
+// --- Index reads -----------------------------------------------------
 
 // fetch resolves one ref to its document. Memtable documents are cloned
 // when the caller may retain them; segment fetches are always fresh
 // allocations. A failed (corrupt) segment read counts as a read error
 // and the document is skipped — detected, never silent.
-func (pe *persistIndex) fetch(id string, r ref, retain bool) (Document, bool) {
+func (ix *Index) fetch(id string, r ref, retain bool) (Document, bool) {
 	if r.seg == nil {
-		d := pe.mem[id].doc
+		d := ix.mem[id].doc
 		if retain {
 			return cloneDoc(d), true
 		}
@@ -1045,26 +970,41 @@ func (pe *persistIndex) fetch(id string, r ref, retain bool) (Document, bool) {
 	}
 	d, err := r.seg.fetchDoc(r)
 	if err != nil {
-		pe.eng.noteReadErr(err)
+		ix.eng.noteReadErr(err)
 		return nil, false
 	}
 	return d, true
 }
 
+// memNewestFirst calls fn with each memtable document, newest first,
+// until fn returns false. New ids sit at the tail of the scan order, so
+// walking back from its end meets them all after about len(ix.mem) steps
+// when nothing older was replaced. Caller holds ix.mu.
+func (ix *Index) memNewestFirst(fn func(id string, md memDoc) bool) {
+	for i, left := len(ix.order)-1, len(ix.mem); i >= 0 && left > 0; i-- {
+		if md, ok := ix.mem[ix.order[i]]; ok {
+			left--
+			if !fn(ix.order[i], md) {
+				return
+			}
+		}
+	}
+}
+
 // skipSet returns the segments the footer statistics prove cannot match
 // q; nil when nothing is skippable.
-func (pe *persistIndex) skipSet(q Query) map[*segment]bool {
+func (ix *Index) skipSet(q Query) map[*segment]bool {
 	if len(q.Term) == 0 && q.RangeField == "" {
 		return nil
 	}
 	var m map[*segment]bool
-	for _, sg := range pe.segs {
+	for _, sg := range ix.segs {
 		if sg.footer.skippable(q) {
 			if m == nil {
 				m = make(map[*segment]bool)
 			}
 			m[sg] = true
-			pe.eng.segsSkipped.Add(1)
+			ix.eng.segsSkipped.Add(1)
 		}
 	}
 	return m
@@ -1072,17 +1012,17 @@ func (pe *persistIndex) skipSet(q Query) map[*segment]bool {
 
 // scanLocked walks the merged view in scan order, yielding matching
 // documents. Caller holds ix.mu (read side).
-func (pe *persistIndex) scanLocked(ix *Index, q Query, retain bool, fn func(id string, doc Document)) {
-	skip := pe.skipSet(q)
+func (ix *Index) scanLocked(q Query, retain bool, fn func(id string, doc Document)) {
+	skip := ix.skipSet(q)
 	for _, id := range ix.order {
-		r := pe.refs[id]
+		r := ix.refs[id]
 		if r.seg != nil {
 			if skip[r.seg] {
 				continue
 			}
-			pe.eng.segDocsRead.Add(1)
+			ix.eng.segDocsRead.Add(1)
 		}
-		doc, ok := pe.fetch(id, r, retain)
+		doc, ok := ix.fetch(id, r, retain)
 		if !ok {
 			continue
 		}
@@ -1099,21 +1039,35 @@ func (pe *persistIndex) scanLocked(ix *Index, q Query, retain bool, fn func(id s
 // beat the current k-th hit. ok is false when the keys are not all of
 // one kind; the caller then runs the full scan and sort. Caller holds
 // ix.mu (read side).
-func (pe *persistIndex) searchTopLocked(q Query) (hits []Hit, ok bool) {
+func (ix *Index) searchTopLocked(q Query) (hits []Hit, ok bool) {
 	sel := newTopK(q)
-	for id, md := range pe.mem {
-		if matches(md.doc, q) {
-			sel.offer(md.doc[q.SortBy], pe.refs[id].ord, Hit{ID: id, Doc: md.doc})
+	// The memtable newest first when descending, oldest first when
+	// ascending: on documents inserted roughly in key order the first
+	// offers fill the heap with the winners, and most later ones lose a
+	// single comparison against its root.
+	var asc []string
+	ix.memNewestFirst(func(id string, md memDoc) bool {
+		switch {
+		case !matches(md.doc, q):
+		case q.Desc:
+			sel.offer(md.doc[q.SortBy], md.ord, Hit{ID: id, Doc: md.doc})
+		default:
+			asc = append(asc, id)
 		}
+		return !sel.mixed
+	})
+	for i := len(asc) - 1; i >= 0 && !sel.mixed; i-- {
+		md := ix.mem[asc[i]]
+		sel.offer(md.doc[q.SortBy], md.ord, Hit{ID: asc[i], Doc: md.doc})
 	}
 	type candidate struct {
 		sg      *segment
 		best    ranked
 		bounded bool
 	}
-	skip := pe.skipSet(q)
-	cands := make([]candidate, 0, len(pe.segs))
-	for _, sg := range pe.segs {
+	skip := ix.skipSet(q)
+	cands := make([]candidate, 0, len(ix.segs))
+	for _, sg := range ix.segs {
 		if sg.live > 0 && !skip[sg] {
 			c := candidate{sg: sg}
 			c.best, c.bounded = sortBound(sg.footer, q)
@@ -1138,17 +1092,17 @@ func (pe *persistIndex) searchTopLocked(q Query) (hits []Hit, ok bool) {
 	for i := 0; i < len(cands) && !sel.mixed; i++ {
 		c := &cands[i]
 		if c.bounded && !sel.canBeat(&c.best) {
-			pe.eng.segsSkipped.Add(1)
+			ix.eng.segsSkipped.Add(1)
 			continue
 		}
-		pe.offerSegment(sel, c.sg, q)
+		ix.offerSegment(sel, c.sg, q)
 	}
 	if sel.mixed {
 		return nil, false
 	}
 	hits = sel.hits()
 	for i := range hits {
-		if pe.refs[hits[i].ID].seg == nil {
+		if ix.refs[hits[i].ID].seg == nil {
 			hits[i].Doc = cloneDoc(hits[i].Doc)
 		}
 	}
@@ -1156,8 +1110,8 @@ func (pe *persistIndex) searchTopLocked(q Query) (hits []Hit, ok bool) {
 }
 
 // offerSegment offers sel the live documents of sg that match q, newest
-// first when descending (see Index.Search).
-func (pe *persistIndex) offerSegment(sel *topK, sg *segment, q Query) {
+// first when descending (see searchTopLocked).
+func (ix *Index) offerSegment(sel *topK, sg *segment, q Query) {
 	entries := sg.footer.Entries
 	for n := range entries {
 		i := n
@@ -1168,12 +1122,12 @@ func (pe *persistIndex) offerSegment(sel *topK, sg *segment, q Query) {
 		if en.Del {
 			continue
 		}
-		r, ok := pe.refs[en.ID]
+		r, ok := ix.refs[en.ID]
 		if !ok || r.seg != sg || r.off != en.Off {
 			continue // shadowed by a newer copy, or gone
 		}
-		pe.eng.segDocsRead.Add(1)
-		doc, ok := pe.fetch(en.ID, r, false)
+		ix.eng.segDocsRead.Add(1)
+		doc, ok := ix.fetch(en.ID, r, false)
 		if !ok || !matches(doc, q) {
 			continue
 		}

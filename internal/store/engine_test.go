@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 
 	"loglens/internal/chaos"
 	"loglens/internal/clock"
+	"loglens/internal/fsx"
 	"loglens/internal/testutil"
 )
 
@@ -57,6 +59,119 @@ func openTest(t *testing.T, dir string, clk clock.Clock, mut ...func(*Options)) 
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestReadAfterClose pins reads after Close and Abort. A store in a
+// directory has closed its segment files: a read of a sealed document
+// fails with os.ErrClosed, counted as a read error, and never panics. A
+// store over the in-memory filesystem keeps serving every document.
+func TestReadAfterClose(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		release := func(s *Store) {
+			if abort {
+				s.Abort()
+			} else if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Run(fmt.Sprintf("disk/abort=%v", abort), func(t *testing.T) {
+			s := openTest(t, t.TempDir(), clock.NewFake())
+			s.Index("logs").Put("a", Document{"n": 1})
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			release(s)
+			if doc, ok := s.Index("logs").Get("a"); ok {
+				t.Fatalf("Get after close = %v, want a failed read", doc)
+			}
+			if st := s.Stats(); st.ReadErrors != 1 {
+				t.Errorf("read_errors = %d, want 1", st.ReadErrors)
+			}
+			if err := s.eng.getErr(); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("last error = %v, want os.ErrClosed", err)
+			}
+		})
+		t.Run(fmt.Sprintf("mem/abort=%v", abort), func(t *testing.T) {
+			s := New()
+			s.Index("logs").Put("a", Document{"n": 1})
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			s.Index("logs").Put("b", Document{"n": 2})
+			release(s)
+			for id, want := range map[string]float64{"a": 1, "b": 2} {
+				if doc, ok := s.Index("logs").Get(id); !ok || doc["n"] != want {
+					t.Errorf("Get(%s) after close = %v, %v; want n=%v", id, doc, ok, want)
+				}
+			}
+			if st := s.Stats(); st.ReadErrors != 0 {
+				t.Errorf("read_errors = %d, want 0", st.ReadErrors)
+			}
+		})
+	}
+}
+
+// TestInMemoryStoreIsVolatile pins what a store without a directory
+// skips because no reopen could read it: it writes no WAL file yet seals
+// every FlushBytes of logged mutations, and keeps one generation. Open
+// refuses an FS without a Dir rather than drop it.
+func TestInMemoryStoreIsVolatile(t *testing.T) {
+	if _, err := Open(Options{FS: fsx.NewMem()}); err == nil {
+		t.Fatal("Open with an FS and no Dir succeeded")
+	}
+	s, err := Open(Options{FlushBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := s.Index("logs")
+	for i := 0; i < 200; i++ {
+		ix.PutAuto(Document{"raw": strings.Repeat("x", 100), "n": float64(i)})
+	}
+	s.eng.mu.Lock()
+	s.eng.waitSealLocked()
+	s.eng.mu.Unlock()
+	st := s.Stats()
+	if st.Persistent || st.Flushes < 3 {
+		t.Fatalf("persistent=%v flushes=%d, want an in-memory store that sealed by size", st.Persistent, st.Flushes)
+	}
+	if st.WALBytes != 0 || st.WALPending <= 0 || st.WALPending >= 4<<10 {
+		t.Errorf("wal_bytes=%d wal_pending=%d, want 0 and the unsealed tail's size", st.WALBytes, st.WALPending)
+	}
+	entries, err := s.eng.fs.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifests int
+	for _, ent := range entries {
+		if strings.HasPrefix(ent.Name(), "wal-") {
+			t.Errorf("in-memory store wrote WAL file %s", ent.Name())
+		}
+		if _, ok := parseManifestGen(ent.Name()); ok {
+			manifests++
+		}
+	}
+	if manifests != 1 {
+		t.Errorf("%d manifests kept, want 1", manifests)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := ix.Count(); n != 200 {
+		t.Errorf("Count after Close = %d, want 200", n)
+	}
+	for _, q := range []Query{{SortBy: "n", Desc: true, Limit: 3}, {SortBy: "n", Limit: 3}} {
+		var got []float64
+		for _, h := range ix.Search(q) {
+			got = append(got, h.Doc["n"].(float64))
+		}
+		want := []float64{199, 198, 197}
+		if !q.Desc {
+			want = []float64{0, 1, 2}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Search(desc=%v) = %v, want %v", q.Desc, got, want)
+		}
+	}
 }
 
 func TestEngineBasicPutGetReopen(t *testing.T) {
@@ -673,9 +788,8 @@ func TestEngineWALReplayAllOps(t *testing.T) {
 
 // TestEnginePutBatchMatchesPutAuto: a batch under a retention cap, whose
 // auto IDs run into a manually put document that the cap evicts
-// mid-batch, ends exactly as one PutAuto per document would — on the
-// in-memory engine, on the segment engine live, and on the segment
-// engine after its WAL alone is replayed.
+// mid-batch, ends exactly as one PutAuto per document would — in
+// memory, on disk live, and on disk after its WAL alone is replayed.
 func TestEnginePutBatchMatchesPutAuto(t *testing.T) {
 	batch := func() []Document {
 		docs := make([]Document, 6)

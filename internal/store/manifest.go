@@ -1,4 +1,4 @@
-// Manifests: the persistent store's commit points. A manifest generation
+// Manifests: the store's commit points. A manifest generation
 // is one immutable JSON file (MANIFEST-<gen>.json, written atomically)
 // naming every segment file of every index plus the WAL that carries
 // mutations since the cut; the CURRENT file — written last, atomically —

@@ -18,21 +18,13 @@ func validateDump(data []byte) error {
 	return json.Unmarshal(data, &docs)
 }
 
-// SaveDir snapshots every index into dir, one JSON file per index
-// (Elasticsearch persists to disk; our in-memory store offers explicit
-// snapshots so a service restart does not lose the archived logs, models,
-// and anomalies). Existing snapshot files for indices that no longer exist
-// are removed.
-func (s *Store) SaveDir(dir string) error {
-	return s.SaveDirFS(fsx.OS{}, dir)
-}
-
-// SaveDirFS is SaveDir against an explicit filesystem — the seam the
-// chaos harness injects storage faults through. Every snapshot file is
-// written atomically (temp + rename), so a crash or injected fault
-// mid-save never leaves a torn snapshot at a live path; at worst the
-// directory holds a mix of old and new generations of different indices,
-// each individually consistent.
+// SaveDirFS snapshots every index into dir on fsys (fsx.OS when nil),
+// one JSON file per index — the checkpoint form of a store that is not
+// Persistent. Snapshot files for indices that no longer exist are
+// removed. Every snapshot file is written atomically (temp + rename), so
+// a crash or injected fault mid-save never leaves a torn snapshot at a
+// live path; at worst the directory holds a mix of old and new
+// generations of different indices, each individually consistent.
 func (s *Store) SaveDirFS(fsys fsx.FS, dir string) error {
 	if fsys == nil {
 		fsys = fsx.OS{}
@@ -64,16 +56,12 @@ func (s *Store) SaveDirFS(fsys fsx.FS, dir string) error {
 	return nil
 }
 
-// LoadDir restores every index snapshot found in dir, replacing the
-// contents of indices with matching names and creating missing ones.
-func (s *Store) LoadDir(dir string) error {
-	return s.LoadDirFS(fsx.OS{}, dir)
-}
-
-// LoadDirFS is LoadDir against an explicit filesystem. The load is
-// all-or-nothing: every snapshot file is read and parsed before any
-// index is touched, so a corrupt or truncated snapshot leaves the store
-// exactly as it was — never half-replaced.
+// LoadDirFS restores every index snapshot found in dir on fsys (fsx.OS
+// when nil), replacing the contents of indices with matching names and
+// creating missing ones. The load is all-or-nothing: every snapshot file
+// is read and parsed before any index is touched, so a corrupt or
+// truncated snapshot leaves the store exactly as it was — never
+// half-replaced.
 func (s *Store) LoadDirFS(fsys fsx.FS, dir string) error {
 	if fsys == nil {
 		fsys = fsx.OS{}

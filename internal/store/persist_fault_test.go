@@ -19,7 +19,7 @@ func seedStore(t *testing.T, dir string) *Store {
 	s.Index("anomalies").Put("a1", Document{"type": "missing-end-state"})
 	s.Index("models").Put("m1", Document{"body": "{}"})
 	s.Index("logs-web").Put("l1", Document{"raw": "line"})
-	if err := s.SaveDir(dir); err != nil {
+	if err := s.SaveDirFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -38,7 +38,7 @@ func TestLoadDirCorruptSnapshotLeavesStoreUntouched(t *testing.T) {
 
 	s2 := New()
 	s2.Index("anomalies").Put("old", Document{"type": "pre-existing"})
-	if err := s2.LoadDir(dir); err == nil {
+	if err := s2.LoadDirFS(nil, dir); err == nil {
 		t.Fatal("corrupt snapshot must fail the load")
 	}
 	// Nothing was replaced: the pre-existing doc survives and no index
@@ -78,8 +78,8 @@ func TestLoadDirTruncatedMidWrite(t *testing.T) {
 	// Every live snapshot still parses: torn bytes only ever hit .tmp
 	// paths, and a reload sees a consistent (if older) generation.
 	s2 := New()
-	if err := s2.LoadDir(dir); err != nil {
-		t.Fatalf("LoadDir after torn save: %v", err)
+	if err := s2.LoadDirFS(nil, dir); err != nil {
+		t.Fatalf("LoadDirFS after torn save: %v", err)
 	}
 	if _, ok := s2.Index("anomalies").Get("a1"); !ok {
 		t.Error("previous generation lost after torn save")
@@ -96,7 +96,7 @@ func TestLoadDirTruncatedMidWrite(t *testing.T) {
 	}
 	s3 := New()
 	s3.Index("marker").Put("x", Document{"keep": true})
-	if err := s3.LoadDir(dir); err == nil {
+	if err := s3.LoadDirFS(nil, dir); err == nil {
 		t.Fatal("truncated snapshot must fail the load")
 	}
 	if _, ok := s3.Index("marker").Get("x"); !ok {
@@ -121,7 +121,7 @@ func TestSaveDirWriteErrorSurfacesAndKeepsOldSnapshot(t *testing.T) {
 		t.Fatalf("err = %v, want ErrInjectedWrite", err)
 	}
 	s2 := New()
-	if err := s2.LoadDir(dir); err != nil {
+	if err := s2.LoadDirFS(nil, dir); err != nil {
 		t.Fatalf("old generation unloadable after failed save: %v", err)
 	}
 	if _, ok := s2.Index("anomalies").Get("a1"); !ok {
@@ -141,7 +141,7 @@ func TestSaveDirENOSPCMidSave(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
 	s2 := New()
-	if err := s2.LoadDir(dir); err != nil {
+	if err := s2.LoadDirFS(nil, dir); err != nil {
 		t.Fatalf("store unloadable after ENOSPC save: %v", err)
 	}
 	if len(s2.Indices()) != 3 {
@@ -160,7 +160,7 @@ func TestSaveDirStaleCleanupSkipsTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.DeleteIndex("logs-web")
-	if err := s.SaveDir(dir); err != nil {
+	if err := s.SaveDirFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(tmp); err != nil {

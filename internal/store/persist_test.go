@@ -12,12 +12,12 @@ func TestSaveLoadDir(t *testing.T) {
 	s.Index("logs-web/prod").Put("a", Document{"raw": "line one"})
 	s.Index("anomalies").Put("x", Document{"type": "missing-end-state"})
 	s.Index("models").Put("m1", Document{"body": "{}"})
-	if err := s.SaveDir(dir); err != nil {
+	if err := s.SaveDirFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := New()
-	if err := s2.LoadDir(dir); err != nil {
+	if err := s2.LoadDirFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Indices(); len(got) != 3 {
@@ -37,15 +37,15 @@ func TestSaveDirPrunesDeletedIndices(t *testing.T) {
 	s := New()
 	s.Index("a").Put("1", Document{"x": 1})
 	s.Index("b").Put("1", Document{"x": 1})
-	if err := s.SaveDir(dir); err != nil {
+	if err := s.SaveDirFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	s.DeleteIndex("b")
-	if err := s.SaveDir(dir); err != nil {
+	if err := s.SaveDirFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	s2 := New()
-	if err := s2.LoadDir(dir); err != nil {
+	if err := s2.LoadDirFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Indices(); len(got) != 1 || got[0] != "a" {
@@ -58,11 +58,11 @@ func TestLoadDirIgnoresForeignFiles(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, "README.txt"), []byte("not a snapshot"), 0o644)
 	s := New()
 	s.Index("a").Put("1", Document{"x": 1})
-	if err := s.SaveDir(dir); err != nil {
+	if err := s.SaveDirFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	s2 := New()
-	if err := s2.LoadDir(dir); err != nil {
+	if err := s2.LoadDirFS(nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	if len(s2.Indices()) != 1 {
@@ -72,7 +72,7 @@ func TestLoadDirIgnoresForeignFiles(t *testing.T) {
 
 func TestLoadDirMissing(t *testing.T) {
 	s := New()
-	if err := s.LoadDir("/nonexistent/path/zz"); err == nil {
+	if err := s.LoadDirFS(nil, "/nonexistent/path/zz"); err == nil {
 		t.Error("missing dir must fail")
 	}
 }
@@ -81,7 +81,7 @@ func TestLoadDirCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	os.WriteFile(filepath.Join(dir, "bad.index.json"), []byte("{not json"), 0o644)
 	s := New()
-	if err := s.LoadDir(dir); err == nil {
+	if err := s.LoadDirFS(nil, dir); err == nil {
 		t.Error("corrupt snapshot must fail")
 	}
 }

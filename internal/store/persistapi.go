@@ -1,32 +1,24 @@
-// Store-level surface of the persistent engine: durability (Sync/Flush),
-// checkpoint generations (Checkpoint/LoadGeneration — the incremental
-// hooks internal/recovery drives), lifecycle (Close/Abort), manual
-// maintenance (Compact/ApplyRetention), and observability (Stats, served
-// by the dashboard at /api/storage). Every method is a cheap no-op or
-// ErrNotPersistent on an in-memory store, so callers can hold one *Store
-// type either way.
+// Store-level surface of the engine: durability (Sync/Flush), checkpoint
+// generations (Checkpoint/LoadGeneration — the incremental hooks
+// internal/recovery drives for a persistent store), lifecycle
+// (Close/Abort), manual maintenance (Compact/ApplyRetention), and
+// observability (Stats, served by the dashboard at /api/storage).
 package store
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"loglens/internal/fsx"
 )
 
-// ErrNotPersistent is returned by persistence-only operations on an
-// in-memory store.
-var ErrNotPersistent = errors.New("store: not a persistent store")
+// Persistent reports whether the store keeps its files in a directory,
+// so that they outlive the process: true for Open on a directory, false
+// for New.
+func (s *Store) Persistent() bool { return !s.eng.volatile }
 
-// Persistent reports whether the store is backed by the segment engine.
-func (s *Store) Persistent() bool { return s.eng != nil }
-
-// Generation returns the current manifest generation (0 when in-memory).
+// Generation returns the current manifest generation.
 func (s *Store) Generation() uint64 {
-	if s.eng == nil {
-		return 0
-	}
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
 	return s.eng.gen
@@ -39,9 +31,6 @@ func (s *Store) Generation() uint64 {
 // writes may still sit in the OS page cache: an OS crash or power loss
 // can lose acknowledged mutations.
 func (s *Store) Sync() error {
-	if s.eng == nil {
-		return nil
-	}
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
 	err := s.eng.flushWALLocked()
@@ -54,9 +43,6 @@ func (s *Store) Sync() error {
 // Flush seals memtables into segments and commits a new manifest
 // generation (a no-op when nothing changed since the last commit).
 func (s *Store) Flush() error {
-	if s.eng == nil {
-		return nil
-	}
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
 	return s.eng.sealLocked(sealPlan{})
@@ -65,9 +51,6 @@ func (s *Store) Flush() error {
 // Compact rewrites every index into a single segment each, resolving
 // tombstones and shadowed documents.
 func (s *Store) Compact() error {
-	if s.eng == nil {
-		return nil
-	}
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
 	return s.eng.sealLocked(sealPlan{compactAll: true})
@@ -76,9 +59,6 @@ func (s *Store) Compact() error {
 // ApplyRetention runs one age-based retention pass at the engine clock's
 // current time (the background loop's tick, callable manually).
 func (s *Store) ApplyRetention() error {
-	if s.eng == nil {
-		return nil
-	}
 	s.eng.mu.Lock()
 	defer s.eng.mu.Unlock()
 	return s.eng.retentionTickLocked(s.eng.clk.Now())
@@ -90,9 +70,6 @@ func (s *Store) ApplyRetention() error {
 // the generation number; the immutable segment files are shared, not
 // copied.
 func (s *Store) Checkpoint() (uint64, error) {
-	if s.eng == nil {
-		return 0, ErrNotPersistent
-	}
 	e := s.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -110,9 +87,6 @@ func (s *Store) Checkpoint() (uint64, error) {
 // regenerates identical auto-assigned ids from the restored sequence
 // counters.
 func (s *Store) LoadGeneration(gen uint64) error {
-	if s.eng == nil {
-		return ErrNotPersistent
-	}
 	e := s.eng
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -134,14 +108,13 @@ func (s *Store) LoadGeneration(gen uint64) error {
 	// knows; indices born after the cut come back empty.
 	for _, ix := range e.indices {
 		ix.mu.Lock()
-		for _, sg := range ix.pe.segs {
+		for _, sg := range ix.segs {
 			sg.close()
 		}
-		pe := ix.pe
-		pe.segs, pe.watermark, pe.nextOrd = nil, 0, 0
-		pe.refs = make(map[string]ref)
-		pe.mem = make(map[string]memDoc)
-		pe.dead = make(map[string]bool)
+		ix.segs, ix.watermark, ix.nextOrd = nil, 0, 0
+		ix.refs = make(map[string]ref)
+		ix.mem = make(map[string]memDoc)
+		ix.dead = make(map[string]bool)
 		ix.order = ix.order[:0]
 		ix.seq, ix.retention, ix.evicted = 0, 0, 0
 		ix.mu.Unlock()
@@ -197,18 +170,17 @@ func (s *Store) LoadGeneration(gen uint64) error {
 }
 
 // Close seals outstanding state and releases the engine. The store must
-// not be used afterwards.
+// not be written afterwards. A read of a sealed document then fails on a
+// persistent store (its segment files are closed; the failure counts in
+// ReadErrors) and still succeeds on an in-memory one.
 func (s *Store) Close() error {
-	if s.eng == nil {
-		return nil
-	}
 	e := s.eng
 	e.stopLoops()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	err := e.sealLocked(sealPlan{})
 	for _, ix := range e.indices {
-		for _, sg := range ix.pe.segs {
+		for _, sg := range ix.segs {
 			sg.close()
 		}
 	}
@@ -221,16 +193,13 @@ func (s *Store) Close() error {
 // in flight is waited for, so nothing writes to the directory once
 // Abort returns.
 func (s *Store) Abort() {
-	if s.eng == nil {
-		return
-	}
 	e := s.eng
 	e.stopLoops()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.waitSealLocked()
 	for _, ix := range e.indices {
-		for _, sg := range ix.pe.segs {
+		for _, sg := range ix.segs {
 			sg.close()
 		}
 	}
@@ -271,36 +240,17 @@ type Stats struct {
 	Indices         []IndexStats `json:"indices,omitempty"`
 }
 
-// Stats snapshots storage health for both modes.
+// Stats snapshots storage health.
 func (s *Store) Stats() Stats {
-	if s.eng == nil {
-		st := Stats{}
-		s.mu.RLock()
-		names := make([]string, 0, len(s.indices))
-		for name := range s.indices {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ix := s.indices[name]
-			ix.mu.RLock()
-			st.Indices = append(st.Indices, IndexStats{
-				Name: name, Docs: len(ix.docs), Evicted: ix.evicted, Retention: ix.retention,
-			})
-			ix.mu.RUnlock()
-		}
-		s.mu.RUnlock()
-		return st
-	}
 	e := s.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := Stats{
-		Persistent:      true,
+		Persistent:      s.Persistent(),
 		Dir:             e.dir,
 		Generation:      e.gen,
 		WALBytes:        e.walOnDisk,
-		WALPending:      len(e.wal) - int(e.walOnDisk),
+		WALPending:      int(e.walSize() - e.walOnDisk),
 		WALDirty:        e.walDirty,
 		Flushes:         e.flushes,
 		Compactions:     e.compactions,
@@ -317,12 +267,11 @@ func (s *Store) Stats() Stats {
 	ordered := append([]*Index(nil), e.indices...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].name < ordered[j].name })
 	for _, ix := range ordered {
-		pe := ix.pe
 		is := IndexStats{
-			Name: ix.name, Docs: len(ix.order), MemDocs: len(pe.mem),
-			Segments: len(pe.segs), Evicted: ix.evicted, Retention: ix.retention,
+			Name: ix.name, Docs: len(ix.order), MemDocs: len(ix.mem),
+			Segments: len(ix.segs), Evicted: ix.evicted, Retention: ix.retention,
 		}
-		for _, sg := range pe.segs {
+		for _, sg := range ix.segs {
 			is.SegmentBytes += sg.bytes
 			is.DeadDocs += sg.footer.Count - sg.live
 		}

@@ -5,34 +5,185 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"loglens/internal/clock"
 )
 
-// TestPropertyEngineMatchesOracle drives the segment engine and the
-// in-memory engine through the same seeded random operation sequence —
-// puts, batched puts, deletes, retention caps, loads, flushes,
-// compactions, reopens — and requires every query (Search, CountWhere,
-// Histogram, Terms, Get, Count, Dump) to return identical results. Size
-// seals run on a stepped sealer, so mutations and queries interleave
-// with a seal between its cut and its commit, deterministically for a
-// seed. The in-memory engine is the oracle: it predates the segment
-// engine and its behavior is pinned by the rest of the suite.
+// TestPropertyEngineMatchesOracle drives the store and a reference model
+// (refIndex) through the same seeded random operation sequence — puts,
+// batched puts, deletes, retention caps, loads, flushes, compactions,
+// reopens — and requires every query (Search, CountWhere, Histogram,
+// Terms, Get, Count, Dump) to agree with the model. Size seals run on a
+// stepped sealer, so mutations and queries interleave with a seal between
+// its cut and its commit, deterministically for a seed. Each seed runs on
+// a store in a directory and on one over an in-memory filesystem (Open
+// with an empty Dir, as New does), which cannot reopen: there a reopen
+// is a flush.
 func TestPropertyEngineMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runPropertyOps(t, seed, 6000)
+			t.Run("disk", func(t *testing.T) { runPropertyOps(t, seed, 6000, t.TempDir()) })
+			t.Run("mem", func(t *testing.T) { runPropertyOps(t, seed, 6000, "") })
 		})
 	}
 }
 
-func runPropertyOps(t *testing.T, seed int64, nops int) {
+// refIndex is the reference model of one index: the documents by id in
+// canonical form (one JSON round trip), their insertion order, the
+// auto-ID sequence and the count cap. Queries filter in insertion order
+// and sort all matches with a stable sort; it shares no code with the
+// engine beyond the query semantics (matches, compareValues).
+type refIndex struct {
+	docs      map[string]Document
+	order     []string
+	seq       uint64
+	retention int
+	evicted   uint64
+}
+
+func newRefIndex() *refIndex { return &refIndex{docs: make(map[string]Document)} }
+
+// refCanon is doc as the store returns it: json.Unmarshal of its
+// json.Marshal encoding.
+func refCanon(t *testing.T, doc Document) Document {
+	t.Helper()
+	j, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Document
+	if err := json.Unmarshal(j, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func (r *refIndex) put(t *testing.T, id string, doc Document) {
+	if _, ok := r.docs[id]; !ok {
+		r.order = append(r.order, id)
+	}
+	r.docs[id] = refCanon(t, doc)
+	r.enforce()
+}
+
+func (r *refIndex) putAuto(t *testing.T, name string, doc Document) string {
+	r.seq++
+	id := fmt.Sprintf("%s-%d", name, r.seq)
+	r.put(t, id, doc)
+	return id
+}
+
+func (r *refIndex) enforce() {
+	for r.retention > 0 && len(r.order) > r.retention {
+		delete(r.docs, r.order[0])
+		r.order = r.order[1:]
+		r.evicted++
+	}
+}
+
+func (r *refIndex) del(id string) bool {
+	if _, ok := r.docs[id]; !ok {
+		return false
+	}
+	delete(r.docs, id)
+	r.order = slices.DeleteFunc(r.order, func(o string) bool { return o == id })
+	return true
+}
+
+// load replaces the contents with docs in id order, rebasing the
+// sequence past every auto ID they hold.
+func (r *refIndex) load(name string, docs map[string]Document) {
+	r.docs = make(map[string]Document, len(docs))
+	r.order = r.order[:0]
+	r.seq = 0
+	for id, doc := range docs {
+		r.docs[id] = doc
+		r.order = append(r.order, id)
+		if n, err := strconv.ParseUint(strings.TrimPrefix(id, name+"-"), 10, 64); err == nil && strings.HasPrefix(id, name+"-") && n > r.seq {
+			r.seq = n
+		}
+	}
+	sort.Strings(r.order)
+}
+
+func (r *refIndex) search(q Query) []Hit {
+	var hits []Hit
+	for _, id := range r.order {
+		if matches(r.docs[id], q) {
+			hits = append(hits, Hit{ID: id, Doc: r.docs[id]})
+		}
+	}
+	if q.SortBy != "" {
+		// Ties keep insertion order, reversed when descending.
+		if q.Desc {
+			slices.Reverse(hits)
+		}
+		sort.SliceStable(hits, func(i, j int) bool {
+			c := compareValues(hits[i].Doc[q.SortBy], hits[j].Doc[q.SortBy])
+			if q.Desc {
+				return c > 0
+			}
+			return c < 0
+		})
+	}
+	if q.Limit > 0 && len(hits) > q.Limit {
+		hits = hits[:q.Limit]
+	}
+	return hits
+}
+
+func (r *refIndex) histogram(q Query, field string, interval time.Duration) ([]time.Time, []int) {
+	counts := make(map[int64]int)
+	for _, h := range r.search(Query{Term: q.Term, RangeField: q.RangeField, RangeMin: q.RangeMin, RangeMax: q.RangeMax}) {
+		if tm, ok := asTime(h.Doc[field]); ok {
+			counts[tm.UnixNano()/int64(interval)]++
+		}
+	}
+	var buckets []int64
+	for b := range counts {
+		buckets = append(buckets, b)
+	}
+	slices.Sort(buckets)
+	times, out := make([]time.Time, len(buckets)), make([]int, len(buckets))
+	for i, b := range buckets {
+		times[i], out[i] = time.Unix(0, b*int64(interval)).UTC(), counts[b]
+	}
+	return times, out
+}
+
+func (r *refIndex) terms(q Query, field string, limit int) []TermBucket {
+	counts := make(map[string]int)
+	for _, h := range r.search(Query{Term: q.Term, RangeField: q.RangeField, RangeMin: q.RangeMin, RangeMax: q.RangeMax}) {
+		if v, ok := h.Doc[field]; ok {
+			counts[fmt.Sprint(v)]++
+		}
+	}
+	out := make([]TermBucket, 0, len(counts))
+	for v, n := range counts {
+		out = append(out, TermBucket{Value: v, Count: n})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Value < out[j].Value
+	})
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
+func runPropertyOps(t *testing.T, seed int64, nops int, dir string) {
 	rng := rand.New(rand.NewSource(seed))
-	dir := t.TempDir()
 	clk := clock.NewFake()
 	opts := func(o *Options) {
 		// Small thresholds so the op budget exercises WAL spills, size
@@ -42,8 +193,17 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 		o.MaxSegments = 4
 	}
 	eng := openTest(t, dir, clk, opts)
+	if eng.Persistent() != (dir != "") {
+		t.Fatalf("Persistent() = %v for dir %q", eng.Persistent(), dir)
+	}
 	sealer := newStepSealer(eng)
-	oracle := New()
+	model := make(map[string]*refIndex)
+	ref := func(n string) *refIndex {
+		if model[n] == nil {
+			model[n] = newRefIndex()
+		}
+		return model[n]
+	}
 	defer func() {
 		sealer.step()
 		eng.Close()
@@ -88,50 +248,34 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 		return q
 	}
 
-	// mustEq compares results in canonical JSON form: the oracle keeps the
-	// values as given, the engine their canonical form (float64 numbers,
-	// RFC 3339 strings, repaired UTF-8), which one JSON round trip of the
-	// oracle's result reproduces.
+	// mustEq compares results as JSON: both sides hold canonical
+	// documents, so equal results encode to equal bytes.
 	canonJSON := func(op, who string, v any) []byte {
 		t.Helper()
 		j, err := json.Marshal(v)
 		if err != nil {
 			t.Fatalf("%s: marshal %s result: %v", op, who, err)
 		}
-		var back any
-		if err := json.Unmarshal(j, &back); err != nil {
-			t.Fatalf("%s: unmarshal %s result: %v", op, who, err)
-		}
-		if j, err = json.Marshal(back); err != nil {
-			t.Fatalf("%s: re-marshal %s result: %v", op, who, err)
-		}
 		return j
 	}
 	mustEq := func(op string, a, b any) {
 		t.Helper()
-		aj, bj := canonJSON(op, "engine", a), canonJSON(op, "oracle", b)
+		aj, bj := canonJSON(op, "store", a), canonJSON(op, "model", b)
 		if !bytes.Equal(aj, bj) {
-			t.Fatalf("%s diverged:\nengine: %s\noracle: %s", op, aj, bj)
+			t.Fatalf("%s diverged:\nstore: %s\nmodel: %s", op, aj, bj)
 		}
 	}
 	checkDump := func(n string) {
 		t.Helper()
 		ed, err := eng.Index(n).Dump()
 		if err != nil {
-			t.Fatalf("engine dump %q: %v", n, err)
+			t.Fatalf("store dump %q: %v", n, err)
 		}
-		od, err := oracle.Index(n).Dump()
-		if err != nil {
-			t.Fatalf("oracle dump %q: %v", n, err)
-		}
-		var em, om map[string]Document
+		var em map[string]Document
 		if err := json.Unmarshal(ed, &em); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(od, &om); err != nil {
-			t.Fatal(err)
-		}
-		mustEq("dump "+n, em, om)
+		mustEq("dump "+n, em, ref(n).docs)
 	}
 
 	for i := 0; i < nops; i++ {
@@ -144,8 +288,8 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 			}
 			guard(walBound(doc))
 			eng.Index(n).Put(d, doc)
-			oracle.Index(n).Put(d, doc)
-		case r < 35: // put batch: the oracle is one PutAuto per document
+			ref(n).put(t, d, doc)
+		case r < 35: // put batch: the model is one PutAuto per document
 			docs := make([]Document, 1+rng.Intn(12))
 			for j := range docs {
 				if rng.Intn(2) == 0 {
@@ -153,7 +297,7 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 				} else {
 					docs[j] = propertyFlatDoc(rng, clk)
 				}
-				oracle.Index(n).PutAuto(docs[j])
+				ref(n).putAuto(t, n, docs[j])
 			}
 			guard(walBound(docs...))
 			eng.Index(n).PutBatch(docs)
@@ -161,54 +305,51 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 			doc := randDoc()
 			guard(walBound(doc))
 			ei := eng.Index(n).PutAuto(doc)
-			oi := oracle.Index(n).PutAuto(doc)
-			if ei != oi {
-				t.Fatalf("op %d: PutAuto ids diverged: engine %q oracle %q", i, ei, oi)
+			if mi := ref(n).putAuto(t, n, doc); ei != mi {
+				t.Fatalf("op %d: PutAuto ids diverged: store %q model %q", i, ei, mi)
 			}
 		case r < 55: // delete
 			d := id()
-			ed := eng.Index(n).Delete(d)
-			od := oracle.Index(n).Delete(d)
-			if ed != od {
-				t.Fatalf("op %d: Delete(%s/%s) diverged: engine %v oracle %v", i, n, d, ed, od)
+			if ed, md := eng.Index(n).Delete(d), ref(n).del(d); ed != md {
+				t.Fatalf("op %d: Delete(%s/%s) diverged: store %v model %v", i, n, d, ed, md)
 			}
 		case r < 58: // retention cap
 			cap := 5 + rng.Intn(40)
 			eng.Index(n).SetRetention(cap)
-			oracle.Index(n).SetRetention(cap)
+			ref(n).retention = cap
+			ref(n).enforce()
 		case r < 70: // search
 			q := randQuery()
-			mustEq(fmt.Sprintf("op %d Search %s %+v", i, n, q),
-				eng.Index(n).Search(q), oracle.Index(n).Search(q))
+			mustEq(fmt.Sprintf("op %d Search %s %+v", i, n, q), eng.Index(n).Search(q), ref(n).search(q))
 		case r < 76: // count-where
 			q := randQuery()
-			if eg, og := eng.Index(n).CountWhere(q), oracle.Index(n).CountWhere(q); eg != og {
-				t.Fatalf("op %d: CountWhere diverged: engine %d oracle %d (%+v)", i, eg, og, q)
+			q.SortBy, q.Limit = "", 0
+			if eg, mg := eng.Index(n).CountWhere(q), len(ref(n).search(q)); eg != mg {
+				t.Fatalf("op %d: CountWhere diverged: store %d model %d (%+v)", i, eg, mg, q)
 			}
 		case r < 80: // histogram
 			q := randQuery()
 			et, ec := eng.Index(n).Histogram(q, "time", 10*time.Minute)
-			ot, oc := oracle.Index(n).Histogram(q, "time", 10*time.Minute)
-			mustEq(fmt.Sprintf("op %d Histogram times", i), et, ot)
-			mustEq(fmt.Sprintf("op %d Histogram counts", i), ec, oc)
+			mt, mc := ref(n).histogram(q, "time", 10*time.Minute)
+			mustEq(fmt.Sprintf("op %d Histogram times", i), et, mt)
+			mustEq(fmt.Sprintf("op %d Histogram counts", i), ec, mc)
 		case r < 84: // terms
 			q := randQuery()
 			limit := rng.Intn(4)
-			mustEq(fmt.Sprintf("op %d Terms", i),
-				eng.Index(n).Terms(q, "s", limit), oracle.Index(n).Terms(q, "s", limit))
+			mustEq(fmt.Sprintf("op %d Terms", i), eng.Index(n).Terms(q, "s", limit), ref(n).terms(q, "s", limit))
 		case r < 88: // get + counters
 			d := id()
 			edoc, eok := eng.Index(n).Get(d)
-			odoc, ook := oracle.Index(n).Get(d)
-			if eok != ook {
-				t.Fatalf("op %d: Get(%s/%s) presence diverged: engine %v oracle %v", i, n, d, eok, ook)
+			mdoc, mok := ref(n).docs[d]
+			if eok != mok {
+				t.Fatalf("op %d: Get(%s/%s) presence diverged: store %v model %v", i, n, d, eok, mok)
 			}
-			mustEq(fmt.Sprintf("op %d Get %s/%s", i, n, d), edoc, odoc)
-			if ec, oc := eng.Index(n).Count(), oracle.Index(n).Count(); ec != oc {
-				t.Fatalf("op %d: Count diverged: engine %d oracle %d", i, ec, oc)
+			mustEq(fmt.Sprintf("op %d Get %s/%s", i, n, d), edoc, mdoc)
+			if ec, mc := eng.Index(n).Count(), len(ref(n).docs); ec != mc {
+				t.Fatalf("op %d: Count diverged: store %d model %d", i, ec, mc)
 			}
-			if ee, oe := eng.Index(n).Evicted(), oracle.Index(n).Evicted(); ee != oe {
-				t.Fatalf("op %d: Evicted diverged: engine %d oracle %d", i, ee, oe)
+			if ee, me := eng.Index(n).Evicted(), ref(n).evicted; ee != me {
+				t.Fatalf("op %d: Evicted diverged: store %d model %d", i, ee, me)
 			}
 		case r < 92: // flush / sync
 			if rng.Intn(2) == 0 {
@@ -227,13 +368,19 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 		case r < 96: // advance time (shifts seal buckets)
 			clk.Advance(time.Duration(1+rng.Intn(90)) * time.Minute)
 		case r < 98: // delete a whole index
-			en := eng.DeleteIndex(n)
-			on := oracle.DeleteIndex(n)
-			if en != on {
-				t.Fatalf("op %d: DeleteIndex(%s) diverged: engine %v oracle %v", i, n, en, on)
+			_, had := model[n]
+			if en := eng.DeleteIndex(n); en != had {
+				t.Fatalf("op %d: DeleteIndex(%s) diverged: store %v model %v", i, n, en, had)
 			}
+			delete(model, n)
 		case r < 100: // reopen: close cleanly, open again, state must survive
 			sealer.step()
+			if dir == "" {
+				if err := eng.Flush(); err != nil {
+					t.Fatalf("op %d: Flush: %v", i, err)
+				}
+				break
+			}
 			if err := eng.Close(); err != nil {
 				t.Fatalf("op %d: Close: %v", i, err)
 			}
@@ -257,11 +404,13 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 			}
 			guard(2*len(data) + 256)
 			if err := eng.Index(n).Load(data); err != nil {
-				t.Fatalf("op %d: engine Load: %v", i, err)
+				t.Fatalf("op %d: Load: %v", i, err)
 			}
-			if err := oracle.Index(n).Load(data); err != nil {
-				t.Fatalf("op %d: oracle Load: %v", i, err)
+			var canon map[string]Document
+			if err := json.Unmarshal(data, &canon); err != nil {
+				t.Fatal(err)
 			}
+			ref(n).load(n, canon)
 		default: // the sealer builds and commits the seal in flight
 			sealer.step()
 		}
@@ -273,8 +422,8 @@ func runPropertyOps(t *testing.T, seed int64, nops int) {
 	}
 	for _, nm := range names {
 		checkDump(nm)
-		if ec, oc := eng.Index(nm).Count(), oracle.Index(nm).Count(); ec != oc {
-			t.Fatalf("final Count(%s) diverged: engine %d oracle %d", nm, ec, oc)
+		if ec, mc := eng.Index(nm).Count(), len(ref(nm).docs); ec != mc {
+			t.Fatalf("final Count(%s) diverged: store %d model %d", nm, ec, mc)
 		}
 	}
 }
@@ -288,7 +437,7 @@ func sealBacklog(s *Store) int {
 	if e.sealing == nil {
 		return 0
 	}
-	return len(e.wal) - e.sealing.walLen
+	return int(e.walSize() - e.sealing.walSize)
 }
 
 // walBound over-estimates the WAL bytes one put of docs logs: each

@@ -27,7 +27,7 @@ func (e *engine) retentionTickLocked(now time.Time) error {
 		if e.retentionExempt(ix.name) {
 			continue
 		}
-		for _, sg := range ix.pe.segs {
+		for _, sg := range ix.segs {
 			if sg.bucket.Add(e.opts.BucketDuration).After(cutoff) {
 				// Buckets are monotone within an index: the first young
 				// segment ends the droppable prefix.

@@ -1,4 +1,4 @@
-// Segment files: the immutable, sorted building block of the persistent
+// Segment files: the immutable, sorted building block of the
 // store. A segment is written once (atomically, via fsx.WriteFileAtomic),
 // then only ever read or dropped — compaction and retention replace whole
 // segments in the manifest instead of mutating them, which is what makes
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"strconv"
-	"sync"
 	"time"
 
 	"loglens/internal/frame"
@@ -68,7 +67,7 @@ type segDoc struct {
 	Del bool     `json:"del,omitempty"`
 	Doc Document `json:"doc,omitempty"`
 	// raw is Doc's JSON encoding when the memtable kept it; the record
-	// embeds it instead of marshalling Doc again.
+	// embeds it instead of encoding Doc again.
 	raw []byte
 }
 
@@ -85,15 +84,19 @@ func appendSegDoc(dst []byte, sd *segDoc) ([]byte, error) {
 		dst = append(dst, `,"del":true`...)
 	}
 	if len(sd.Doc) > 0 {
-		raw := sd.raw
-		if raw == nil {
-			var err error
-			if raw, err = json.Marshal(sd.Doc); err != nil {
-				return dst, fmt.Errorf("store: segment: encode doc %q: %w", sd.ID, err)
-			}
-		}
 		dst = append(dst, `,"doc":`...)
-		dst = append(dst, raw...)
+		if sd.raw != nil {
+			return append(append(dst, sd.raw...), '}'), nil
+		}
+		n := len(dst)
+		var ok bool
+		if dst, ok = appendFlatDoc(dst, sd.Doc); !ok {
+			raw, err := json.Marshal(sd.Doc)
+			if err != nil {
+				return dst[:n], fmt.Errorf("store: segment: encode doc %q: %w", sd.ID, err)
+			}
+			dst = append(dst[:n], raw...)
+		}
 	}
 	return append(dst, '}'), nil
 }
@@ -156,8 +159,12 @@ type segment struct {
 	live  int
 	tombs int // tombstone entries; they pin the segment until compaction
 
-	openMu sync.Mutex
-	fh     fsx.File
+	// fh is set before the segment is published to readers and never
+	// reset, so fetches take no lock: a read after close gets the
+	// handle's own error (os.ErrClosed on disk), which fetchDoc's callers
+	// count as a read error. It stays nil only when reopening the file
+	// after its seal failed.
+	fh fsx.File
 }
 
 // encodeSegment serializes docs (already in scan order, tombstones first)
@@ -215,12 +222,19 @@ func encodeSegment(dst []byte, docs []segDoc) ([]byte, *segFooter, error) {
 // so the buffer is allocated once instead of doubling: each record's
 // kept document bytes, its id twice (record and footer entry), and a
 // fixed allowance for the frame header, the record's and the entry's
-// other fields. Documents without kept bytes (compaction reads) count
-// only the allowance; the buffer still grows if a guess falls short.
+// other fields. A document without kept bytes (a compaction read, or an
+// in-memory store's memtable) counts its keys and string values plus an
+// allowance per field; the buffer still grows if a guess falls short.
 func segmentSizeHint(docs []segDoc) int {
 	n := len(segMagic) + 16 + 256
 	for i := range docs {
 		n += frame.HeaderSize + 2*len(docs[i].ID) + len(docs[i].raw) + 96
+		if docs[i].raw == nil {
+			for k, v := range docs[i].Doc {
+				s, _ := v.(string)
+				n += len(k) + len(s) + 24
+			}
+		}
 	}
 	return n
 }
@@ -361,6 +375,9 @@ func decodeSegment(data []byte) (*segFooter, []segDoc, error) {
 
 // fetchDoc reads and verifies one record from the open segment file.
 func (sg *segment) fetchDoc(e ref) (Document, error) {
+	if sg.fh == nil {
+		return nil, fmt.Errorf("store: segment %s: not open", sg.file)
+	}
 	buf := make([]byte, e.length)
 	if _, err := sg.fh.ReadAt(buf, e.off); err != nil {
 		return nil, fmt.Errorf("store: segment %s: read: %w", sg.file, err)
@@ -376,13 +393,12 @@ func (sg *segment) fetchDoc(e ref) (Document, error) {
 	return sd.Doc, nil
 }
 
+// close releases the file handle. Closing twice is harmless: the second
+// Close only reports an error, which is dropped.
 func (sg *segment) close() {
-	sg.openMu.Lock()
 	if sg.fh != nil {
 		sg.fh.Close()
-		sg.fh = nil
 	}
-	sg.openMu.Unlock()
 }
 
 // skippable reports whether no document in the segment can possibly match

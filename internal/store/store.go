@@ -1,9 +1,19 @@
-// Package store is the in-memory document store backing LogLens's three
-// storage components — log storage, model storage, and anomaly storage —
-// the substitution for Elasticsearch (§II). It offers the surface LogLens
+// Package store is LogLens's document store: the one store behind its
+// three storage components — log storage, model storage, and anomaly
+// storage — in place of Elasticsearch (§II). It offers the surface LogLens
 // actually uses: named indices of JSON-like documents, term and range
 // queries with sorting and limits, counts, and time-histogram aggregations
 // for the dashboard.
+//
+// There is one engine, the segment engine (engine.go): a WAL, memtables
+// and immutable segment files written through an fsx.FS. Open on a
+// directory persists to it; New runs the same engine over a fresh
+// in-memory fsx.Mem. Queries, puts, seals and retention take the same
+// code either way; since nothing an in-memory store writes can outlive
+// the process, it skips only what serves a reopen: the WAL's bytes, the
+// memtable's encoded copies and older generations.
+// Either way documents come back in canonical form: float64 numbers,
+// RFC 3339 strings for times, nested map[string]any and []any.
 package store
 
 import (
@@ -29,19 +39,21 @@ type Hit struct {
 }
 
 // Store is a collection of named indices. It is safe for concurrent use.
-// New gives the in-memory engine; Open (engine.go) the persistent one —
-// both serve the identical API, which is what lets the in-memory engine
-// double as the correctness oracle for the segment engine's tests.
 type Store struct {
 	mu      sync.RWMutex
 	indices map[string]*Index
-	// eng is the persistent segment engine; nil means in-memory.
-	eng *engine
+	eng     *engine
 }
 
-// New creates an empty in-memory store.
+// New creates an empty store that keeps its files in memory: the segment
+// engine over a fresh fsx.Mem. It is not Persistent.
 func New() *Store {
-	return &Store{indices: make(map[string]*Index)}
+	s, err := Open(Options{})
+	if err != nil {
+		// Opening over an empty in-memory filesystem touches no device.
+		panic(err)
+	}
+	return s
 }
 
 // Index returns the named index, creating it on first use (as
@@ -59,14 +71,11 @@ func (s *Store) Index(name string) *Index {
 	if ix, ok := s.indices[name]; ok {
 		return ix
 	}
-	ix = newIndex(name)
-	if s.eng != nil {
-		s.eng.mu.Lock()
-		s.eng.attachLocked(ix)
-		s.eng.logLocked(walRecord{Op: walMkIx, Ix: name})
-		s.eng.mu.Unlock()
-	}
-	s.indices[name] = ix
+	e := s.eng
+	e.mu.Lock()
+	ix = e.ensureIndexLocked(name)
+	e.logLocked(walRecord{Op: walMkIx, Ix: name})
+	e.mu.Unlock()
 	return ix
 }
 
@@ -90,30 +99,45 @@ func (s *Store) DeleteIndex(name string) bool {
 	if !ok {
 		return false
 	}
-	if s.eng != nil {
-		s.eng.mu.Lock()
-		s.eng.logLocked(walRecord{Op: walDelIx, Ix: name})
-		s.eng.detachLocked(ix)
-		s.eng.mu.Unlock()
-	}
+	e := s.eng
+	e.mu.Lock()
+	e.logLocked(walRecord{Op: walDelIx, Ix: name})
+	e.detachLocked(ix)
+	e.mu.Unlock()
 	delete(s.indices, name)
 	return true
 }
 
 // Index is one named document collection. It is safe for concurrent use.
+// Its documents live in the memtable (mem) until a seal writes them into
+// a segment; refs locates every live document in one or the other.
 type Index struct {
 	name string
+	eng  *engine
 	mu   sync.RWMutex
-	docs map[string]Document
-	// order preserves insertion order for stable unsorted scans and
-	// FIFO retention. In persistent mode it is the merged scan order
-	// (ascending ord across memtable and segments).
+	// order is the scan order: every live id by ascending ord, which is
+	// insertion order (a replaced id keeps its slot). Unsorted scans and
+	// FIFO retention follow it.
 	order     []string
 	seq       uint64
 	retention int
 	evicted   uint64
-	// pe is the persistent-engine state; nil means in-memory.
-	pe *persistIndex
+	refs      map[string]ref
+	mem       map[string]memDoc
+	segs      []*segment
+	// dead collects ids deleted since the last manifest whose older
+	// copies may live in segments; sealed as tombstones.
+	dead map[string]bool
+	// watermark: every ord below it has been evicted (count-cap FIFO or
+	// Load replacement); segment entries below it are dropped at open.
+	watermark uint64
+	nextOrd   uint64
+	// dropped marks a detached (DeleteIndex'd) index: stale handles keep
+	// working in memory but no longer log to the WAL.
+	dropped bool
+	// sealing marks an index the seal in flight writes a segment for: a
+	// delete must leave a tombstone even while it has no segments yet.
+	sealing bool
 }
 
 // SetRetention caps the index at max documents: the oldest documents are
@@ -121,14 +145,16 @@ type Index struct {
 // archives millions of logs per day and cannot keep them forever). Zero
 // disables retention.
 func (ix *Index) SetRetention(max int) {
-	if ix.pe != nil {
-		ix.pe.setRetention(ix, max)
-		return
-	}
+	e := ix.eng
+	e.mu.Lock()
 	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	ix.retention = max
-	ix.enforceRetentionLocked()
+	if !ix.dropped {
+		e.logLocked(walRecord{Op: walCap, Ix: ix.name, Cap: max})
+	}
+	ix.enforceRetentionLocked(!ix.dropped)
+	ix.mu.Unlock()
+	e.mu.Unlock()
 }
 
 // Evicted returns how many documents retention has dropped.
@@ -138,91 +164,58 @@ func (ix *Index) Evicted() uint64 {
 	return ix.evicted
 }
 
-// enforceRetentionLocked drops the oldest documents past the cap.
-func (ix *Index) enforceRetentionLocked() {
-	if ix.retention <= 0 {
-		return
-	}
-	for len(ix.order) > ix.retention {
-		oldest := ix.order[0]
-		ix.order = ix.order[1:]
-		delete(ix.docs, oldest)
-		ix.evicted++
-	}
-}
-
-func newIndex(name string) *Index {
-	return &Index{name: name, docs: make(map[string]Document)}
-}
-
 // Name returns the index name.
 func (ix *Index) Name() string { return ix.name }
 
 // Put stores a document under the given ID, replacing any previous
 // version.
-func (ix *Index) Put(id string, doc Document) {
-	if ix.pe != nil {
-		ix.pe.put(ix, id, doc, false)
-		return
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, exists := ix.docs[id]; !exists {
-		ix.order = append(ix.order, id)
-	}
-	ix.docs[id] = cloneDoc(doc)
-	ix.enforceRetentionLocked()
-}
+func (ix *Index) Put(id string, doc Document) { ix.put(id, doc, false) }
 
 // PutAuto stores a document under a generated ID and returns the ID.
-func (ix *Index) PutAuto(doc Document) string {
-	if ix.pe != nil {
-		return ix.pe.put(ix, "", doc, true)
-	}
-	ix.mu.Lock()
-	ix.seq++
-	id := autoID(ix.name, ix.seq)
-	if _, exists := ix.docs[id]; !exists {
-		ix.order = append(ix.order, id)
-	}
-	ix.docs[id] = cloneDoc(doc)
-	ix.enforceRetentionLocked()
-	ix.mu.Unlock()
-	return id
-}
+func (ix *Index) PutAuto(doc Document) string { return ix.put("", doc, true) }
 
 // PutBatch stores docs under generated IDs, in order, with the outcome of
-// one PutAuto per document, but takes the locks once for the whole batch.
-// The store keeps the maps it is given: the caller must not modify them
-// afterwards. Documents already in the form the persistent engine keeps
-// (float64 numbers, RFC 3339 strings for times) are stored without a
-// second map being built.
+// one PutAuto per document, but takes the locks once for the whole batch:
+// every document is encoded before the locks are taken, then the batch is
+// applied and logged with one spill check, one retention pass and one
+// seal check. The store keeps the maps it is given: the caller must not
+// modify them afterwards. Documents already in canonical form (float64
+// numbers, RFC 3339 strings for times) are stored without a second map
+// being built.
 func (ix *Index) PutBatch(docs []Document) {
 	if len(docs) == 0 {
 		return
 	}
-	if ix.pe != nil {
-		ix.pe.putBatch(ix, docs)
-		return
+	e := ix.eng
+	type encoded struct {
+		md  memDoc
+		err error
 	}
+	enc := make([]encoded, len(docs))
+	for i, doc := range docs {
+		enc[i].md.raw, enc[i].md.doc, enc[i].err = encodeOwned(doc)
+	}
+	e.mu.Lock()
 	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for _, doc := range docs {
+	for i := range enc {
 		ix.seq++
 		id := autoID(ix.name, ix.seq)
-		_, exists := ix.docs[id]
-		if exists && ix.retention > 0 {
-			// A replaced id keeps its slot, so retention catches up first
-			// (see persistIndex.putBatch).
-			ix.enforceRetentionLocked()
-			_, exists = ix.docs[id]
+		if ix.retention > 0 {
+			if _, replace := ix.refs[id]; replace {
+				// A replaced id keeps its slot in the scan order, so
+				// count retention must catch up first for the outcome
+				// to equal one PutAuto per document.
+				ix.enforceRetentionLocked(!ix.dropped)
+			}
 		}
-		if !exists {
-			ix.order = append(ix.order, id)
-		}
-		ix.docs[id] = doc
+		ix.putLocked(id, enc[i].md, enc[i].err)
 	}
-	ix.enforceRetentionLocked()
+	ix.enforceRetentionLocked(!ix.dropped)
+	ix.mu.Unlock()
+	e.spillLocked()
+	job := e.maybeSealLocked()
+	e.mu.Unlock()
+	e.launch(job)
 }
 
 // autoID is the ID PutAuto and PutBatch give the document numbered seq.
@@ -234,48 +227,32 @@ func autoID(name string, seq uint64) string {
 func (ix *Index) Get(id string) (Document, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.pe != nil {
-		r, ok := ix.pe.refs[id]
-		if !ok {
-			return nil, false
-		}
-		return ix.pe.fetch(id, r, true)
-	}
-	doc, ok := ix.docs[id]
+	r, ok := ix.refs[id]
 	if !ok {
 		return nil, false
 	}
-	return cloneDoc(doc), true
+	return ix.fetch(id, r, true)
 }
 
 // Delete removes a document and reports whether it existed.
 func (ix *Index) Delete(id string) bool {
-	if ix.pe != nil {
-		return ix.pe.del(ix, id)
-	}
+	e := ix.eng
+	e.mu.Lock()
 	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.docs[id]; !ok {
-		return false
+	ok := ix.applyDelete(id)
+	if ok && !ix.dropped {
+		e.logLocked(walRecord{Op: walDel, Ix: ix.name, ID: id})
 	}
-	delete(ix.docs, id)
-	for i, oid := range ix.order {
-		if oid == id {
-			ix.order = append(ix.order[:i], ix.order[i+1:]...)
-			break
-		}
-	}
-	return true
+	ix.mu.Unlock()
+	e.mu.Unlock()
+	return ok
 }
 
 // Count returns the number of documents.
 func (ix *Index) Count() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.pe != nil {
-		return len(ix.pe.refs)
-	}
-	return len(ix.docs)
+	return len(ix.refs)
 }
 
 // Query selects documents. Zero-valued criteria are ignored.
@@ -297,64 +274,23 @@ type Query struct {
 	Limit int
 }
 
-// Search returns the matching documents.
+// Search returns the matching documents. A sorted, limited search takes
+// the top-k path (searchTopLocked); any other search, and one whose keys
+// are not all of one kind, scans in scan order and sorts.
 func (ix *Index) Search(q Query) []Hit {
 	ix.mu.RLock()
-	var hits []Hit
-	if ix.pe != nil {
-		if q.SortBy != "" && q.Limit > 0 {
-			if top, ok := ix.pe.searchTopLocked(q); ok {
-				ix.mu.RUnlock()
-				return top
-			}
-		}
-		ix.pe.scanLocked(ix, q, true, func(id string, doc Document) {
-			hits = append(hits, Hit{ID: id, Doc: doc})
-		})
-		ix.mu.RUnlock()
-		return sortAndLimitHits(hits, q)
-	}
-	// Select the hits under the read lock and copy only those returned:
-	// the newest-100 listing over an index of thousands pays 100 copies,
-	// not one per match.
-	defer ix.mu.RUnlock()
-	var sel *topK
 	if q.SortBy != "" && q.Limit > 0 {
-		sel = newTopK(q)
-		// Newest first when descending: on documents inserted roughly in
-		// key order the first offers fill the heap with the winners, and
-		// most later ones lose a single comparison against its root.
-		for n := range ix.order {
-			i := n
-			if q.Desc {
-				i = len(ix.order) - 1 - n
-			}
-			id := ix.order[i]
-			if doc := ix.docs[id]; matches(doc, q) {
-				if sel.offer(doc[q.SortBy], uint64(i), Hit{ID: id, Doc: doc}); sel.mixed {
-					break
-				}
-			}
+		if top, ok := ix.searchTopLocked(q); ok {
+			ix.mu.RUnlock()
+			return top
 		}
 	}
-	if sel != nil && !sel.mixed {
-		hits = sel.hits()
-	} else {
-		for _, id := range ix.order {
-			if doc := ix.docs[id]; matches(doc, q) {
-				hits = append(hits, Hit{ID: id, Doc: doc})
-			}
-		}
-		hits = sortAndLimitHits(hits, q)
-	}
-	if len(hits) == 0 {
-		return nil
-	}
-	out := make([]Hit, len(hits))
-	for i, h := range hits {
-		out[i] = Hit{ID: h.ID, Doc: cloneDoc(h.Doc)}
-	}
-	return out
+	var hits []Hit
+	ix.scanLocked(q, true, func(id string, doc Document) {
+		hits = append(hits, Hit{ID: id, Doc: doc})
+	})
+	ix.mu.RUnlock()
+	return sortAndLimitHits(hits, q)
 }
 
 // sortAndLimitHits applies the query's sort and limit to hits gathered
@@ -413,15 +349,7 @@ func (ix *Index) CountWhere(q Query) int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	n := 0
-	if ix.pe != nil {
-		ix.pe.scanLocked(ix, q, false, func(string, Document) { n++ })
-		return n
-	}
-	for _, doc := range ix.docs {
-		if matches(doc, q) {
-			n++
-		}
-	}
+	ix.scanLocked(q, false, func(string, Document) { n++ })
 	return n
 }
 
@@ -432,25 +360,13 @@ func (ix *Index) Histogram(q Query, timeField string, interval time.Duration) ([
 	if interval <= 0 {
 		return nil, nil
 	}
-	ix.mu.RLock()
 	counts := make(map[int64]int)
-	tally := func(_ string, doc Document) {
-		t, ok := asTime(doc[timeField])
-		if !ok {
-			return
+	ix.mu.RLock()
+	ix.scanLocked(q, false, func(_ string, doc Document) {
+		if t, ok := asTime(doc[timeField]); ok {
+			counts[t.UnixNano()/int64(interval)]++
 		}
-		bucket := t.UnixNano() / int64(interval)
-		counts[bucket]++
-	}
-	if ix.pe != nil {
-		ix.pe.scanLocked(ix, q, false, tally)
-	} else {
-		for _, doc := range ix.docs {
-			if matches(doc, q) {
-				tally("", doc)
-			}
-		}
-	}
+	})
 	ix.mu.RUnlock()
 
 	buckets := make([]int64, 0, len(counts))
@@ -479,24 +395,13 @@ type TermBucket struct {
 // most frequent first (the Elasticsearch terms aggregation the dashboard
 // uses for per-type anomaly counts).
 func (ix *Index) Terms(q Query, field string, limit int) []TermBucket {
-	ix.mu.RLock()
 	counts := make(map[string]int)
-	tally := func(_ string, doc Document) {
-		v, ok := doc[field]
-		if !ok {
-			return
+	ix.mu.RLock()
+	ix.scanLocked(q, false, func(_ string, doc Document) {
+		if v, ok := doc[field]; ok {
+			counts[fmt.Sprint(v)]++
 		}
-		counts[fmt.Sprint(v)]++
-	}
-	if ix.pe != nil {
-		ix.pe.scanLocked(ix, q, false, tally)
-	} else {
-		for _, doc := range ix.docs {
-			if matches(doc, q) {
-				tally("", doc)
-			}
-		}
-	}
+	})
 	ix.mu.RUnlock()
 
 	out := make([]TermBucket, 0, len(counts))
@@ -519,48 +424,43 @@ func (ix *Index) Terms(q Query, field string, limit int) []TermBucket {
 func (ix *Index) Dump() ([]byte, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.pe != nil {
-		docs := make(map[string]Document, len(ix.pe.refs))
-		for id, r := range ix.pe.refs {
-			doc, ok := ix.pe.fetch(id, r, false)
-			if !ok {
-				return nil, fmt.Errorf("store: dump index %q: unreadable document %q", ix.name, id)
-			}
-			docs[id] = doc
+	docs := make(map[string]Document, len(ix.refs))
+	for id, r := range ix.refs {
+		doc, ok := ix.fetch(id, r, false)
+		if !ok {
+			return nil, fmt.Errorf("store: dump index %q: unreadable document %q", ix.name, id)
 		}
-		return json.Marshal(docs)
+		docs[id] = doc
 	}
-	return json.Marshal(ix.docs)
+	return json.Marshal(docs)
 }
 
-// Load replaces the index contents from a Dump.
+// Load replaces the index contents from a Dump. The watermark jumps past
+// every pre-existing ord, which is what keeps old segment entries dead
+// across reopen without tombstoning each one.
 func (ix *Index) Load(data []byte) error {
 	var docs map[string]Document
 	if err := json.Unmarshal(data, &docs); err != nil {
 		return fmt.Errorf("store: load index %q: %w", ix.name, err)
 	}
-	if ix.pe != nil {
-		ix.pe.load(ix, data, docs)
-		return nil
-	}
+	e := ix.eng
+	e.mu.Lock()
 	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.docs = docs
-	ix.order = ix.order[:0]
-	ids := make([]string, 0, len(docs))
-	for id := range docs {
-		ids = append(ids, id)
+	ix.applyLoad(docs)
+	if !ix.dropped {
+		e.logLocked(walRecord{Op: walLoad, Ix: ix.name, Doc: json.RawMessage(data)})
 	}
-	sort.Strings(ids)
-	ix.order = ids
-	ix.seq = loadedSeq(ix.name, docs)
+	ix.mu.Unlock()
+	job := e.maybeSealLocked()
+	e.mu.Unlock()
+	e.launch(job)
 	return nil
 }
 
 // loadedSeq is an index's auto-ID sequence after a Load of docs: past
 // every generated ID the snapshot holds, so PutAuto after a snapshot
-// restore never reuses (and silently overwrites) one. Both engines
-// rebase on Load, the persistent one also on replay.
+// restore never reuses (and silently overwrites) one. Load and the
+// replay of its WAL record both rebase.
 func loadedSeq(name string, docs map[string]Document) uint64 {
 	seq := uint64(0)
 	prefix := name + "-"

@@ -73,7 +73,8 @@ func TestRangeAndSort(t *testing.T) {
 	if len(hits) != 5 {
 		t.Fatalf("hits = %d", len(hits))
 	}
-	if hits[0].Doc["n"] != 7 || hits[4].Doc["n"] != 3 {
+	// Numbers come back canonical: float64, as JSON decodes them.
+	if hits[0].Doc["n"] != 7.0 || hits[4].Doc["n"] != 3.0 {
 		t.Errorf("sort order wrong: %v ... %v", hits[0].Doc, hits[4].Doc)
 	}
 	// Open-ended range.
@@ -83,7 +84,7 @@ func TestRangeAndSort(t *testing.T) {
 	}
 	// Limit.
 	hits = ix.Search(Query{SortBy: "n", Limit: 3})
-	if len(hits) != 3 || hits[2].Doc["n"] != 2 {
+	if len(hits) != 3 || hits[2].Doc["n"] != 2.0 {
 		t.Errorf("limit: %v", hits)
 	}
 }

@@ -12,9 +12,8 @@ import (
 
 // Sorted, limited searches. A Search with SortBy and Limit > 0 — the
 // dashboard's "newest hundred" — selects its hits with a bounded heap
-// instead of sorting every match, parsing each sort key once. Both
-// engines share the selector; the persistent one also uses it to leave
-// whole segments unread (persistIndex.searchTopLocked).
+// instead of sorting every match, parsing each sort key once, and leaves
+// unread the segments that cannot hold a hit (Index.searchTopLocked).
 //
 // The result order is stated, not left to the sort algorithm: by key,
 // ties by insertion position, both reversed when descending — so a
@@ -102,7 +101,7 @@ func (a sortKey) compare(b sortKey) int {
 }
 
 // ranked is one candidate hit: its key and insertion position (the
-// index's scan order — an order index, or the persistent engine's ord).
+// document's ord).
 type ranked struct {
 	key sortKey
 	pos uint64

@@ -142,7 +142,7 @@ func TestTopKFallsBackOnMixedKinds(t *testing.T) {
 	}
 }
 
-// TestSearchTieOrderNewestFirst pins the tie order on both engines: many
+// TestSearchTieOrderNewestFirst pins the tie order in memory and on disk: many
 // documents with one ts come back newest-inserted first when descending
 // and oldest first when ascending, with or without a limit, across
 // seals, a replacement and a reopen.

@@ -1,4 +1,4 @@
-// Write-ahead log: every mutation of the persistent store is framed and
+// Write-ahead log: every mutation of the store is framed and
 // checksummed into wal-<generation>.log before (or with) its
 // acknowledgement, so a crash between manifest commits replays to exactly
 // the acknowledged state. The WAL is the only append-in-place file in the
@@ -12,7 +12,10 @@
 // wal[:walOnDisk] is on disk, the tail is pending. Records are framed
 // straight into it, an append writes the pending tail, a rewrite writes
 // the whole log as it is, and a seal truncates it to zero length, so the
-// buffer is reused from one generation to the next.
+// buffer is reused from one generation to the next. A volatile store
+// (one without a directory) keeps no byte log and writes no WAL file: it
+// only adds up its records' sizes (walRecordSize), so its seals come at
+// the same WAL size.
 package store
 
 import (
@@ -87,6 +90,13 @@ func appendWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
 		dst = strconv.AppendInt(dst, int64(rec.Cap), 10)
 	}
 	return append(dst, '}'), nil
+}
+
+// walRecordSize approximates the bytes appendWAL frames rec into: its
+// names, id and document plus an allowance for the frame header, the
+// field names and the numbers.
+func walRecordSize(rec *walRecord) int64 {
+	return int64(frame.HeaderSize + len(rec.Ix) + len(rec.ID) + len(rec.Doc) + 64)
 }
 
 // appendUintField appends an omitempty integer field.
