@@ -223,9 +223,10 @@ func (p *Pipeline) DeadLetters(max int) []bus.Message {
 // Checkpoint quiesces the pipeline at a micro-batch barrier and writes
 // one atomic checkpoint generation: committed offsets, cumulative
 // counters, model bindings, per-partition operator state, pending
-// quarantine strikes, and a store snapshot. On a running pipeline intake
-// pauses for the barrier and resumes afterward; on a stopped pipeline
-// the state is already quiescent. Returns the generation written.
+// quarantine strikes, and the store's manifest generation. On a running
+// pipeline intake pauses for the barrier and resumes afterward; on a
+// stopped pipeline the state is already quiescent. Returns the
+// generation written.
 func (p *Pipeline) Checkpoint() (uint64, error) {
 	if p.ckpt == nil {
 		return 0, fmt.Errorf("core: recovery disabled (no checkpoint dir)")
@@ -372,7 +373,7 @@ func engineSnapshot(name string, e *stream.Engine, running bool) recovery.Engine
 }
 
 // Restore loads the newest checkpoint into a freshly constructed, not
-// yet started pipeline: store snapshot, cumulative counters, model
+// yet started pipeline: the store generation, cumulative counters, model
 // bindings, per-partition operator state, pending quarantine strikes,
 // and the committed bus offsets (installed via SeekGroup so consumption
 // resumes exactly at the cut once the input is replayed onto the bus).

@@ -2,9 +2,11 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -140,8 +142,12 @@ func goldenRun(t *testing.T, prod []string) recoveryResult {
 // the pipeline (Kill: no drain, no commits), then builds a fresh
 // pipeline on the same checkpoint directory, restores, replays the full
 // corpus (the committed prefix is skipped via the restored offsets), and
-// returns the end state.
+// returns the end state. A negative ckptAt crashes before any checkpoint:
+// the restart finds none, trains afresh and replays from the start.
 func crashRun(t *testing.T, prod []string, ckptAt, killAt int) recoveryResult {
+	if ckptAt < 0 {
+		return crashRunUncheckpointed(t, prod, killAt)
+	}
 	t.Helper()
 	training, _ := conservationCorpus(0, 0)
 	dir := t.TempDir()
@@ -206,6 +212,64 @@ func crashRun(t *testing.T, prod []string, ckptAt, killAt int) recoveryResult {
 	return res
 }
 
+// crashRunUncheckpointed feeds killAt lines, syncs the store's WAL to
+// its file (the 32 KiB buffer or the flush loop does that on its own
+// long before the first checkpoint of a real run) and crashes; the
+// restart finds no checkpoint, trains afresh and replays the whole
+// corpus. Whatever the killed run stored must not come back beside it.
+func crashRunUncheckpointed(t *testing.T, prod []string, killAt int) recoveryResult {
+	t.Helper()
+	training, _ := conservationCorpus(0, 0)
+	dir := t.TempDir()
+
+	p1 := newRecoveryPipeline(t, dir, nil)
+	if _, _, err := p1.Train("recovery", training); err != nil {
+		t.Fatal(err)
+	}
+	if err := p1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ag1, err := p1.Agent("web", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, ag1, prod[:killAt])
+	if err := p1.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if p1.AnomalyCount() == 0 {
+		t.Fatal("the killed run stored no anomalies; the case needs some to notice a duplicate")
+	}
+	if err := p1.Store().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	p1.Kill()
+
+	p2 := newRecoveryPipeline(t, dir, nil)
+	if restored, err := p2.Restore(); err != nil || restored {
+		t.Fatalf("Restore = %v, %v; want no checkpoint", restored, err)
+	}
+	if _, _, err := p2.Train("recovery", training); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ag2, err := p2.Agent("web", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, ag2, prod)
+	if err := p2.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res := collectResult(p2)
+	if err := p2.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestCrashRecoveryKillPoints: kill the pipeline at several points
 // relative to the last checkpoint, restore from it, replay, and require
 // the exact end state of the uninterrupted golden run — same
@@ -226,6 +290,7 @@ func TestCrashRecoveryKillPoints(t *testing.T) {
 		name           string
 		ckptAt, killAt int
 	}{
+		{"no-checkpoint-kill-late", -1, 44},
 		{"empty-checkpoint-kill-early", 0, 12},
 		{"mid-checkpoint-kill-mid", 20, 35},
 		{"late-checkpoint-kill-at-end", 40, len(prod)},
@@ -239,10 +304,54 @@ func TestCrashRecoveryKillPoints(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsAnomalyScanOrder: anomalies with equal timestamps
+// list newest first by scan order, the tie-break of a sorted search, so
+// a restore must give that order back, not only the same documents: the
+// dashboard's newest-100 listing reads the same after a crash and a
+// restore as before. The pipeline sets only a checkpoint directory.
+func TestRestoreKeepsAnomalyScanOrder(t *testing.T) {
+	training, _ := conservationCorpus(0, 0)
+	dir := t.TempDir()
+	p1 := newRecoveryPipeline(t, dir, nil)
+	if _, _, err := p1.Train("recovery", training); err != nil {
+		t.Fatal(err)
+	}
+	if err := p1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ts := time.Date(2016, 2, 23, 9, 0, 31, 0, time.UTC)
+	for i := 0; i < 12; i++ {
+		p1.Store().Index(AnomaliesIndex).PutAuto(store.Document{"type": "missing-end-state", "ts": ts, "n": i})
+	}
+	newest := store.Query{SortBy: "ts", Desc: true, Limit: 100}
+	ids := func(hits []store.Hit) []string {
+		out := make([]string, len(hits))
+		for i, h := range hits {
+			out[i] = h.ID
+		}
+		return out
+	}
+	want := ids(p1.Anomalies(newest))
+	if _, err := p1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	p1.Kill()
+
+	p2 := newRecoveryPipeline(t, dir, nil)
+	if restored, err := p2.Restore(); err != nil || !restored {
+		t.Fatalf("Restore = %v, %v", restored, err)
+	}
+	if got := ids(p2.Anomalies(newest)); !reflect.DeepEqual(got, want) {
+		t.Errorf("newest anomalies after restore = %v, want %v", got, want)
+	}
+}
+
 // TestCrashRecoveryRejectedRestoreMutatesNothing: a checkpoint this
 // pipeline cannot hold — operator state for more partitions than it
 // runs, or for engines other than "main" — must be rejected before the
-// store, counters, models or partition state are touched.
+// store, counters, models or partition state are touched. The store
+// lives in the checkpoint directory, so a new pipeline opens it holding
+// what the killed one committed; the rejected restore must leave it so.
 func TestCrashRecoveryRejectedRestoreMutatesNothing(t *testing.T) {
 	const nParsed, nUnparsed = 20, 4
 	const sources = 8
@@ -269,7 +378,15 @@ func TestCrashRecoveryRejectedRestoreMutatesNothing(t *testing.T) {
 	}
 	p1.Kill()
 
-	assertUntouched := func(t *testing.T, p *Pipeline) {
+	// opened is what a pipeline's store holds before its Restore.
+	type opened struct {
+		anomalies []store.Hit
+		gen       uint64
+	}
+	open := func(p *Pipeline) opened {
+		return opened{p.Anomalies(store.Query{}), p.Store().Generation()}
+	}
+	assertUntouched := func(t *testing.T, p *Pipeline, before opened) {
 		t.Helper()
 		snap := p.Metrics().Snapshot()
 		for _, name := range []string{"core_lines_total", "core_parsed_total", "core_unparsed_total", "core_heartbeats_total"} {
@@ -286,8 +403,14 @@ func TestCrashRecoveryRejectedRestoreMutatesNothing(t *testing.T) {
 		if m := p.Model(); m != nil {
 			t.Errorf("Model = %q after rejected restore, want none", m.ID)
 		}
-		if hits := p.Anomalies(store.Query{}); len(hits) != 0 {
-			t.Errorf("anomaly index holds %d documents after rejected restore, want 0", len(hits))
+		if len(before.anomalies) == 0 {
+			t.Error("the reopened store holds no anomalies; the test needs some to notice a change")
+		}
+		if hits := p.Anomalies(store.Query{}); !reflect.DeepEqual(hits, before.anomalies) {
+			t.Errorf("anomaly index holds %d documents after rejected restore, want the %d it opened with", len(hits), len(before.anomalies))
+		}
+		if gen := p.Store().Generation(); gen != before.gen {
+			t.Errorf("store generation %d after rejected restore, want %d", gen, before.gen)
 		}
 		for i := 0; i < p.Engine().Partitions(); i++ {
 			sm, err := p.Engine().StateMap(i)
@@ -302,6 +425,7 @@ func TestCrashRecoveryRejectedRestoreMutatesNothing(t *testing.T) {
 
 	t.Run("partition-count", func(t *testing.T) {
 		p := newRecoveryPipeline(t, dir, func(cfg *Config) { cfg.Partitions = 4 })
+		before := open(p)
 		restored, err := p.Restore()
 		if err == nil || restored {
 			t.Fatalf("Restore into 4 partitions = (%v, %v), want a partition-count error", restored, err)
@@ -309,7 +433,7 @@ func TestCrashRecoveryRejectedRestoreMutatesNothing(t *testing.T) {
 		if !strings.Contains(err.Error(), "partition") {
 			t.Errorf("error %q does not name the partition mismatch", err)
 		}
-		assertUntouched(t, p)
+		assertUntouched(t, p, before)
 	})
 
 	t.Run("foreign-engines", func(t *testing.T) {
@@ -342,6 +466,7 @@ func TestCrashRecoveryRejectedRestoreMutatesNothing(t *testing.T) {
 		}
 
 		p := newRecoveryPipeline(t, dir, eight)
+		before := open(p)
 		restored, err := p.Restore()
 		if err == nil || restored {
 			t.Fatalf("Restore of a parse/detect checkpoint = (%v, %v), want an engine-name error", restored, err)
@@ -349,7 +474,7 @@ func TestCrashRecoveryRejectedRestoreMutatesNothing(t *testing.T) {
 		if !strings.Contains(err.Error(), `"parse"`) {
 			t.Errorf("error %q does not name the foreign engine", err)
 		}
-		assertUntouched(t, p)
+		assertUntouched(t, p, before)
 	})
 }
 
@@ -567,13 +692,17 @@ func TestSupervisorRestartEndToEnd(t *testing.T) {
 // TestCheckpointFailureKeepsPrevious: when the disk gives out mid-save
 // (chaos ENOSPC), the previous checkpoint generation must stay
 // restorable, the error must surface to the caller, and the checkpoint
-// health probe must go degraded.
+// health probe must go degraded. The store lives in the checkpoint
+// directory, on the same disk. Checkpoints are incremental — a save
+// writes what changed since the last one — so a burst of documents as
+// large as the whole first run lands between the two saves.
 func TestCheckpointFailureKeepsPrevious(t *testing.T) {
 	const nParsed, nUnparsed = 20, 4
 	training, prod := conservationCorpus(nParsed, nUnparsed)
 
-	// Measure how many bytes one checkpoint of this workload writes,
-	// using an unlimited fault FS as a pass-through byte counter.
+	// Measure how many bytes a run through one checkpoint of this
+	// workload writes, store included, using an unlimited fault FS as a
+	// pass-through byte counter.
 	meter := chaos.NewFaultFS(nil, chaos.FSConfig{}, nil)
 	p1 := newRecoveryPipeline(t, t.TempDir(), func(cfg *Config) {
 		cfg.Recovery.FS = meter
@@ -624,15 +753,18 @@ func TestCheckpointFailureKeepsPrevious(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first checkpoint should fit the budget: %v", err)
 	}
-	if _, err := p2.Checkpoint(); err == nil {
-		t.Fatal("second checkpoint should exhaust the budget")
+	p2.Store().Index(AnomaliesIndex).Put("burst", store.Document{"reason": strings.Repeat("x", int(oneCheckpoint))})
+	if _, err := p2.Checkpoint(); !errors.Is(err, chaos.ErrNoSpace) {
+		t.Fatalf("second checkpoint = %v, want it to exhaust the budget", err)
 	}
 	_, probes := ops.Health.Check()
 	if pr, ok := probes["checkpoint"]; !ok || pr.Status != obs.Degraded {
 		t.Errorf("checkpoint probe = %+v, want degraded after a failed save", pr)
 	}
-	if err := p2.Stop(); err != nil {
-		t.Fatal(err)
+	// The disk is still full, so the final seal of a clean stop fails
+	// too, and says so.
+	if err := p2.Stop(); !errors.Is(err, chaos.ErrNoSpace) {
+		t.Errorf("Stop on a full disk = %v, want ErrNoSpace", err)
 	}
 
 	// Generation 1 survived the torn save and restores cleanly.
@@ -647,6 +779,9 @@ func TestCheckpointFailureKeepsPrevious(t *testing.T) {
 	snap := p3.Metrics().Snapshot()
 	if got := snap.Counter("core_lines_total"); got != uint64(len(prod)) {
 		t.Errorf("restored core_lines_total = %d, want %d (generation %d)", got, len(prod), gen1)
+	}
+	if _, ok := p3.Store().Index(AnomaliesIndex).Get("burst"); ok {
+		t.Error("the document put after generation 1 survived its restore")
 	}
 }
 

@@ -1,22 +1,25 @@
 // Storage wiring: StorageConfig opens the pipeline's store in a data
-// directory, which makes it persistent and checkpoints incremental —
-// internal/recovery records the store's manifest generation instead of
-// copying every index. Without a directory the store runs the same
-// engine in memory.
+// directory, which makes it persistent. A checkpointed pipeline without
+// one keeps its store in the checkpoint directory, so every checkpoint
+// takes the one path: internal/recovery records the store's manifest
+// generation. Without either directory the store runs the same engine in
+// memory.
 package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"time"
 
 	"loglens/internal/fsx"
 	"loglens/internal/modelmgr"
 	"loglens/internal/obs"
+	"loglens/internal/recovery"
 	"loglens/internal/store"
 )
 
 // StorageConfig configures the pipeline's store. The zero value keeps it
-// in memory.
+// in memory, or in <Recovery.Dir>/store when recovery is on.
 type StorageConfig struct {
 	// Dir is the data directory; non-empty makes the store persistent.
 	Dir string
@@ -37,12 +40,28 @@ type StorageConfig struct {
 	RetentionInterval time.Duration
 }
 
-// openStore opens the pipeline's store: in cfg.Storage.Dir, or in memory
-// when it is empty.
+// openStore opens the pipeline's store: in cfg.Storage.Dir; failing
+// that in the store directory under cfg.Recovery.Dir, through the
+// checkpoints' filesystem; in memory when neither is set. A store under
+// the checkpoint directory holds only what a checkpoint describes: while
+// no checkpoint exists, whatever a killed run left there is removed, so
+// replaying the input from the start stores nothing twice.
 func openStore(cfg Config) (*store.Store, error) {
+	dir, fsys := cfg.Storage.Dir, cfg.Storage.FS
+	if dir == "" && fsys == nil && cfg.Recovery.enabled() {
+		dir, fsys = filepath.Join(cfg.Recovery.Dir, "store"), cfg.Recovery.FS
+		if fsys == nil {
+			fsys = fsx.OS{}
+		}
+		if _, ok, err := recovery.NewManager(fsys, cfg.Recovery.Dir).Load(); err == nil && !ok {
+			if err := fsys.RemoveAll(dir); err != nil {
+				return nil, fmt.Errorf("core: clear uncheckpointed store: %w", err)
+			}
+		}
+	}
 	st, err := store.Open(store.Options{
-		Dir:               cfg.Storage.Dir,
-		FS:                cfg.Storage.FS,
+		Dir:               dir,
+		FS:                fsys,
 		Clock:             cfg.Clock,
 		Retention:         cfg.Storage.Retention,
 		RetentionExempt:   []string{modelmgr.ModelsIndex},

@@ -1,9 +1,9 @@
 // Package recovery is the crash-recovery subsystem: periodic atomic
 // checkpoints of pipeline state (committed bus offsets, per-partition
-// operator state, model bindings, store snapshot generation), supervised
-// restarts with exponential backoff and a circuit breaker, and a
-// poison-record quarantine routing repeat offenders to a deadletter
-// topic.
+// operator state, model bindings, the store's manifest generation),
+// supervised restarts with exponential backoff and a circuit breaker,
+// and a poison-record quarantine routing repeat offenders to a
+// deadletter topic.
 //
 // The Spark substrate LogLens was designed on gets these for free from
 // the engine (checkpointing, task re-execution, at-least-once delivery);
@@ -14,8 +14,12 @@
 // Checkpoint layout under the checkpoint directory:
 //
 //	checkpoint-<gen>.json   the serialized Checkpoint (atomic write)
-//	store-<gen>/            the store snapshot backing that generation
 //	CURRENT                 name of the newest complete checkpoint file
+//
+// The store a checkpoint belongs to keeps its own directory (a pipeline
+// without a data directory puts it in store/ under the checkpoint
+// directory). A checkpoint names the store's manifest generation; the
+// store's immutable segment files back it in place.
 //
 // CURRENT is written last, atomically: a crash mid-save leaves it
 // pointing at the previous complete generation. Old generations beyond a
@@ -80,14 +84,10 @@ type Checkpoint struct {
 	Engines        []EngineState     `json:"engines,omitempty"`
 	// Quarantine carries pending poison-record strike counts.
 	Quarantine map[string]int `json:"quarantine,omitempty"`
-	// StoreDir names the store snapshot directory of this generation,
-	// relative to the checkpoint directory.
-	StoreDir string `json:"store_dir,omitempty"`
-	// StoreGen is the persistent store's manifest generation at the
-	// checkpoint barrier. When set, the snapshot is incremental: the
-	// store's immutable segment files back the checkpoint in place, and
-	// restore re-points the store at that generation instead of reloading
-	// a StoreDir copy.
+	// StoreGen is the store's manifest generation at the checkpoint
+	// barrier: the store's immutable segment files back the checkpoint in
+	// place, and restore re-points the store at that generation. Zero
+	// means the checkpoint was saved without a store.
 	StoreGen uint64 `json:"store_gen,omitempty"`
 }
 
@@ -131,19 +131,13 @@ func checkpointFile(gen uint64) string {
 	return "checkpoint-" + strconv.FormatUint(gen, 10) + ".json"
 }
 
-// parseGen extracts the generation from a checkpoint file or store dir
-// name; ok is false for foreign names.
+// parseGen extracts the generation from a checkpoint file name; ok is
+// false for foreign names.
 func parseGen(name string) (uint64, bool) {
-	var num string
-	switch {
-	case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".json"):
-		num = strings.TrimSuffix(strings.TrimPrefix(name, "checkpoint-"), ".json")
-	case strings.HasPrefix(name, "store-"):
-		num = strings.TrimPrefix(name, "store-")
-	default:
+	if !strings.HasPrefix(name, "checkpoint-") || !strings.HasSuffix(name, ".json") {
 		return 0, false
 	}
-	gen, err := strconv.ParseUint(num, 10, 64)
+	gen, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "checkpoint-"), ".json"), 10, 64)
 	if err != nil {
 		return 0, false
 	}
@@ -191,34 +185,29 @@ func (m *Manager) nextGeneration() uint64 {
 	return max + 1
 }
 
-// Save writes one complete checkpoint generation: the store snapshot
-// first, then the checkpoint JSON, then the CURRENT pointer — each
-// atomically, so a crash at any point leaves the previous generation
-// intact and discoverable. On success older generations beyond the keep
-// window are garbage-collected.
+// Save writes one complete checkpoint generation: the store's seal
+// first (st.Checkpoint, which pins the committed manifest generation),
+// then the checkpoint JSON, then the CURRENT pointer — each atomically,
+// so a crash at any point leaves the previous generation intact and
+// discoverable. A store that is not Persistent is refused: nothing could
+// restore its generation after a crash. On success older generations
+// beyond the keep window are garbage-collected.
 func (m *Manager) Save(cp *Checkpoint, st *store.Store) (uint64, error) {
+	if st != nil && !st.Persistent() {
+		return 0, fmt.Errorf("recovery: save: the store keeps no files, so its checkpoint could not be restored")
+	}
 	if err := m.fs.MkdirAll(m.dir, 0o755); err != nil {
 		return 0, fmt.Errorf("recovery: save: %w", err)
 	}
 	gen := m.nextGeneration()
 	cp.Generation = gen
-	cp.StoreDir, cp.StoreGen = "", 0
-	switch {
-	case st == nil:
-	case st.Persistent():
-		// Incremental: seal the store and pin the committed generation.
-		// The checkpoint references the store's immutable segments rather
-		// than copying every document.
+	cp.StoreGen = 0
+	if st != nil {
 		sg, err := st.Checkpoint()
 		if err != nil {
 			return 0, fmt.Errorf("recovery: checkpoint store: %w", err)
 		}
 		cp.StoreGen = sg
-	default:
-		cp.StoreDir = "store-" + strconv.FormatUint(gen, 10)
-		if err := st.SaveDirFS(m.fs, m.path(cp.StoreDir)); err != nil {
-			return 0, fmt.Errorf("recovery: save store snapshot: %w", err)
-		}
 	}
 	data, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {
@@ -235,21 +224,19 @@ func (m *Manager) Save(cp *Checkpoint, st *store.Store) (uint64, error) {
 	return gen, nil
 }
 
-// RestoreStore loads the checkpoint's store snapshot into st (no-op for
-// checkpoints without one). Persistent-store checkpoints re-point the
-// engine at the pinned manifest generation; in-memory checkpoints reload
-// the copied StoreDir snapshot.
+// RestoreStore re-points st at the manifest generation the checkpoint
+// pinned (a no-op without a store). A checkpoint without a store
+// generation is refused: restoring its offsets and counters over a store
+// it does not describe would lose documents without a word.
 func (m *Manager) RestoreStore(cp *Checkpoint, st *store.Store) error {
 	if st == nil {
 		return nil
 	}
-	if cp.StoreGen > 0 {
-		return st.LoadGeneration(cp.StoreGen)
+	if cp.StoreGen == 0 {
+		return fmt.Errorf("recovery: restore: checkpoint generation %d names no store generation "+
+			"(written by an older build's per-index snapshot format); clear %s and replay the input", cp.Generation, m.dir)
 	}
-	if cp.StoreDir == "" {
-		return nil
-	}
-	return st.LoadDirFS(m.fs, m.path(cp.StoreDir))
+	return st.LoadGeneration(cp.StoreGen)
 }
 
 // gc removes generations older than the keep window. Best-effort: GC
@@ -264,13 +251,7 @@ func (m *Manager) gc(newest uint64) {
 		return
 	}
 	for _, e := range entries {
-		gen, ok := parseGen(e.Name())
-		if !ok || gen >= floor {
-			continue
-		}
-		if e.IsDir() {
-			m.fs.RemoveAll(m.path(e.Name()))
-		} else {
+		if gen, ok := parseGen(e.Name()); ok && gen < floor {
 			m.fs.Remove(m.path(e.Name()))
 		}
 	}
@@ -285,7 +266,7 @@ func (m *Manager) Generations() []uint64 {
 	}
 	seen := make(map[uint64]bool)
 	for _, e := range entries {
-		if gen, ok := parseGen(e.Name()); ok && strings.HasSuffix(e.Name(), ".json") {
+		if gen, ok := parseGen(e.Name()); ok {
 			seen[gen] = true
 		}
 	}

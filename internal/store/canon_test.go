@@ -164,12 +164,8 @@ func TestRecordEncodersMatchMarshal(t *testing.T) {
 		{Op: walPut, Ix: "logs-web01", ID: "logs-web01-7", Ord: 6, Seq: 7, Doc: raw},
 		{Op: walPut, Ix: "ix\xff<&>", ID: "", Doc: json.RawMessage(`{}`)},
 		{Op: walDel, Ix: "logs", ID: "id\u2028"},
-		{Op: walRetn, Ix: "logs", W: 10, Ev: 3},
-		{Op: walCap, Ix: "logs", Cap: -1},
-		{Op: walCap, Ix: "logs"},
 		{Op: walMkIx, Ix: "logs"},
 		{Op: walDelIx, Ix: "logs"},
-		{Op: walLoad, Ix: "logs", Doc: json.RawMessage(`{ "a" : {"x": 1} }`)},
 	}
 	for _, rec := range recs {
 		want, err := json.Marshal(&rec)

@@ -50,6 +50,10 @@ type sealPlan struct {
 	// drop lists age-retention victim segments per index; always a
 	// prefix of the index's segment list (buckets are monotone).
 	drop map[*Index]map[*segment]bool
+	// pin (Checkpoint) commits a generation even when nothing changed
+	// and lists it among its own pins, so a reopen right after the
+	// checkpoint still keeps it from GC.
+	pin bool
 }
 
 // sealJob is one seal between its cut and its commit.
@@ -150,7 +154,7 @@ func (e *engine) cutLocked(plan sealPlan) (*sealJob, error) {
 	if err := e.flushWALLocked(); err != nil {
 		return nil, err
 	}
-	changed := e.walSize() > 0
+	changed := e.walSize() > 0 || plan.pin
 	for _, victims := range plan.drop {
 		if len(victims) > 0 {
 			changed = true
@@ -167,22 +171,23 @@ func (e *engine) cutLocked(plan sealPlan) (*sealJob, error) {
 		m: &manifest{
 			Generation: newGen,
 			WAL:        walName(newGen),
-			Pins:       append([]uint64(nil), e.pins...),
+			Pins:       slices.Clone(e.pins),
 		},
 		walLen:  len(e.wal),
 		walSize: e.walSize(),
 		bucket:  e.clk.Now().Truncate(e.opts.BucketDuration),
 	}
+	if plan.pin {
+		job.m.Pins = pinned(e.pins, newGen)
+	}
 	for _, ix := range ordered {
 		st := e.cutIndex(ix, plan)
 		job.idx = append(job.idx, st)
 		job.m.Indices = append(job.m.Indices, manifestIndex{
-			Name:      ix.name,
-			Seq:       ix.seq,
-			Evicted:   ix.evicted + st.evicted,
-			Retention: ix.retention,
-			Watermark: ix.watermark,
-			NextOrd:   ix.nextOrd,
+			Name:    ix.name,
+			Seq:     ix.seq,
+			Evicted: ix.evicted + st.evicted,
+			NextOrd: ix.nextOrd,
 		})
 	}
 	job.m.NextSeg = e.nextSeg
@@ -352,6 +357,7 @@ func (e *engine) commitLocked(job *sealJob, err error) error {
 	}
 	e.gen = job.m.Generation
 	e.manifests[e.gen] = job.m
+	e.pins = job.m.Pins
 	// Every document the cut captured is re-pointed or replaced by now,
 	// so no memtable document still aliases the WAL bytes being
 	// overwritten (replayWAL's documents do).
@@ -452,9 +458,9 @@ func (e *engine) commitIndex(st *stagedIndex) {
 
 // evictOrphansLocked drops every id whose ref fails keep — the ids whose
 // only copy sat in an age-dropped segment. They leave the scan order and
-// count as evicted, exactly like FIFO retention. It walks the whole scan
-// order, so commitIndex calls it only when a dropped segment held live
-// documents; every other seal stays linear in the memtable.
+// count as evicted. It walks the whole scan order, so commitIndex calls
+// it only when a dropped segment held live documents; every other seal
+// stays linear in the memtable.
 func evictOrphansLocked(ix *Index, keep func(ref) bool) {
 	out := ix.order[:0]
 	for _, id := range ix.order {

@@ -45,6 +45,7 @@ import (
 	"io/fs"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -324,12 +325,10 @@ func (e *engine) scanManifests() {
 
 // loadIndex rebuilds one index's directory from its manifest entry:
 // segments processed oldest to newest, newer entries shadowing older
-// ones, tombstones erasing, watermarked ords dropped.
+// ones, tombstones erasing.
 func (e *engine) loadIndex(ix *Index, mi *manifestIndex) error {
 	ix.seq = mi.Seq
 	ix.evicted = mi.Evicted
-	ix.retention = mi.Retention
-	ix.watermark = mi.Watermark
 	ix.nextOrd = mi.NextOrd
 	ix.segs = ix.segs[:0]
 	ix.refs = make(map[string]ref)
@@ -350,9 +349,6 @@ func (e *engine) loadIndex(ix *Index, mi *manifestIndex) error {
 					}
 					delete(ix.refs, en.ID)
 				}
-				continue
-			}
-			if en.Ord < ix.watermark {
 				continue
 			}
 			if old, ok := ix.refs[en.ID]; ok && old.seg != nil {
@@ -433,14 +429,17 @@ func (e *engine) replayWAL() error {
 	e.walOnDisk = int64(valid)
 	e.walDirty = valid < len(data)
 	for i := range recs {
-		e.applyRecord(&recs[i])
+		if err := e.applyRecord(&recs[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // applyRecord replays one WAL record. Mutation helpers are shared with
-// the live write path so replay is bit-identical.
-func (e *engine) applyRecord(rec *walRecord) {
+// the live write path so replay is bit-identical. A record whose op it
+// does not know fails the open: skipping it would drop a mutation.
+func (e *engine) applyRecord(rec *walRecord) error {
 	switch rec.Op {
 	case walMkIx:
 		e.ensureIndexLocked(rec.Ix)
@@ -453,7 +452,7 @@ func (e *engine) applyRecord(rec *walRecord) {
 		ix := e.ensureIndexLocked(rec.Ix)
 		var doc Document
 		if err := json.Unmarshal(rec.Doc, &doc); err != nil {
-			return
+			return nil
 		}
 		ix.applyPut(rec.ID, rec.Ord, memDoc{doc: doc, raw: rec.Doc})
 		ix.seq = rec.Seq
@@ -461,23 +460,10 @@ func (e *engine) applyRecord(rec *walRecord) {
 		if ix := e.byName[rec.Ix]; ix != nil {
 			ix.applyDelete(rec.ID)
 		}
-	case walRetn:
-		if ix := e.byName[rec.Ix]; ix != nil {
-			ix.applyWatermark(rec.W, rec.Ev)
-		}
-	case walCap:
-		if ix := e.byName[rec.Ix]; ix != nil {
-			ix.retention = rec.Cap
-			ix.enforceRetentionLocked(false)
-		}
-	case walLoad:
-		ix := e.ensureIndexLocked(rec.Ix)
-		var docs map[string]Document
-		if err := json.Unmarshal(rec.Doc, &docs); err != nil {
-			return
-		}
-		ix.applyLoad(docs)
+	default:
+		return fmt.Errorf("store: open: wal %s: unknown op %q", e.walFile, rec.Op)
 	}
+	return nil
 }
 
 // ensureIndexLocked returns the named index, creating and registering it
@@ -717,13 +703,14 @@ func (e *engine) gcLocked() {
 	}
 }
 
-// pinLocked remembers gen as checkpoint-referenced; the last two pins are
-// kept, mirroring recovery's keep-2 checkpoint GC.
-func (e *engine) pinLocked(gen uint64) {
-	e.pins = append(e.pins, gen)
-	if len(e.pins) > 2 {
-		e.pins = e.pins[len(e.pins)-2:]
+// pinned is pins with gen added as checkpoint-referenced; the last two
+// pins are kept, mirroring recovery's keep-2 checkpoint GC.
+func pinned(pins []uint64, gen uint64) []uint64 {
+	pins = append(slices.Clone(pins), gen)
+	if len(pins) > 2 {
+		pins = pins[len(pins)-2:]
 	}
+	return pins
 }
 
 func (e *engine) startLoops() {
@@ -802,7 +789,6 @@ func (ix *Index) put(id string, doc Document, auto bool) string {
 		id = autoID(ix.name, ix.seq)
 	}
 	ix.putLocked(id, memDoc{doc: cdoc, raw: raw}, cerr)
-	ix.enforceRetentionLocked(!ix.dropped)
 	ix.mu.Unlock()
 	e.spillLocked()
 	job := e.maybeSealLocked()
@@ -876,82 +862,6 @@ func (ix *Index) applyDelete(id string) bool {
 		}
 	}
 	return true
-}
-
-// enforceRetentionLocked applies the count cap: FIFO eviction off the
-// order front, watermark advanced past the evicted ords, one retn record
-// summarizing the batch.
-func (ix *Index) enforceRetentionLocked(logIt bool) {
-	if ix.retention <= 0 {
-		return
-	}
-	evictedAny := false
-	for len(ix.order) > ix.retention {
-		id := ix.order[0]
-		ix.order = ix.order[1:]
-		r := ix.refs[id]
-		delete(ix.refs, id)
-		delete(ix.mem, id)
-		delete(ix.dead, id)
-		if r.seg != nil {
-			r.seg.live--
-		}
-		ix.evicted++
-		ix.watermark = r.ord + 1
-		evictedAny = true
-	}
-	if evictedAny && logIt && !ix.dropped {
-		ix.eng.logLocked(walRecord{Op: walRetn, Ix: ix.name, W: ix.watermark, Ev: ix.evicted})
-	}
-}
-
-// applyWatermark replays a retn record: evict every ord below w.
-func (ix *Index) applyWatermark(w, ev uint64) {
-	for len(ix.order) > 0 {
-		id := ix.order[0]
-		r := ix.refs[id]
-		if r.ord >= w {
-			break
-		}
-		ix.order = ix.order[1:]
-		delete(ix.refs, id)
-		delete(ix.mem, id)
-		delete(ix.dead, id)
-		if r.seg != nil {
-			r.seg.live--
-		}
-	}
-	if w > ix.watermark {
-		ix.watermark = w
-	}
-	ix.evicted = ev
-}
-
-func (ix *Index) applyLoad(docs map[string]Document) {
-	for _, r := range ix.refs {
-		if r.seg != nil {
-			r.seg.live--
-		}
-	}
-	ix.refs = make(map[string]ref, len(docs))
-	ix.mem = make(map[string]memDoc, len(docs))
-	ix.dead = make(map[string]bool)
-	ix.watermark = ix.nextOrd
-	ix.order = ix.order[:0]
-	ix.seq = loadedSeq(ix.name, docs)
-	ids := make([]string, 0, len(docs))
-	for id := range docs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		ord := ix.nextOrd
-		ix.nextOrd++
-		ix.eng.stamp++
-		ix.refs[id] = ref{ord: ord, off: int64(ix.eng.stamp)}
-		ix.mem[id] = memDoc{doc: docs[id], ord: ord}
-		ix.order = append(ix.order, id)
-	}
 }
 
 // --- Index reads -----------------------------------------------------

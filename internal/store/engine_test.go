@@ -302,40 +302,6 @@ func TestEngineCompactResolvesGarbage(t *testing.T) {
 	}
 }
 
-func TestEngineCountCapRetentionAcrossSegments(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, clock.NewFake())
-	ix := s.Index("logs")
-	ix.SetRetention(5)
-	for i := 0; i < 8; i++ {
-		ix.Put(fmt.Sprintf("d%d", i), Document{"n": i})
-		if i == 3 {
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if n, ev := ix.Count(), ix.Evicted(); n != 5 || ev != 3 {
-		t.Fatalf("Count, Evicted = %d, %d; want 5, 3", n, ev)
-	}
-	if _, ok := ix.Get("d2"); ok {
-		t.Fatal("FIFO-evicted doc still visible")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Watermark persists: sealed copies of evicted docs stay dead.
-	s2 := openTest(t, dir, clock.NewFake())
-	defer s2.Close()
-	ix2 := s2.Index("logs")
-	if n, ev := ix2.Count(), ix2.Evicted(); n != 5 || ev != 3 {
-		t.Fatalf("after reopen: Count, Evicted = %d, %d; want 5, 3", n, ev)
-	}
-	if _, ok := ix2.Get("d7"); !ok {
-		t.Fatal("retained doc lost")
-	}
-}
-
 // TestEngineRetentionDeterminism drives the fake clock through a golden
 // scenario: hourly buckets, 3h retention, one segment sealed per hour.
 // The evicted counts and segment counts at every step are fixed by the
@@ -512,49 +478,6 @@ func TestEngineDeleteIndex(t *testing.T) {
 	}
 }
 
-func TestEngineDumpLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, clock.NewFake())
-	ix := s.Index("logs")
-	ix.Put("a", Document{"v": 1})
-	ix.Put("b", Document{"v": 2})
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ix.Put("c", Document{"v": 3})
-	dump, err := ix.Dump()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.Put("d", Document{"v": 4})
-	if err := ix.Load(dump); err != nil {
-		t.Fatal(err)
-	}
-	if n := ix.Count(); n != 3 {
-		t.Fatalf("Count after Load = %d, want 3", n)
-	}
-	if _, ok := ix.Get("d"); ok {
-		t.Fatal("Load did not replace contents")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Loaded state survives reopen; pre-Load sealed copies stay dead.
-	s2 := openTest(t, dir, clock.NewFake())
-	defer s2.Close()
-	var got map[string]Document
-	data, err := s2.Index("logs").Dump()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got["a"]["v"] != float64(1) || got["c"]["v"] != float64(3) {
-		t.Fatalf("after reopen: %v", got)
-	}
-}
-
 func TestEngineWALTornTailRecovered(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, clock.NewFake())
@@ -725,71 +648,72 @@ func TestEngineBackgroundLoops(t *testing.T) {
 	}
 }
 
+// contents is an index's documents in scan order, as an unsorted,
+// unlimited Search returns them: what tests compare two stores by.
+func contents(ix *Index) []Hit { return ix.Search(Query{}) }
+
 // TestEngineWALReplayAllOps covers the crash-replay path for every WAL
-// record type at once: caps, watermarks, index deletion, and bulk loads
-// must all reconstruct from the log alone (no flush before the abort).
+// record type at once: puts, deletes, index creation and deletion must
+// all reconstruct from the log alone (no flush before the abort). A
+// record whose op replay does not know — here the "load" record of the
+// removed snapshot path — fails the open and names the op.
 func TestEngineWALReplayAllOps(t *testing.T) {
 	dir := t.TempDir()
 	clk := clock.NewFake()
 	s := openTest(t, dir, clk)
 	logs := s.Index("logs")
-	logs.SetRetention(3)
 	for i := 0; i < 6; i++ {
-		logs.Put(fmt.Sprintf("d%d", i), Document{"n": i}) // evicts d0..d2 via cap
+		logs.Put(fmt.Sprintf("d%d", i), Document{"n": i})
 	}
+	logs.Put("d1", Document{"n": 10}) // a replaced id keeps its slot
 	logs.Delete("d4")
 	doomed := s.Index("doomed")
 	doomed.Put("x", Document{"n": 1})
 	s.DeleteIndex("doomed")
-	loaded := s.Index("loaded")
-	if err := loaded.Load([]byte(`{"l1":{"v":"one"},"l2":{"v":"two"}}`)); err != nil {
-		t.Fatal(err)
-	}
+	s.Index("empty")
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	want := contents(logs)
 	s.Abort() // crash: only the WAL survives
 
 	s2 := openTest(t, dir, clk)
-	defer s2.Close()
-	l2 := s2.Index("logs")
-	if n := l2.Count(); n != 2 {
-		t.Fatalf("replayed Count = %d, want 2 (cap 3, one deleted)", n)
+	if got := contents(s2.Index("logs")); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed logs = %v, want %v", got, want)
 	}
-	if ev := l2.Evicted(); ev != 3 {
-		t.Fatalf("replayed Evicted = %d, want 3", ev)
+	if got := fmt.Sprint(s2.Indices()); got != "[empty logs]" {
+		t.Fatalf("replayed indices = %s, want [empty logs]", got)
 	}
-	for _, gone := range []string{"d0", "d1", "d2", "d4"} {
-		if _, ok := l2.Get(gone); ok {
-			t.Fatalf("%s resurrected by WAL replay", gone)
-		}
+	wal := filepath.Join(dir, s2.eng.walFile)
+	s2.Abort()
+
+	// An older build's WAL may end in a record this one no longer knows.
+	rec, err := appendWAL(nil, &walRecord{Op: "load", Ix: "logs", Doc: json.RawMessage(`{"l1":{"v":"one"}}`)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := l2.Get("d5"); !ok {
-		t.Fatal("d5 lost in WAL replay")
+	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Cap replays too: pushing past the cap still evicts the oldest.
-	l2.Put("d6", Document{"n": 6})
-	l2.Put("d7", Document{"n": 7})
-	if _, ok := l2.Get("d3"); ok {
-		t.Fatal("replayed retention cap not enforced on new puts")
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
 	}
-	if n := l2.Count(); n != 3 {
-		t.Fatalf("Count after pushing past the cap = %d, want 3", n)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range s2.Indices() {
-		if name == "doomed" {
-			t.Fatal("deleted index resurrected by WAL replay")
-		}
-	}
-	if doc, ok := s2.Index("loaded").Get("l2"); !ok || doc["v"] != "two" {
-		t.Fatalf("bulk load lost in WAL replay: %v %v", doc, ok)
+	if s3, err := Open(Options{Dir: dir, Clock: clk}); err == nil {
+		s3.Abort()
+		t.Fatal("Open replayed a WAL holding an unknown op")
+	} else if !strings.Contains(err.Error(), `"load"`) {
+		t.Fatalf("Open error %q does not name the unknown op", err)
 	}
 }
 
-// TestEnginePutBatchMatchesPutAuto: a batch under a retention cap, whose
-// auto IDs run into a manually put document that the cap evicts
-// mid-batch, ends exactly as one PutAuto per document would — in
-// memory, on disk live, and on disk after its WAL alone is replayed.
+// TestEnginePutBatchMatchesPutAuto: a batch whose auto IDs run into a
+// manually put document ends exactly as one PutAuto per document would
+// — the replaced id keeping its slot in the scan order — in memory, on
+// disk live, and on disk after its WAL alone is replayed.
 func TestEnginePutBatchMatchesPutAuto(t *testing.T) {
 	batch := func() []Document {
 		docs := make([]Document, 6)
@@ -803,7 +727,7 @@ func TestEnginePutBatchMatchesPutAuto(t *testing.T) {
 	}
 	prime := func(s *Store) *Index {
 		ix := s.Index("logs")
-		ix.SetRetention(2)
+		ix.Put("first", Document{"manual": true})
 		ix.Put("logs-3", Document{"manual": true})
 		return ix
 	}
@@ -812,28 +736,14 @@ func TestEnginePutBatchMatchesPutAuto(t *testing.T) {
 	for _, doc := range batch() {
 		oix.PutAuto(doc)
 	}
-	want, err := oix.Dump()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev := oix.Evicted(); ev != 5 {
-		t.Fatalf("oracle Evicted = %d, want 5 (the manual logs-3, then logs-1 to logs-4)", ev)
+	want := contents(oix)
+	if len(want) != 7 || want[1].ID != "logs-3" || want[1].Doc["n"] != float64(2) {
+		t.Fatalf("oracle = %v, want logs-3 replaced in its slot", want)
 	}
 	check := func(what string, ix *Index) {
 		t.Helper()
-		got, err := ix.Dump()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var g, w map[string]Document
-		if err := json.Unmarshal(got, &g); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(want, &w); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(g, w) || ix.Evicted() != oix.Evicted() {
-			t.Errorf("%s: docs %s evicted %d, want %s evicted %d", what, got, ix.Evicted(), want, oix.Evicted())
+		if got := contents(ix); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %v, want %v", what, got, want)
 		}
 	}
 	mem := prime(New())

@@ -147,7 +147,7 @@ func FuzzManifestDecode(f *testing.F) {
 		NextSeg:    7,
 		Pins:       []uint64{1},
 		Indices: []manifestIndex{{
-			Name: "logs", Seq: 2, Watermark: 1, NextOrd: 9,
+			Name: "logs", Seq: 2, Evicted: 1, NextOrd: 9,
 			Segments: []manifestSegment{{File: "seg/000001-logs.seg", Bytes: 128, CRC: 42, Count: 3}},
 		}},
 	})
@@ -215,7 +215,7 @@ func FuzzWALDecode(f *testing.F) {
 	recs := []walRecord{
 		{Op: walPut, Ix: "logs", ID: "a", Ord: 1, Doc: json.RawMessage(`{"n":1}`)},
 		{Op: walDel, Ix: "logs", ID: "a"},
-		{Op: walRetn, Ix: "logs", W: 3, Ev: 2},
+		{Op: walDelIx, Ix: "logs"},
 	}
 	good, err := encodeWAL(nil, recs)
 	if err != nil {

@@ -37,13 +37,11 @@ type manifestSegment struct {
 // that cannot be rebuilt from segments alone, plus the segment list in
 // scan order (oldest first).
 type manifestIndex struct {
-	Name      string            `json:"name"`
-	Seq       uint64            `json:"seq,omitempty"`
-	Evicted   uint64            `json:"evicted,omitempty"`
-	Retention int               `json:"retention,omitempty"`
-	Watermark uint64            `json:"watermark,omitempty"`
-	NextOrd   uint64            `json:"next_ord,omitempty"`
-	Segments  []manifestSegment `json:"segments,omitempty"`
+	Name     string            `json:"name"`
+	Seq      uint64            `json:"seq,omitempty"`
+	Evicted  uint64            `json:"evicted,omitempty"`
+	NextOrd  uint64            `json:"next_ord,omitempty"`
+	Segments []manifestSegment `json:"segments,omitempty"`
 }
 
 // manifest is one generation of the store.

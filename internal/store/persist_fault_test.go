@@ -1,185 +1,13 @@
 package store
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"loglens/internal/chaos"
 	"loglens/internal/fsx"
 )
-
-// seedStore builds a store with a few indices and saves it to dir.
-func seedStore(t *testing.T, dir string) *Store {
-	t.Helper()
-	s := New()
-	s.Index("anomalies").Put("a1", Document{"type": "missing-end-state"})
-	s.Index("models").Put("m1", Document{"body": "{}"})
-	s.Index("logs-web").Put("l1", Document{"raw": "line"})
-	if err := s.SaveDirFS(nil, dir); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestLoadDirCorruptSnapshotLeavesStoreUntouched: the all-or-nothing
-// guarantee — a corrupt file among valid ones must not half-replace the
-// store.
-func TestLoadDirCorruptSnapshotLeavesStoreUntouched(t *testing.T) {
-	dir := t.TempDir()
-	seedStore(t, dir)
-	// Corrupt one of the three snapshots.
-	if err := os.WriteFile(filepath.Join(dir, indexFile("models")), []byte(`{"m1": {truncat`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := New()
-	s2.Index("anomalies").Put("old", Document{"type": "pre-existing"})
-	if err := s2.LoadDirFS(nil, dir); err == nil {
-		t.Fatal("corrupt snapshot must fail the load")
-	}
-	// Nothing was replaced: the pre-existing doc survives and no index
-	// was partially installed.
-	if _, ok := s2.Index("anomalies").Get("old"); !ok {
-		t.Error("load failure replaced the anomalies index (half-applied load)")
-	}
-	if _, ok := s2.Index("anomalies").Get("a1"); ok {
-		t.Error("load failure installed snapshot contents despite the error")
-	}
-	for _, name := range s2.Indices() {
-		if name == "logs-web" {
-			t.Error("load failure created the logs-web index (half-applied load)")
-		}
-	}
-}
-
-// TestLoadDirTruncatedMidWrite: a snapshot torn by a crash mid-write
-// (simulated by the chaos filesystem's short write) must fail the load
-// without half-replacing the store.
-func TestLoadDirTruncatedMidWrite(t *testing.T) {
-	dir := t.TempDir()
-	s := seedStore(t, dir)
-
-	// Re-save through a chaos filesystem that tears one write. SaveDirFS
-	// goes through the atomic writer, so the torn temp file must never
-	// land on a live snapshot path.
-	ffs := chaos.NewFaultFS(fsx.OS{}, chaos.FSConfig{Seed: 11, ShortWrite: 0.5}, nil)
-	err := s.SaveDirFS(ffs, dir)
-	if st := ffs.Stats(); st.ShortWrites == 0 {
-		t.Fatalf("chaos plan injected no short writes (stats %+v)", st)
-	}
-	if err == nil {
-		t.Fatal("save through tearing filesystem must report the error")
-	}
-
-	// Every live snapshot still parses: torn bytes only ever hit .tmp
-	// paths, and a reload sees a consistent (if older) generation.
-	s2 := New()
-	if err := s2.LoadDirFS(nil, dir); err != nil {
-		t.Fatalf("LoadDirFS after torn save: %v", err)
-	}
-	if _, ok := s2.Index("anomalies").Get("a1"); !ok {
-		t.Error("previous generation lost after torn save")
-	}
-
-	// Now plant a genuinely torn file at a live path (the pre-atomic
-	// failure mode) and confirm the all-or-nothing load rejects it.
-	full, err := os.ReadFile(filepath.Join(dir, indexFile("models")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, indexFile("models")), full[:len(full)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3 := New()
-	s3.Index("marker").Put("x", Document{"keep": true})
-	if err := s3.LoadDirFS(nil, dir); err == nil {
-		t.Fatal("truncated snapshot must fail the load")
-	}
-	if _, ok := s3.Index("marker").Get("x"); !ok {
-		t.Error("failed load mutated unrelated index")
-	}
-	if len(s3.Indices()) != 1 {
-		t.Errorf("failed load installed indices: %v", s3.Indices())
-	}
-}
-
-// TestSaveDirWriteErrorSurfacesAndKeepsOldSnapshot: an injected write
-// error fails the save loudly while the previous on-disk generation
-// stays loadable.
-func TestSaveDirWriteErrorSurfacesAndKeepsOldSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	s := seedStore(t, dir)
-	s.Index("anomalies").Put("a2", Document{"type": "new-generation"})
-
-	ffs := chaos.NewFaultFS(fsx.OS{}, chaos.FSConfig{Seed: 5, WriteError: 1}, nil)
-	err := s.SaveDirFS(ffs, dir)
-	if !errors.Is(err, chaos.ErrInjectedWrite) {
-		t.Fatalf("err = %v, want ErrInjectedWrite", err)
-	}
-	s2 := New()
-	if err := s2.LoadDirFS(nil, dir); err != nil {
-		t.Fatalf("old generation unloadable after failed save: %v", err)
-	}
-	if _, ok := s2.Index("anomalies").Get("a1"); !ok {
-		t.Error("old generation lost")
-	}
-}
-
-// TestSaveDirENOSPCMidSave: the disk filling up mid-save errors out, and
-// whatever subset of indices was rewritten is individually consistent —
-// a reload parses every file.
-func TestSaveDirENOSPCMidSave(t *testing.T) {
-	dir := t.TempDir()
-	s := seedStore(t, dir)
-	ffs := chaos.NewFaultFS(fsx.OS{}, chaos.FSConfig{Seed: 9, ENOSPCAfter: 40}, nil)
-	err := s.SaveDirFS(ffs, dir)
-	if !errors.Is(err, chaos.ErrNoSpace) {
-		t.Fatalf("err = %v, want ErrNoSpace", err)
-	}
-	s2 := New()
-	if err := s2.LoadDirFS(nil, dir); err != nil {
-		t.Fatalf("store unloadable after ENOSPC save: %v", err)
-	}
-	if len(s2.Indices()) != 3 {
-		t.Errorf("indices after ENOSPC reload = %v", s2.Indices())
-	}
-}
-
-// TestSaveDirStaleCleanupSkipsTempFiles: the stale-index sweep removes
-// obsolete snapshots but leaves non-snapshot names (e.g. in-flight .tmp
-// files from a concurrent saver) alone.
-func TestSaveDirStaleCleanupSkipsTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	s := seedStore(t, dir)
-	tmp := filepath.Join(dir, indexFile("other")+".tmp")
-	if err := os.WriteFile(tmp, []byte("in flight"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s.DeleteIndex("logs-web")
-	if err := s.SaveDirFS(nil, dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(tmp); err != nil {
-		t.Error("stale sweep removed an in-flight temp file")
-	}
-	if _, err := os.Stat(filepath.Join(dir, indexFile("logs-web"))); err == nil {
-		t.Error("stale snapshot survived the sweep")
-	}
-	entries, _ := os.ReadDir(dir)
-	var snaps int
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".index.json") {
-			snaps++
-		}
-	}
-	if snaps != 2 {
-		t.Errorf("snapshot count = %d, want 2", snaps)
-	}
-}
 
 // --- Segment-engine crash matrix -------------------------------------
 //

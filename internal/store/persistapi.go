@@ -1,8 +1,9 @@
 // Store-level surface of the engine: durability (Sync/Flush), checkpoint
-// generations (Checkpoint/LoadGeneration — the incremental hooks
-// internal/recovery drives for a persistent store), lifecycle
-// (Close/Abort), manual maintenance (Compact/ApplyRetention), and
-// observability (Stats, served by the dashboard at /api/storage).
+// generations (Checkpoint/LoadGeneration — the store's one checkpoint
+// path: internal/recovery records the pinned generation and restores it,
+// for a store in a directory only), lifecycle (Close/Abort), manual
+// maintenance (Compact/ApplyRetention), and observability (Stats, served
+// by the dashboard at /api/storage).
 package store
 
 import (
@@ -65,18 +66,17 @@ func (s *Store) ApplyRetention() error {
 }
 
 // Checkpoint seals the store (compaction policy applied) and returns the
-// committed generation, pinning it so GC keeps it restorable. This is
-// what makes pipeline checkpoints incremental: the checkpoint records
-// the generation number; the immutable segment files are shared, not
-// copied.
+// committed generation, pinned in its own manifest so GC keeps it
+// restorable, across a reopen too. This is what makes pipeline
+// checkpoints incremental: the checkpoint records the generation number;
+// the immutable segment files are shared, not copied.
 func (s *Store) Checkpoint() (uint64, error) {
 	e := s.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.sealLocked(sealPlan{policy: true}); err != nil {
+	if err := e.sealLocked(sealPlan{policy: true, pin: true}); err != nil {
 		return 0, err
 	}
-	e.pinLocked(e.gen)
 	return e.gen, nil
 }
 
@@ -111,12 +111,12 @@ func (s *Store) LoadGeneration(gen uint64) error {
 		for _, sg := range ix.segs {
 			sg.close()
 		}
-		ix.segs, ix.watermark, ix.nextOrd = nil, 0, 0
+		ix.segs, ix.nextOrd = nil, 0
 		ix.refs = make(map[string]ref)
 		ix.mem = make(map[string]memDoc)
 		ix.dead = make(map[string]bool)
 		ix.order = ix.order[:0]
-		ix.seq, ix.retention, ix.evicted = 0, 0, 0
+		ix.seq, ix.evicted = 0, 0
 		ix.mu.Unlock()
 	}
 	for i := range m.Indices {
@@ -137,7 +137,7 @@ func (s *Store) LoadGeneration(gen uint64) error {
 			newGen = g + 1
 		}
 	}
-	e.pinLocked(gen)
+	e.pins = pinned(e.pins, gen)
 	nextSeg := e.nextSeg
 	if m.NextSeg > nextSeg {
 		nextSeg = m.NextSeg
@@ -214,7 +214,6 @@ type IndexStats struct {
 	SegmentBytes int64  `json:"segment_bytes,omitempty"`
 	DeadDocs     int    `json:"dead_docs,omitempty"`
 	Evicted      uint64 `json:"evicted,omitempty"`
-	Retention    int    `json:"retention,omitempty"`
 }
 
 // Stats is the storage health snapshot served at /api/storage and fed to
@@ -269,7 +268,7 @@ func (s *Store) Stats() Stats {
 	for _, ix := range ordered {
 		is := IndexStats{
 			Name: ix.name, Docs: len(ix.order), MemDocs: len(ix.mem),
-			Segments: len(ix.segs), Evicted: ix.evicted, Retention: ix.retention,
+			Segments: len(ix.segs), Evicted: ix.evicted,
 		}
 		for _, sg := range ix.segs {
 			is.SegmentBytes += sg.bytes

@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -17,14 +16,14 @@ import (
 
 // TestPropertyEngineMatchesOracle drives the store and a reference model
 // (refIndex) through the same seeded random operation sequence — puts,
-// batched puts, deletes, retention caps, loads, flushes, compactions,
-// reopens — and requires every query (Search, CountWhere, Histogram,
-// Terms, Get, Count, Dump) to agree with the model. Size seals run on a
-// stepped sealer, so mutations and queries interleave with a seal between
-// its cut and its commit, deterministically for a seed. Each seed runs on
-// a store in a directory and on one over an in-memory filesystem (Open
-// with an empty Dir, as New does), which cannot reopen: there a reopen
-// is a flush.
+// batched puts, deletes, flushes, compactions, reopens, checkpoints and
+// restores of the last checkpoint — and requires every query (Search,
+// CountWhere, Histogram, Terms, Get, Count, the full scan) to agree with
+// the model. Size seals run on a stepped sealer, so mutations and
+// queries interleave with a seal between its cut and its commit,
+// deterministically for a seed. Each seed runs on a store in a directory
+// and on one over an in-memory filesystem (Open with an empty Dir, as
+// New does), which cannot reopen: there a reopen is a flush.
 func TestPropertyEngineMatchesOracle(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		seed := seed
@@ -37,19 +36,27 @@ func TestPropertyEngineMatchesOracle(t *testing.T) {
 }
 
 // refIndex is the reference model of one index: the documents by id in
-// canonical form (one JSON round trip), their insertion order, the
-// auto-ID sequence and the count cap. Queries filter in insertion order
-// and sort all matches with a stable sort; it shares no code with the
-// engine beyond the query semantics (matches, compareValues).
+// canonical form (one JSON round trip), their insertion order and the
+// auto-ID sequence. Queries filter in insertion order and sort all
+// matches with a stable sort; it shares no code with the engine beyond
+// the query semantics (matches, compareValues).
 type refIndex struct {
-	docs      map[string]Document
-	order     []string
-	seq       uint64
-	retention int
-	evicted   uint64
+	docs  map[string]Document
+	order []string
+	seq   uint64
 }
 
 func newRefIndex() *refIndex { return &refIndex{docs: make(map[string]Document)} }
+
+// cloneModel copies a model of several indices, as a checkpoint keeps
+// it. Documents are never modified in place, so they are shared.
+func cloneModel(model map[string]*refIndex) map[string]*refIndex {
+	out := make(map[string]*refIndex, len(model))
+	for n, r := range model {
+		out[n] = &refIndex{docs: maps.Clone(r.docs), order: slices.Clone(r.order), seq: r.seq}
+	}
+	return out
+}
 
 // refCanon is doc as the store returns it: json.Unmarshal of its
 // json.Marshal encoding.
@@ -71,7 +78,6 @@ func (r *refIndex) put(t *testing.T, id string, doc Document) {
 		r.order = append(r.order, id)
 	}
 	r.docs[id] = refCanon(t, doc)
-	r.enforce()
 }
 
 func (r *refIndex) putAuto(t *testing.T, name string, doc Document) string {
@@ -81,14 +87,6 @@ func (r *refIndex) putAuto(t *testing.T, name string, doc Document) string {
 	return id
 }
 
-func (r *refIndex) enforce() {
-	for r.retention > 0 && len(r.order) > r.retention {
-		delete(r.docs, r.order[0])
-		r.order = r.order[1:]
-		r.evicted++
-	}
-}
-
 func (r *refIndex) del(id string) bool {
 	if _, ok := r.docs[id]; !ok {
 		return false
@@ -96,22 +94,6 @@ func (r *refIndex) del(id string) bool {
 	delete(r.docs, id)
 	r.order = slices.DeleteFunc(r.order, func(o string) bool { return o == id })
 	return true
-}
-
-// load replaces the contents with docs in id order, rebasing the
-// sequence past every auto ID they hold.
-func (r *refIndex) load(name string, docs map[string]Document) {
-	r.docs = make(map[string]Document, len(docs))
-	r.order = r.order[:0]
-	r.seq = 0
-	for id, doc := range docs {
-		r.docs[id] = doc
-		r.order = append(r.order, id)
-		if n, err := strconv.ParseUint(strings.TrimPrefix(id, name+"-"), 10, 64); err == nil && strings.HasPrefix(id, name+"-") && n > r.seq {
-			r.seq = n
-		}
-	}
-	sort.Strings(r.order)
 }
 
 func (r *refIndex) search(q Query) []Hit {
@@ -265,22 +247,18 @@ func runPropertyOps(t *testing.T, seed int64, nops int, dir string) {
 			t.Fatalf("%s diverged:\nstore: %s\nmodel: %s", op, aj, bj)
 		}
 	}
-	checkDump := func(n string) {
+	checkContents := func(n string) {
 		t.Helper()
-		ed, err := eng.Index(n).Dump()
-		if err != nil {
-			t.Fatalf("store dump %q: %v", n, err)
-		}
-		var em map[string]Document
-		if err := json.Unmarshal(ed, &em); err != nil {
-			t.Fatal(err)
-		}
-		mustEq("dump "+n, em, ref(n).docs)
+		mustEq("contents "+n, contents(eng.Index(n)), ref(n).search(Query{}))
 	}
+	// The last checkpoint: the store generation it pinned and the model
+	// as it stood then.
+	var ckGen uint64
+	var ckModel map[string]*refIndex
 
 	for i := 0; i < nops; i++ {
 		n := name()
-		switch r := rng.Intn(106); {
+		switch r := rng.Intn(105); {
 		case r < 30: // put
 			d, doc := id(), randDoc()
 			if rng.Intn(8) == 0 {
@@ -313,31 +291,26 @@ func runPropertyOps(t *testing.T, seed int64, nops int, dir string) {
 			if ed, md := eng.Index(n).Delete(d), ref(n).del(d); ed != md {
 				t.Fatalf("op %d: Delete(%s/%s) diverged: store %v model %v", i, n, d, ed, md)
 			}
-		case r < 58: // retention cap
-			cap := 5 + rng.Intn(40)
-			eng.Index(n).SetRetention(cap)
-			ref(n).retention = cap
-			ref(n).enforce()
-		case r < 70: // search
+		case r < 67: // search
 			q := randQuery()
 			mustEq(fmt.Sprintf("op %d Search %s %+v", i, n, q), eng.Index(n).Search(q), ref(n).search(q))
-		case r < 76: // count-where
+		case r < 73: // count-where
 			q := randQuery()
 			q.SortBy, q.Limit = "", 0
 			if eg, mg := eng.Index(n).CountWhere(q), len(ref(n).search(q)); eg != mg {
 				t.Fatalf("op %d: CountWhere diverged: store %d model %d (%+v)", i, eg, mg, q)
 			}
-		case r < 80: // histogram
+		case r < 77: // histogram
 			q := randQuery()
 			et, ec := eng.Index(n).Histogram(q, "time", 10*time.Minute)
 			mt, mc := ref(n).histogram(q, "time", 10*time.Minute)
 			mustEq(fmt.Sprintf("op %d Histogram times", i), et, mt)
 			mustEq(fmt.Sprintf("op %d Histogram counts", i), ec, mc)
-		case r < 84: // terms
+		case r < 81: // terms
 			q := randQuery()
 			limit := rng.Intn(4)
 			mustEq(fmt.Sprintf("op %d Terms", i), eng.Index(n).Terms(q, "s", limit), ref(n).terms(q, "s", limit))
-		case r < 88: // get + counters
+		case r < 85: // get + count
 			d := id()
 			edoc, eok := eng.Index(n).Get(d)
 			mdoc, mok := ref(n).docs[d]
@@ -348,10 +321,12 @@ func runPropertyOps(t *testing.T, seed int64, nops int, dir string) {
 			if ec, mc := eng.Index(n).Count(), len(ref(n).docs); ec != mc {
 				t.Fatalf("op %d: Count diverged: store %d model %d", i, ec, mc)
 			}
-			if ee, me := eng.Index(n).Evicted(), ref(n).evicted; ee != me {
-				t.Fatalf("op %d: Evicted diverged: store %d model %d", i, ee, me)
+			// No op here ages anything out: a seal, compaction or
+			// restore that counts an eviction miscounts.
+			if ee := eng.Index(n).Evicted(); ee != 0 {
+				t.Fatalf("op %d: Evicted = %d, want 0", i, ee)
 			}
-		case r < 92: // flush / sync
+		case r < 89: // flush / sync
 			if rng.Intn(2) == 0 {
 				sealer.step()
 				if err := eng.Flush(); err != nil {
@@ -360,20 +335,20 @@ func runPropertyOps(t *testing.T, seed int64, nops int, dir string) {
 			} else if err := eng.Sync(); err != nil {
 				t.Fatalf("op %d: Sync: %v", i, err)
 			}
-		case r < 94: // compact
+		case r < 91: // compact
 			sealer.step()
 			if err := eng.Compact(); err != nil {
 				t.Fatalf("op %d: Compact: %v", i, err)
 			}
-		case r < 96: // advance time (shifts seal buckets)
+		case r < 93: // advance time (shifts seal buckets)
 			clk.Advance(time.Duration(1+rng.Intn(90)) * time.Minute)
-		case r < 98: // delete a whole index
+		case r < 95: // delete a whole index
 			_, had := model[n]
 			if en := eng.DeleteIndex(n); en != had {
 				t.Fatalf("op %d: DeleteIndex(%s) diverged: store %v model %v", i, n, en, had)
 			}
 			delete(model, n)
-		case r < 100: // reopen: close cleanly, open again, state must survive
+		case r < 97: // reopen: close cleanly, open again, state must survive
 			sealer.step()
 			if dir == "" {
 				if err := eng.Flush(); err != nil {
@@ -387,41 +362,41 @@ func runPropertyOps(t *testing.T, seed int64, nops int, dir string) {
 			eng = openTest(t, dir, clk, opts)
 			sealer.attach(eng)
 			for _, nm := range names {
-				checkDump(nm)
+				checkContents(nm)
 			}
-		case r < 102: // load a small snapshot over the index
-			docs := make(map[string]Document)
-			for k := rng.Intn(5); k > 0; k-- {
-				d := id()
-				if rng.Intn(3) == 0 {
-					d = autoID(n)
-				}
-				docs[d] = propertyFlatDoc(rng, clk)
-			}
-			data, err := json.Marshal(docs)
+		case r < 99: // checkpoint: seal and pin a generation
+			sealer.step()
+			gen, err := eng.Checkpoint()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("op %d: Checkpoint: %v", i, err)
 			}
-			guard(2*len(data) + 256)
-			if err := eng.Index(n).Load(data); err != nil {
-				t.Fatalf("op %d: Load: %v", i, err)
+			ckGen, ckModel = gen, cloneModel(model)
+		case r < 101: // restore the last checkpoint
+			if ckGen == 0 {
+				break
 			}
-			var canon map[string]Document
-			if err := json.Unmarshal(data, &canon); err != nil {
-				t.Fatal(err)
+			sealer.step()
+			if err := eng.LoadGeneration(ckGen); err != nil {
+				t.Fatalf("op %d: LoadGeneration(%d): %v", i, ckGen, err)
 			}
-			ref(n).load(n, canon)
+			model = cloneModel(ckModel)
+			for _, nm := range eng.Indices() {
+				ref(nm) // born after the cut: back, but empty
+			}
+			for _, nm := range names {
+				checkContents(nm)
+			}
 		default: // the sealer builds and commits the seal in flight
 			sealer.step()
 		}
 		if i%500 == 499 {
 			for _, nm := range names {
-				checkDump(nm)
+				checkContents(nm)
 			}
 		}
 	}
 	for _, nm := range names {
-		checkDump(nm)
+		checkContents(nm)
 		if ec, mc := eng.Index(nm).Count(), len(ref(nm).docs); ec != mc {
 			t.Fatalf("final Count(%s) diverged: store %d model %d", nm, ec, mc)
 		}
@@ -442,7 +417,7 @@ func sealBacklog(s *Store) int {
 
 // walBound over-estimates the WAL bytes one put of docs logs: each
 // document's JSON twice over (its canonical form is shorter than that)
-// plus room for the record's other fields and a retention record.
+// plus room for the record's other fields.
 func walBound(docs ...Document) int {
 	n := 256
 	for _, doc := range docs {

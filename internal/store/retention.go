@@ -1,8 +1,7 @@
 // Age-based retention: whole time-bucketed segments are dropped once
 // their bucket falls behind the retention horizon — the cheap tiered
-// eviction the paper's deployment needs for "millions of logs per day"
-// (count-cap FIFO retention lives with the write path in engine.go; this
-// file is the clock-driven tier). Because buckets are stamped at seal
+// eviction the paper's deployment needs for "millions of logs per day",
+// and the store's only retention. Because buckets are stamped at seal
 // time from the injected clock and segments are appended in time order,
 // the victims of any tick form a prefix of each index's segment list,
 // which keeps the drop shadow-safe: nothing in a dropped prefix can be

@@ -11,7 +11,10 @@
 // in-memory fsx.Mem. Queries, puts, seals and retention take the same
 // code either way; since nothing an in-memory store writes can outlive
 // the process, it skips only what serves a reopen: the WAL's bytes, the
-// memtable's encoded copies and older generations.
+// memtable's encoded copies and older generations. So only a store in a
+// directory can be checkpointed: a checkpoint is a pinned manifest
+// generation (Checkpoint/LoadGeneration), and there is no other way to
+// copy a store out and back in.
 // Either way documents come back in canonical form: float64 numbers,
 // RFC 3339 strings for times, nested map[string]any and []any.
 package store
@@ -21,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -116,22 +118,20 @@ type Index struct {
 	eng  *engine
 	mu   sync.RWMutex
 	// order is the scan order: every live id by ascending ord, which is
-	// insertion order (a replaced id keeps its slot). Unsorted scans and
-	// FIFO retention follow it.
-	order     []string
-	seq       uint64
-	retention int
-	evicted   uint64
-	refs      map[string]ref
-	mem       map[string]memDoc
-	segs      []*segment
+	// insertion order (a replaced id keeps its slot). Unsorted scans
+	// follow it.
+	order []string
+	seq   uint64
+	// evicted counts the documents age retention dropped with their
+	// segments.
+	evicted uint64
+	refs    map[string]ref
+	mem     map[string]memDoc
+	segs    []*segment
 	// dead collects ids deleted since the last manifest whose older
 	// copies may live in segments; sealed as tombstones.
-	dead map[string]bool
-	// watermark: every ord below it has been evicted (count-cap FIFO or
-	// Load replacement); segment entries below it are dropped at open.
-	watermark uint64
-	nextOrd   uint64
+	dead    map[string]bool
+	nextOrd uint64
 	// dropped marks a detached (DeleteIndex'd) index: stale handles keep
 	// working in memory but no longer log to the WAL.
 	dropped bool
@@ -140,24 +140,7 @@ type Index struct {
 	sealing bool
 }
 
-// SetRetention caps the index at max documents: the oldest documents are
-// evicted as new ones arrive (log storage retention — the paper's system
-// archives millions of logs per day and cannot keep them forever). Zero
-// disables retention.
-func (ix *Index) SetRetention(max int) {
-	e := ix.eng
-	e.mu.Lock()
-	ix.mu.Lock()
-	ix.retention = max
-	if !ix.dropped {
-		e.logLocked(walRecord{Op: walCap, Ix: ix.name, Cap: max})
-	}
-	ix.enforceRetentionLocked(!ix.dropped)
-	ix.mu.Unlock()
-	e.mu.Unlock()
-}
-
-// Evicted returns how many documents retention has dropped.
+// Evicted returns how many documents age retention has dropped.
 func (ix *Index) Evicted() uint64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -177,8 +160,7 @@ func (ix *Index) PutAuto(doc Document) string { return ix.put("", doc, true) }
 // PutBatch stores docs under generated IDs, in order, with the outcome of
 // one PutAuto per document, but takes the locks once for the whole batch:
 // every document is encoded before the locks are taken, then the batch is
-// applied and logged with one spill check, one retention pass and one
-// seal check. The store keeps the maps it is given: the caller must not
+// applied and logged with one spill check and one seal check. The store keeps the maps it is given: the caller must not
 // modify them afterwards. Documents already in canonical form (float64
 // numbers, RFC 3339 strings for times) are stored without a second map
 // being built.
@@ -200,17 +182,8 @@ func (ix *Index) PutBatch(docs []Document) {
 	for i := range enc {
 		ix.seq++
 		id := autoID(ix.name, ix.seq)
-		if ix.retention > 0 {
-			if _, replace := ix.refs[id]; replace {
-				// A replaced id keeps its slot in the scan order, so
-				// count retention must catch up first for the outcome
-				// to equal one PutAuto per document.
-				ix.enforceRetentionLocked(!ix.dropped)
-			}
-		}
 		ix.putLocked(id, enc[i].md, enc[i].err)
 	}
-	ix.enforceRetentionLocked(!ix.dropped)
 	ix.mu.Unlock()
 	e.spillLocked()
 	job := e.maybeSealLocked()
@@ -418,62 +391,6 @@ func (ix *Index) Terms(q Query, field string, limit int) []TermBucket {
 		out = out[:limit]
 	}
 	return out
-}
-
-// Dump serializes the index to JSON ({"id": doc, ...}).
-func (ix *Index) Dump() ([]byte, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	docs := make(map[string]Document, len(ix.refs))
-	for id, r := range ix.refs {
-		doc, ok := ix.fetch(id, r, false)
-		if !ok {
-			return nil, fmt.Errorf("store: dump index %q: unreadable document %q", ix.name, id)
-		}
-		docs[id] = doc
-	}
-	return json.Marshal(docs)
-}
-
-// Load replaces the index contents from a Dump. The watermark jumps past
-// every pre-existing ord, which is what keeps old segment entries dead
-// across reopen without tombstoning each one.
-func (ix *Index) Load(data []byte) error {
-	var docs map[string]Document
-	if err := json.Unmarshal(data, &docs); err != nil {
-		return fmt.Errorf("store: load index %q: %w", ix.name, err)
-	}
-	e := ix.eng
-	e.mu.Lock()
-	ix.mu.Lock()
-	ix.applyLoad(docs)
-	if !ix.dropped {
-		e.logLocked(walRecord{Op: walLoad, Ix: ix.name, Doc: json.RawMessage(data)})
-	}
-	ix.mu.Unlock()
-	job := e.maybeSealLocked()
-	e.mu.Unlock()
-	e.launch(job)
-	return nil
-}
-
-// loadedSeq is an index's auto-ID sequence after a Load of docs: past
-// every generated ID the snapshot holds, so PutAuto after a snapshot
-// restore never reuses (and silently overwrites) one. Load and the
-// replay of its WAL record both rebase.
-func loadedSeq(name string, docs map[string]Document) uint64 {
-	seq := uint64(0)
-	prefix := name + "-"
-	for id := range docs {
-		suffix, ok := strings.CutPrefix(id, prefix)
-		if !ok {
-			continue
-		}
-		if n, err := strconv.ParseUint(suffix, 10, 64); err == nil && n > seq {
-			seq = n
-		}
-	}
-	return seq
 }
 
 func matches(doc Document, q Query) bool {

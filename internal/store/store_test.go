@@ -125,25 +125,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestDumpLoad(t *testing.T) {
-	s := New()
-	ix := s.Index("models")
-	ix.Put("m1", Document{"grok": "%{WORD} x", "v": float64(1)})
-	data, err := ix.Dump()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := New()
-	ix2 := s2.Index("models")
-	if err := ix2.Load(data); err != nil {
-		t.Fatal(err)
-	}
-	doc, ok := ix2.Get("m1")
-	if !ok || doc["grok"] != "%{WORD} x" {
-		t.Fatalf("round trip: %v/%v", doc, ok)
-	}
-}
-
 func TestIndices(t *testing.T) {
 	s := New()
 	s.Index("b")
@@ -225,41 +206,6 @@ func TestTermsAggregation(t *testing.T) {
 	// Limit.
 	if got := len(ix.Terms(Query{}, "type", 1)); got != 1 {
 		t.Errorf("limited buckets = %d", got)
-	}
-}
-
-func TestRetention(t *testing.T) {
-	s := New()
-	ix := s.Index("logs")
-	ix.SetRetention(5)
-	for i := 0; i < 12; i++ {
-		ix.Put(fmt.Sprintf("d%02d", i), Document{"n": i})
-	}
-	if ix.Count() != 5 {
-		t.Fatalf("count = %d, want 5", ix.Count())
-	}
-	if ix.Evicted() != 7 {
-		t.Errorf("evicted = %d, want 7", ix.Evicted())
-	}
-	// Oldest gone, newest kept.
-	if _, ok := ix.Get("d00"); ok {
-		t.Error("oldest doc survived retention")
-	}
-	if _, ok := ix.Get("d11"); !ok {
-		t.Error("newest doc evicted")
-	}
-	// Applying retention to an already-full index trims immediately.
-	ix.SetRetention(2)
-	if ix.Count() != 2 {
-		t.Errorf("count after tightening = %d", ix.Count())
-	}
-	// Zero disables.
-	ix.SetRetention(0)
-	for i := 0; i < 10; i++ {
-		ix.PutAuto(Document{"n": i})
-	}
-	if ix.Count() != 12 {
-		t.Errorf("count with retention off = %d", ix.Count())
 	}
 }
 

@@ -381,11 +381,6 @@ func runSortedSearchOps(t *testing.T, seed int64, nops int) {
 			for _, ix := range indices() {
 				ix.Delete(id)
 			}
-		case r < 57:
-			cap := 20 + rng.Intn(80)
-			for _, ix := range indices() {
-				ix.SetRetention(cap)
-			}
 		case r < 62:
 			if err := eng.Flush(); err != nil {
 				t.Fatalf("op %d: Flush: %v", i, err)

@@ -6,7 +6,9 @@
 // also the only place a torn tail can appear. Replay stops at the first
 // frame whose length or checksum fails: the torn suffix is discarded (it
 // was never acknowledged), and the writer repairs the file by an atomic
-// rewrite from its in-memory byte log before appending again.
+// rewrite from its in-memory byte log before appending again. A valid
+// frame whose op replay does not know fails the open instead: skipping
+// it would drop a mutation without a word.
 //
 // The writer keeps the generation's WAL as one byte log (engine.wal):
 // wal[:walOnDisk] is on disk, the tail is pending. Records are framed
@@ -30,9 +32,6 @@ import (
 const (
 	walPut   = "put"   // store a document: Ix, ID, Ord, Seq, Doc
 	walDel   = "del"   // delete a document: Ix, ID
-	walRetn  = "retn"  // count-cap eviction: Ix, W (watermark), Ev (total)
-	walCap   = "cap"   // SetRetention: Ix, Cap
-	walLoad  = "load"  // Load replaces the index: Ix, Doc ({"id": doc} map)
 	walMkIx  = "mkix"  // index created: Ix
 	walDelIx = "delix" // index dropped: Ix
 )
@@ -46,9 +45,6 @@ type walRecord struct {
 	Ord uint64          `json:"ord,omitempty"`
 	Seq uint64          `json:"seq,omitempty"`
 	Doc json.RawMessage `json:"doc,omitempty"`
-	W   uint64          `json:"w,omitempty"`
-	Ev  uint64          `json:"ev,omitempty"`
-	Cap int             `json:"cap,omitempty"`
 }
 
 // appendWAL frames one record onto dst; on error dst is unchanged.
@@ -62,13 +58,8 @@ func appendWAL(dst []byte, rec *walRecord) ([]byte, error) {
 
 // appendWALRecord appends rec's payload: the bytes json.Marshal(rec)
 // writes, with Doc — already compact JSON from encodeDoc — spliced in
-// rather than re-validated. A load record's Doc is caller-supplied JSON,
-// so it keeps json.Marshal, which compacts it.
+// rather than re-validated.
 func appendWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
-	if rec.Op == walLoad {
-		payload, err := json.Marshal(*rec)
-		return append(dst, payload...), err
-	}
 	dst = append(dst, `{"op":`...)
 	dst, _ = appendJSONString(dst, rec.Op)
 	dst = append(dst, `,"ix":`...)
@@ -82,12 +73,6 @@ func appendWALRecord(dst []byte, rec *walRecord) ([]byte, error) {
 	if len(rec.Doc) > 0 {
 		dst = append(dst, `,"doc":`...)
 		dst = append(dst, rec.Doc...)
-	}
-	dst = appendUintField(dst, `,"w":`, rec.W)
-	dst = appendUintField(dst, `,"ev":`, rec.Ev)
-	if rec.Cap != 0 {
-		dst = append(dst, `,"cap":`...)
-		dst = strconv.AppendInt(dst, int64(rec.Cap), 10)
 	}
 	return append(dst, '}'), nil
 }
