@@ -238,45 +238,3 @@ func TestPipelineLatencyExact(t *testing.T) {
 		return p.Latency().IngestWatermark().Equal(t0.Add(225 * time.Millisecond))
 	}, "ingest watermark never advanced to the admitted line's publish stamp")
 }
-
-// TestPipelineLatencyDisabled: DisableLatency keeps the whole plane off —
-// no tracker, no stage histograms, no breach counter — while the legacy
-// e2e histogram still observes.
-func TestPipelineLatencyDisabled(t *testing.T) {
-	fc := clock.NewFake()
-	p, err := New(Config{
-		Clock:            fc,
-		DisableHeartbeat: true,
-		DisableLatency:   true,
-		Partitions:       1,
-		MaxBatch:         10,
-		BatchInterval:    time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Latency() != nil {
-		t.Fatal("Latency() non-nil with DisableLatency")
-	}
-	if _, _, err := p.Train("latency", experiments.ToLogs("alpha", latencyTrainingLines())); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer p.Stop()
-	for i := 0; i < 10; i++ {
-		sendDirect(p, logtypes.Log{Source: "alpha", Seq: uint64(i + 1), Arrival: fc.Now(),
-			Raw: fmt.Sprintf("task d%04d start prio %d", i, i%5)})
-	}
-	testutil.WaitUntil(t, 10*time.Second, func() bool {
-		return p.Metrics().Snapshot().Counter("core_parsed_total") == 10
-	}, "lines not parsed")
-	snap := p.Metrics().Snapshot()
-	if hv, ok := snap.Histogram("latency_stage_seconds", "stage", "deliver"); ok && hv.Count != 0 {
-		t.Errorf("deliver histogram observed %d samples with the plane disabled", hv.Count)
-	}
-	if hv, ok := snap.Histogram("core_line_seconds"); !ok || hv.Count != 10 {
-		t.Errorf("core_line_seconds = %+v, ok=%v, want 10 observations", hv, ok)
-	}
-}

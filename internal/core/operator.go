@@ -34,7 +34,6 @@ type coreOpState struct {
 
 	// lat is the source's tenant freshness cell, resolved once at state
 	// creation so the hot path pays two atomic stores, no map lookup.
-	// Nil when the latency plane is disabled.
 	lat *latency.Cell
 
 	// tick drives the 1-in-16 deterministic sampling of the parse and
@@ -89,9 +88,7 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 		if m.Volume != nil {
 			st.volume = volume.New(m.Volume, p.cfg.Volume)
 		}
-		if p.lat != nil {
-			st.lat = p.lat.Tenant(source)
-		}
+		st.lat = p.lat.Tenant(source)
 		ctx.States().Put("__op@"+source, st)
 	} else if m := p.modelByID(ctx, st.modelID); m == nil {
 		return nil // model deleted: detectors idle
@@ -135,18 +132,14 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 	// whole batch, so no clock read here), and the parse/detect stages
 	// take their own stamps around the work. Everything that must be
 	// per-line for correctness — e2e, SLO burn, freshness watermarks —
-	// rides the single post-detect clock read that the disabled path
-	// pays anyway, keeping the enabled plane within the benchguard
-	// budget.
+	// rides a single post-detect clock read, so the plane costs one
+	// clock read per unsampled line.
 	var pickedUp time.Time
-	sampled := false
-	if p.lat != nil {
-		sampled = st.tick&15 == 0
-		st.tick++
-		if sampled {
-			p.lat.Observe(latency.StageDeliver, ctx.BatchStart().Sub(l.Arrival))
-			pickedUp = p.cfg.Clock.Now()
-		}
+	sampled := st.tick&15 == 0
+	st.tick++
+	if sampled {
+		p.lat.Observe(latency.StageDeliver, ctx.BatchStart().Sub(l.Arrival))
+		pickedUp = p.cfg.Clock.Now()
 	}
 	// ParseInto reuses the state's ParsedLog scratch (field buffer
 	// included): safe here because the fused downstream consumers copy
@@ -155,22 +148,18 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 	if err := st.parser.ParseInto(l, pl); err != nil {
 		p.unparsed.Add(1)
 		p.unparsedTotal.Inc()
-		if p.lat != nil {
-			now := p.cfg.Clock.Now()
-			if sampled {
-				p.lat.Observe(latency.StageParse, now.Sub(pickedUp))
-			}
-			e2e := now.Sub(l.Arrival)
-			p.lineSeconds.Observe(e2e.Seconds())
-			p.lat.CheckSLO(e2e)
-			// An unparsed line still advances freshness: the partition
-			// made progress even though no event time was extracted.
-			n := l.Arrival.UnixNano()
-			p.lat.Partition(ctx.Partition()).Note(n, n)
-			st.lat.Note(n, n)
-		} else {
-			p.lineSeconds.Observe(p.cfg.Clock.Since(l.Arrival).Seconds())
+		now := p.cfg.Clock.Now()
+		if sampled {
+			p.lat.Observe(latency.StageParse, now.Sub(pickedUp))
 		}
+		e2e := now.Sub(l.Arrival)
+		p.lineSeconds.Observe(e2e.Seconds())
+		p.lat.CheckSLO(e2e)
+		// An unparsed line still advances freshness: the partition made
+		// progress even though no event time was extracted.
+		n := l.Arrival.UnixNano()
+		p.lat.Partition(ctx.Partition()).Note(n, n)
+		st.lat.Note(n, n)
 		if p.cfg.Tracer != nil {
 			p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StageParser, "unparsed")
 		}
@@ -199,22 +188,17 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 	if st.volume != nil {
 		recs = append(recs, st.volume.Process(pl)...)
 	}
-	if p.lat != nil {
-		now := p.cfg.Clock.Now()
-		if sampled {
-			p.lat.Observe(latency.StageDetect, now.Sub(parsedAt))
-		}
-		e2e := now.Sub(l.Arrival)
-		p.lineSeconds.Observe(e2e.Seconds())
-		p.lat.CheckSLO(e2e)
-		// Freshness watermarks: event time from the parsed timestamp
-		// when present (falling back to arrival), processing time from
-		// arrival.
-		p.lat.Partition(ctx.Partition()).Note(pl.EventTime().UnixNano(), l.Arrival.UnixNano())
-		st.lat.Note(pl.EventTime().UnixNano(), l.Arrival.UnixNano())
-	} else {
-		p.lineSeconds.Observe(p.cfg.Clock.Since(l.Arrival).Seconds())
+	now := p.cfg.Clock.Now()
+	if sampled {
+		p.lat.Observe(latency.StageDetect, now.Sub(parsedAt))
 	}
+	e2e := now.Sub(l.Arrival)
+	p.lineSeconds.Observe(e2e.Seconds())
+	p.lat.CheckSLO(e2e)
+	// Freshness watermarks: event time from the parsed timestamp when
+	// present (falling back to arrival), processing time from arrival.
+	p.lat.Partition(ctx.Partition()).Note(pl.EventTime().UnixNano(), l.Arrival.UnixNano())
+	st.lat.Note(pl.EventTime().UnixNano(), l.Arrival.UnixNano())
 	return wrapRecords(recs)
 }
 
@@ -263,7 +247,7 @@ func (p *Pipeline) sink(o any) {
 		return
 	}
 	p.anomalies.Add(1)
-	if p.lat != nil && len(rec.Logs) > 0 {
+	if len(rec.Logs) > 0 {
 		// The sink stage is verdict staleness: how old the anomaly's
 		// triggering line was when the verdict landed here — the
 		// paper's real-time claim in one number. Anomalies are rare, so
@@ -278,18 +262,16 @@ func (p *Pipeline) sink(o any) {
 		l := rec.Logs[0]
 		p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StageEmit, "type="+rec.Type.String())
 	}
-	if !p.cfg.DisableAnomalyStorage {
-		p.store.Index(AnomaliesIndex).PutAuto(store.Document{
-			"type":      rec.Type.String(),
-			"severity":  rec.Severity.String(),
-			"reason":    rec.Reason,
-			"ts":        rec.Timestamp,
-			"source":    rec.Source,
-			"eventId":   rec.EventID,
-			"automaton": rec.AutomatonID,
-			"logCount":  len(rec.Logs),
-		})
-	}
+	p.store.Index(AnomaliesIndex).PutAuto(store.Document{
+		"type":      rec.Type.String(),
+		"severity":  rec.Severity.String(),
+		"reason":    rec.Reason,
+		"ts":        rec.Timestamp,
+		"source":    rec.Source,
+		"eventId":   rec.EventID,
+		"automaton": rec.AutomatonID,
+		"logCount":  len(rec.Logs),
+	})
 	p.mu.Lock()
 	cbs := p.callbacks
 	p.mu.Unlock()

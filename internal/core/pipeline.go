@@ -73,9 +73,6 @@ type Config struct {
 	DisableHeartbeat bool
 	// ArchiveLogs stores raw logs in the log storage.
 	ArchiveLogs bool
-	// StoreAnomalies writes anomalies to the anomaly storage (default
-	// on; the throughput benches disable it).
-	DisableAnomalyStorage bool
 	// Clock is the time source threaded through the bus, the streaming
 	// engines, and the heartbeat controller (default the wall clock).
 	// Injecting a clock.Fake makes the pipeline's temporal behavior —
@@ -121,11 +118,6 @@ type Config struct {
 	// latency_slo_breach_total (the loglens -slo-e2e-ms flag). Zero
 	// keeps the latency histograms but disables breach counting.
 	SLOE2E time.Duration
-	// DisableLatency turns off the per-stage latency histograms and
-	// freshness watermarks (the BENCH_PR8 comparison knob). Default on:
-	// the instrumentation is allocation-free and costs two clock reads
-	// plus three histogram observations per line.
-	DisableLatency bool
 	// MaxBatch caps records per micro-batch (default 4096, threaded to
 	// stream.Config.MaxBatch). The fake-clock latency tests use it to
 	// close batches on an exact record count instead of the timer.
@@ -179,8 +171,7 @@ type Pipeline struct {
 	unparsedTotal *metrics.Counter
 	lineSeconds   *metrics.Histogram
 
-	// lat is the latency/freshness tracker (nil when
-	// Config.DisableLatency is set; every method no-ops on nil).
+	// lat is the latency/freshness tracker.
 	lat *latency.Tracker
 
 	cancel context.CancelFunc
@@ -246,13 +237,11 @@ func New(cfg Config) (*Pipeline, error) {
 	p.parsedTotal = p.reg.Counter("core_parsed_total")
 	p.unparsedTotal = p.reg.Counter("core_unparsed_total")
 	p.lineSeconds = p.reg.Histogram("core_line_seconds", nil)
-	if !cfg.DisableLatency {
-		parts := cfg.Partitions
-		if parts <= 0 {
-			parts = 4 // stream.Config's default
-		}
-		p.lat = latency.New(p.reg, cfg.Clock, parts, cfg.SLOE2E)
+	parts := cfg.Partitions
+	if parts <= 0 {
+		parts = 4 // stream.Config's default
 	}
+	p.lat = latency.New(p.reg, cfg.Clock, parts, cfg.SLOE2E)
 	// Instrumentation hooks are optional broker capabilities: the
 	// in-process bus and the netbus client both expose them, but the
 	// Broker interface stays transport-minimal.
@@ -362,7 +351,7 @@ func (p *Pipeline) Intake() *intake.Service {
 // The intake service stamps admission on a 1-in-16 per-tenant sample
 // (zero otherwise), matching the sampled stage histograms downstream.
 func (p *Pipeline) publishIntake(tenant string, seq uint64, raw []byte, admitted time.Time) {
-	if p.lat != nil && !admitted.IsZero() {
+	if !admitted.IsZero() {
 		p.lat.Observe(latency.StageIntake, p.cfg.Clock.Since(admitted))
 	}
 	p.bus.Publish(agent.LogsTopic, tenant, raw, map[string]string{
@@ -371,9 +360,8 @@ func (p *Pipeline) publishIntake(tenant string, seq uint64, raw []byte, admitted
 	})
 }
 
-// Latency exposes the latency/freshness tracker (nil when
-// Config.DisableLatency is set). The dashboard serves its percentiles
-// and watermark table at /api/latency.
+// Latency exposes the latency/freshness tracker. The dashboard serves
+// its percentiles and watermark table at /api/latency.
 func (p *Pipeline) Latency() *latency.Tracker { return p.lat }
 
 // Ops exposes the pipeline's ops plane (nil when disabled). The

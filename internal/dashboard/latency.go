@@ -58,14 +58,6 @@ func stageRow(name string, hv metrics.HistogramValue) stageSummary {
 //	GET /api/latency
 func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 	lat := s.pipeline.Latency()
-	if lat == nil {
-		writeJSON(w, latencyResponse{
-			Stages:     []stageSummary{},
-			Partitions: []latency.PartitionWatermark{},
-			Tenants:    []latency.TenantWatermark{},
-		})
-		return
-	}
 	snap := s.pipeline.Metrics().Snapshot()
 	resp := latencyResponse{
 		Enabled: true,

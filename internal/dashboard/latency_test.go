@@ -133,22 +133,6 @@ func TestLatencyEndpoint(t *testing.T) {
 	}
 }
 
-// TestLatencyEndpointDisabled: with DisableLatency the endpoint answers
-// an empty-but-valid body rather than a 404.
-func TestLatencyEndpointDisabled(t *testing.T) {
-	p, err := core.New(core.Config{DisableHeartbeat: true, DisableLatency: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, body := get(t, New(p), "/api/latency")
-	if code != 200 || body["enabled"] != false {
-		t.Fatalf("latency = %d %v, want 200 disabled", code, body["enabled"])
-	}
-	if len(body["stages"].([]any)) != 0 || len(body["partitions"].([]any)) != 0 {
-		t.Fatalf("disabled body not empty: %v", body)
-	}
-}
-
 // TestMetricsPrometheusFormat: ?format=prometheus serves the text
 // exposition — TYPE headers, cumulative buckets ending at +Inf, and
 // _sum/_count series.

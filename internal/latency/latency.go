@@ -121,9 +121,8 @@ func (c *Cell) Note(eventNanos, procNanos int64) {
 }
 
 // Tracker is the pipeline-wide latency/freshness instrument. A nil
-// *Tracker is a valid disabled tracker: every method no-ops, so callers
-// hold a plain pointer and pay one nil check when the latency plane is
-// off (core.Config.DisableLatency).
+// *Tracker is a valid disabled tracker: every method no-ops, so a
+// caller may hold a plain pointer without nil checks of its own.
 type Tracker struct {
 	clk      clock.Clock
 	sloNanos int64

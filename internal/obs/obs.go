@@ -12,8 +12,8 @@
 //   - A nil receiver is a valid disabled instrument. Every recording
 //     method no-ops on nil, so components hold plain pointer fields and
 //     pay only a nil check when the ops plane is off — the disabled path
-//     is benchmarked at low single-digit nanoseconds with zero
-//     allocations (BENCH_PR3.txt).
+//     costs low single-digit nanoseconds with zero allocations
+//     (BenchmarkSpanDisabled, BenchmarkRecordDisabled).
 //   - Storage is bounded. Spans and events land in fixed-capacity rings;
 //     a deployment that misbehaves for a week still holds the most
 //     recent window, never an unbounded backlog.

@@ -607,11 +607,13 @@ func TestEngineBackgroundLoops(t *testing.T) {
 	ix.Put("a", Document{"n": 1})
 	s.Index("models").Put("m", Document{"kind": "model"})
 
-	// Flush tick: the buffered WAL record lands on disk. Re-advance in
-	// the poll loop so a tick isn't lost to the loop goroutine still
-	// starting up when the first Advance lands.
+	// Flush tick: the buffered WAL record lands on disk. Wait for the
+	// loop's three tickers, then advance exactly one flush interval and
+	// poll without advancing again, so the 2 s compact tick cannot seal
+	// the WAL before the spill is seen.
+	clk.BlockUntil(3)
+	clk.Advance(time.Second)
 	testutil.WaitUntil(t, 5*time.Second, func() bool {
-		clk.Advance(time.Second)
 		data, err := os.ReadFile(filepath.Join(dir, walName(s.Generation())))
 		return err == nil && len(data) > 0
 	}, "flush tick never spilled the WAL")

@@ -17,7 +17,6 @@
 #   internal/netbus/       socket Set{Read,Write}Deadline needs absolute
 #                          wall-clock times; all retry/backoff pacing in
 #                          the package still runs on the injected clock
-#   cmd/loadtest/          measures real wall-clock throughput by design
 #   examples/datacenter/   demo binary, wall-clock phase timing only
 #
 # Raw waits — time.Sleep, time.After, time.NewTicker, time.Tick — are
@@ -31,7 +30,6 @@
 #                          for sent records to flow before each swap
 #   internal/testutil/     WaitUntil's backoff between condition checks
 #   cmd/shiplogs/          the -rate limiter paces a real shipper
-#   cmd/loadtest/          open-loop pacing of real client load
 #   examples/              demo binaries, wall-clock pauses only
 #
 # Test files (_test.go) are exempt: tests own their clocks.
@@ -39,7 +37,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-allowlist='^internal/clock/|^internal/testutil/wait\.go|^internal/netbus/|^cmd/loadtest/|^examples/datacenter/'
+allowlist='^internal/clock/|^internal/testutil/wait\.go|^internal/netbus/|^examples/datacenter/'
 
 violations=$(grep -rn --include='*.go' -E 'time\.(Now|Since)\(' \
     internal cmd examples 2>/dev/null \
@@ -51,7 +49,7 @@ if [ -n "$violations" ]; then
     echo "$violations" >&2
     exit 1
 fi
-wait_allowlist='^internal/clock/|^internal/experiments/rebroadcast\.go|^internal/testutil/|^cmd/shiplogs/|^cmd/loadtest/|^examples/'
+wait_allowlist='^internal/clock/|^internal/experiments/rebroadcast\.go|^internal/testutil/|^cmd/shiplogs/|^examples/'
 
 waits=$(grep -rn --include='*.go' -E 'time\.(Sleep|After|NewTicker|Tick)\(' \
     internal cmd examples 2>/dev/null \
