@@ -26,7 +26,7 @@ func brokerMain(args []string) int {
 
 	srv := netbus.NewServer(bus.New())
 	reg := metrics.NewRegistry()
-	srv.SetMetrics(reg)
+	srv.Instrument(reg)
 
 	addr, err := srv.Listen(*listen)
 	if err != nil {

@@ -121,7 +121,6 @@ func run(o options) error {
 	}
 
 	clk := clock.New()
-	ops := obs.New(clk)
 
 	// First SIGINT/SIGTERM starts an orderly drain; stop() restores the
 	// default disposition so a second signal force-kills.
@@ -149,7 +148,6 @@ func run(o options) error {
 	p, err := core.New(core.Config{
 		Bus:              extBus,
 		Clock:            clk,
-		Ops:              ops,
 		DisableHeartbeat: o.hbInterval <= 0,
 		Heartbeat:        heartbeat.Config{Interval: o.hbInterval},
 		ArchiveLogs:      true,
@@ -250,7 +248,7 @@ func run(o options) error {
 		// here exactly as they ship to `loglens broker`. Deferred after
 		// p.Stop, so it closes first.
 		srv := netbus.NewServer(p.Bus())
-		srv.SetMetrics(p.Metrics())
+		srv.Instrument(p.Metrics())
 		bound, err := srv.Listen(o.listen)
 		if err != nil {
 			return err
@@ -404,16 +402,16 @@ stream:
 		// Orderly shutdown: note it in the black box, drain the HTTP
 		// server, then flush the recorder so the last events of the
 		// incident land on stderr.
-		ops.Events.Record(obs.EventShutdown, "loglens", "signal received, draining", 0)
+		p.Ops().Events.Record(obs.EventShutdown, "loglens", "signal received, draining", 0)
 		drainServer(httpSrv)
 		fmt.Fprintln(os.Stderr, "--- flight recorder ---")
-		if _, err := ops.Events.WriteTo(os.Stderr); err != nil {
+		if _, err := p.Ops().Events.WriteTo(os.Stderr); err != nil {
 			return err
 		}
 	} else {
 		drainServer(httpSrv)
 	}
-	return writeTrace(o.traceOut, ops)
+	return writeTrace(o.traceOut, p.Ops())
 }
 
 // drainServer shuts the dashboard server down gracefully, bounding the

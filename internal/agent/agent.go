@@ -15,7 +15,6 @@ import (
 
 	"loglens/internal/bus"
 	"loglens/internal/clock"
-	"loglens/internal/metrics"
 	"loglens/internal/preprocess"
 )
 
@@ -51,10 +50,6 @@ type Config struct {
 	// wall clock). A fake clock replays hours of log time in
 	// milliseconds, deterministically.
 	Clock clock.Clock
-
-	// Tracer, when set, stamps StageAgent for every shipped line — the
-	// first stop of a traced line's journey.
-	Tracer metrics.Tracer
 }
 
 // Agent ships logs from a reader (file, pipe, generator) to the bus.
@@ -89,7 +84,7 @@ func (a *Agent) Sent() uint64 { return a.sent }
 // Send ships one raw log line.
 func (a *Agent) Send(line string) error {
 	a.seq++
-	pi, _, err := a.bus.Publish(LogsTopic, a.cfg.Source, []byte(line), map[string]string{
+	_, _, err := a.bus.Publish(LogsTopic, a.cfg.Source, []byte(line), map[string]string{
 		HeaderSource: a.cfg.Source,
 		HeaderSeq:    strconv.FormatUint(a.seq, 10),
 	})
@@ -97,10 +92,6 @@ func (a *Agent) Send(line string) error {
 		return err
 	}
 	a.sent++
-	if a.cfg.Tracer != nil {
-		a.cfg.Tracer.Stamp(a.cfg.Source, a.seq, metrics.StageAgent,
-			"topic="+LogsTopic+" p="+strconv.Itoa(pi))
-	}
 	return nil
 }
 

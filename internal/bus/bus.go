@@ -130,28 +130,23 @@ func NewWithClock(clk clock.Clock) *Bus {
 	}
 }
 
-// SetMetrics installs the observability registry: per topic-partition
-// produce counters (bus_produced_total), with consume counters and lag
-// gauges added by consumers as they poll. Topics declared before or after
-// the call are both instrumented. Call it during wiring, before traffic.
-func (b *Bus) SetMetrics(reg *metrics.Registry) {
+// Instrument attaches the ops plane: per topic-partition produce
+// counters (bus_produced_total), with consume counters, lag gauges and
+// delay histograms added by consumers as they poll, and flight-recorder
+// events for offset seeks (replay and chaos-injected restarts). Topics
+// declared before or after the call are both instrumented. Call it
+// during wiring, before traffic.
+func (b *Bus) Instrument(o *obs.Ops) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.reg = reg
+	b.reg = o.Metrics
+	b.events = o.Events
 	for _, t := range b.topics {
-		t.instrument(reg)
+		t.instrument(b.reg)
 	}
 }
 
-// SetRecorder installs a flight recorder capturing offset seeks (replay
-// and chaos-injected restarts) at the source; nil disables.
-func (b *Bus) SetRecorder(f *obs.FlightRecorder) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.events = f
-}
-
-// recorder returns the installed flight recorder (nil when disabled).
+// recorder returns the installed flight recorder (nil until Instrument).
 func (b *Bus) recorder() *obs.FlightRecorder {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"loglens/internal/metrics"
+	"loglens/internal/obs"
 )
 
 // TestMetricsProduceConsumeLag: the bus mirrors per-partition produce and
 // consume counts plus consumer lag into the registry, for topics declared
-// both before and after SetMetrics.
+// both before and after Instrument.
 func TestMetricsProduceConsumeLag(t *testing.T) {
 	reg := metrics.NewRegistry()
 	b := New()
 	b.CreateTopic("early", 1) // instrumented retroactively
-	b.SetMetrics(reg)
+	b.Instrument(&obs.Ops{Metrics: reg})
 	b.CreateTopic("late", 2) // instrumented at creation
 
 	for i := 0; i < 4; i++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"loglens/internal/metrics"
+	"loglens/internal/obs"
 )
 
 // gaugeLagSum totals every bus_lag gauge in the snapshot.
@@ -27,7 +28,7 @@ func gaugeLagSum(snap metrics.Snapshot) int64 {
 func TestLagAndGaugeAgree(t *testing.T) {
 	reg := metrics.NewRegistry()
 	b := New()
-	b.SetMetrics(reg)
+	b.Instrument(&obs.Ops{Metrics: reg})
 	if err := b.CreateTopic("t", 3); err != nil {
 		t.Fatal(err)
 	}

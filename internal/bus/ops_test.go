@@ -12,7 +12,7 @@ import (
 func TestSeekRecordsFlightEvent(t *testing.T) {
 	b := New()
 	f := obs.NewFlightRecorder(clock.NewFake(), 8)
-	b.SetRecorder(f)
+	b.Instrument(&obs.Ops{Events: f})
 	if err := b.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 
 	"loglens/internal/clock"
 	"loglens/internal/experiments"
-	"loglens/internal/latency"
 	"loglens/internal/logtypes"
 	"loglens/internal/metrics"
+	"loglens/internal/obs"
 	"loglens/internal/stream"
 	"loglens/internal/testutil"
 )
@@ -158,8 +158,8 @@ func TestPipelineLatencyExact(t *testing.T) {
 		if hv.Buckets[0] != 7 {
 			t.Errorf("%s first bucket = %d, want all 7 samples", stage, hv.Buckets[0])
 		}
-		quantileWithin(t, stage, hv, 0.50, latency.StageBuckets[0]*50/100)
-		quantileWithin(t, stage, hv, 0.99, latency.StageBuckets[0]*99/100)
+		quantileWithin(t, stage, hv, 0.50, obs.StageBuckets[0]*50/100)
+		quantileWithin(t, stage, hv, 0.99, obs.StageBuckets[0]*99/100)
 	}
 
 	// No network intake ran and no anomaly fired, so those stages are

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"strconv"
 	"time"
 
 	"loglens/internal/anomaly"
-	"loglens/internal/latency"
 	"loglens/internal/logtypes"
-	"loglens/internal/metrics"
 	"loglens/internal/modelmgr"
 	"loglens/internal/obs"
 	"loglens/internal/parser"
@@ -34,7 +31,7 @@ type coreOpState struct {
 
 	// lat is the source's tenant freshness cell, resolved once at state
 	// creation so the hot path pays two atomic stores, no map lookup.
-	lat *latency.Cell
+	lat *obs.LatencyCell
 
 	// tick drives the 1-in-16 deterministic sampling of the parse and
 	// detect stage stamps: those stages are pure CPU between two clock
@@ -47,6 +44,32 @@ type coreOpState struct {
 	// field buffer, and seqdetect/volume copy what they keep, so the
 	// steady-state line allocates no ParsedLog.
 	pl logtypes.ParsedLog
+}
+
+// newOpState builds a source's operator state bound to model m: a parser
+// and detector instrumented on the ops plane, a volume detector when the
+// model carries a rate profile, and the source's tenant freshness cell.
+// The detection-side preprocessor must match the training side (custom
+// delimiters, split rules, timestamp formats), with a fresh per-partition
+// cache.
+func (p *Pipeline) newOpState(m *modelmgr.Model, source string) *coreOpState {
+	pp := p.cfg.Builder.Preprocessor
+	if pp == nil {
+		pp = preprocess.New(nil, nil)
+	}
+	st := &coreOpState{
+		model:    m,
+		modelID:  modelIDFor(source),
+		parser:   m.NewParser(pp.Clone()),
+		detector: m.NewDetector(p.cfg.Seq),
+		lat:      p.lat.Tenant(source),
+	}
+	st.parser.Instrument(p.ops.Metrics)
+	st.detector.Instrument(p.ops)
+	if m.Volume != nil {
+		st.volume = volume.New(m.Volume, p.cfg.Volume)
+	}
+	return st
 }
 
 // operator is the per-record ProcessFunc: stateless parse, then stateful
@@ -68,27 +91,7 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 		if m == nil {
 			return nil // no model (yet, or deleted): detectors idle
 		}
-		// The detection-side preprocessor must match the training
-		// side (custom delimiters, split rules, timestamp formats),
-		// with a fresh per-partition cache.
-		pp := p.cfg.Builder.Preprocessor
-		if pp == nil {
-			pp = preprocess.New(nil, nil)
-		}
-		st = &coreOpState{
-			model:    m,
-			modelID:  modelIDFor(source),
-			parser:   m.NewParser(pp.Clone()),
-			detector: m.NewDetector(p.cfg.Seq),
-		}
-		st.parser.Instrument(p.reg)
-		st.detector.Instrument(p.reg)
-		st.detector.SetTracer(p.cfg.Tracer)
-		st.detector.SetRecorder(p.events)
-		if m.Volume != nil {
-			st.volume = volume.New(m.Volume, p.cfg.Volume)
-		}
-		st.lat = p.lat.Tenant(source)
+		st = p.newOpState(m, source)
 		ctx.States().Put("__op@"+source, st)
 	} else if m := p.modelByID(ctx, st.modelID); m == nil {
 		return nil // model deleted: detectors idle
@@ -123,9 +126,6 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 	if p.ckpt != nil {
 		p.checkPoison(l)
 	}
-	if p.cfg.Tracer != nil {
-		p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StagePartition, "p="+strconv.Itoa(ctx.Partition()))
-	}
 	// Stage histograms ride a deterministic 1-in-16 per-source sample:
 	// the deliver stage closes at the engine's batch pickup stamp (bus
 	// publish → micro-batch collection → worker dispatch, shared by the
@@ -138,7 +138,7 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 	sampled := st.tick&15 == 0
 	st.tick++
 	if sampled {
-		p.lat.Observe(latency.StageDeliver, ctx.BatchStart().Sub(l.Arrival))
+		p.lat.Observe(obs.StageDeliver, ctx.BatchStart().Sub(l.Arrival))
 		pickedUp = p.cfg.Clock.Now()
 	}
 	// ParseInto reuses the state's ParsedLog scratch (field buffer
@@ -150,7 +150,7 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 		p.unparsedTotal.Inc()
 		now := p.cfg.Clock.Now()
 		if sampled {
-			p.lat.Observe(latency.StageParse, now.Sub(pickedUp))
+			p.lat.Observe(obs.StageParse, now.Sub(pickedUp))
 		}
 		e2e := now.Sub(l.Arrival)
 		p.lineSeconds.Observe(e2e.Seconds())
@@ -160,9 +160,6 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 		n := l.Arrival.UnixNano()
 		p.lat.Partition(ctx.Partition()).Note(n, n)
 		st.lat.Note(n, n)
-		if p.cfg.Tracer != nil {
-			p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StageParser, "unparsed")
-		}
 		return []any{anomaly.Record{
 			Type:      anomaly.UnparsedLog,
 			Severity:  anomaly.Warning,
@@ -176,10 +173,7 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 	var parsedAt time.Time
 	if sampled {
 		parsedAt = p.cfg.Clock.Now()
-		p.lat.Observe(latency.StageParse, parsedAt.Sub(pickedUp))
-	}
-	if p.cfg.Tracer != nil {
-		p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StageParser, "pattern="+strconv.Itoa(pl.PatternID))
+		p.lat.Observe(obs.StageParse, parsedAt.Sub(pickedUp))
 	}
 	if p.hb != nil && pl.HasTimestamp {
 		p.hb.Observe(l.Source, pl.Timestamp)
@@ -190,7 +184,7 @@ func (p *Pipeline) operator(ctx *stream.Context, rec stream.Record) []any {
 	}
 	now := p.cfg.Clock.Now()
 	if sampled {
-		p.lat.Observe(latency.StageDetect, now.Sub(parsedAt))
+		p.lat.Observe(obs.StageDetect, now.Sub(parsedAt))
 	}
 	e2e := now.Sub(l.Arrival)
 	p.lineSeconds.Observe(e2e.Seconds())
@@ -252,16 +246,12 @@ func (p *Pipeline) sink(o any) {
 		// triggering line was when the verdict landed here — the
 		// paper's real-time claim in one number. Anomalies are rare, so
 		// this path is off the per-line budget.
-		p.lat.Observe(latency.StageSink, p.cfg.Clock.Since(rec.Logs[0].Arrival))
+		p.lat.Observe(obs.StageSink, p.cfg.Clock.Since(rec.Logs[0].Arrival))
 	}
 	// Anomalies are rare relative to lines, so the labeled counter is
 	// resolved per record rather than cached per type.
-	p.reg.Counter("core_anomalies_total", "type", rec.Type.String()).Inc()
-	p.events.Record(obs.EventAnomaly, rec.Source, rec.Type.String()+": "+rec.Reason, 1)
-	if p.cfg.Tracer != nil && len(rec.Logs) > 0 {
-		l := rec.Logs[0]
-		p.cfg.Tracer.Stamp(l.Source, l.Seq, metrics.StageEmit, "type="+rec.Type.String())
-	}
+	p.ops.Metrics.Counter("core_anomalies_total", "type", rec.Type.String()).Inc()
+	p.ops.Events.Record(obs.EventAnomaly, rec.Source, rec.Type.String()+": "+rec.Reason, 1)
 	p.store.Index(AnomaliesIndex).PutAuto(store.Document{
 		"type":      rec.Type.String(),
 		"severity":  rec.Severity.String(),

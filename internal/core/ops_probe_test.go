@@ -138,3 +138,59 @@ func TestOpsProbeHeartbeatDisabled(t *testing.T) {
 	}
 	_ = p
 }
+
+// TestOpsPlaneOnByDefault: a pipeline built without Config.Ops runs a
+// private ops plane: its probes are registered and the sink records a
+// flight-recorder event per anomaly.
+func TestOpsPlaneOnByDefault(t *testing.T) {
+	fc := clock.NewFake()
+	p, err := New(Config{Clock: fc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := p.Ops()
+	if ops == nil || ops.Metrics != p.Metrics() {
+		t.Fatalf("Ops() = %+v, want a bundle carrying Metrics()", ops)
+	}
+	_, probes := ops.Health.Check()
+	for _, name := range []string{"pipeline", "bus", "heartbeat", "broadcast"} {
+		if _, ok := probes[name]; !ok {
+			t.Fatalf("probe %q not registered: %v", name, probes)
+		}
+	}
+
+	base := time.Date(2016, 2, 23, 9, 0, 0, 0, time.UTC)
+	var train []string
+	for i := 0; i < 30; i++ {
+		t0 := base.Add(time.Duration(i*10) * time.Second)
+		id := "ev-" + strconv.Itoa(i)
+		train = append(train,
+			t0.Format("2006/01/02 15:04:05.000")+" task "+id+" start prio 1",
+			t0.Add(2*time.Second).Format("2006/01/02 15:04:05.000")+" task "+id+" done code 0",
+		)
+	}
+	if _, _, err := p.Train("m1", experiments.ToLogs("tasks", train)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ag, err := p.Agent("tasks", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ag.Send("junk line with no learned pattern"); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitUntil(t, 10*time.Second, func() bool {
+		fc.Advance(20 * time.Millisecond)
+		return p.AnomalyCount() == 1
+	}, "unparsed line never reached the sink")
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	evs := ops.Events.Events(obs.EventQuery{Type: obs.EventAnomaly})
+	if len(evs) != 1 || evs[0].Source != "tasks" || !strings.HasPrefix(evs[0].Detail, "unparsed-log") {
+		t.Fatalf("anomaly events = %+v", evs)
+	}
+}

@@ -25,7 +25,6 @@ import (
 	"loglens/internal/clock"
 	"loglens/internal/heartbeat"
 	"loglens/internal/intake"
-	"loglens/internal/latency"
 	"loglens/internal/logmanager"
 	"loglens/internal/logtypes"
 	"loglens/internal/metrics"
@@ -78,18 +77,10 @@ type Config struct {
 	// Injecting a clock.Fake makes the pipeline's temporal behavior —
 	// batch cadence, heartbeat emission — manually drivable in tests.
 	Clock clock.Clock
-	// Metrics is the observability registry threaded through every
-	// component (bus, engines, parser, detector, heartbeat, model
-	// manager). Nil creates a private registry; read it via
-	// Pipeline.Metrics().
-	Metrics *metrics.Registry
-	// Tracer, when set, stamps traced lines at every pipeline stage
-	// (agent → bus → partition → parser → seqdetect → anomaly). Nil
-	// disables tracing at zero hot-path cost.
-	Tracer metrics.Tracer
-	// Ops is the ops plane (spans, flight recorder, health probes)
-	// threaded through every component. Nil disables it at a nil-check's
-	// cost; construct one with obs.New and serve it via the dashboard.
+	// Ops is the ops plane (metrics registry, spans, flight recorder,
+	// health probes) threaded through every component. Nil creates a
+	// private obs.New bundle on Clock; read it via Pipeline.Ops and
+	// Pipeline.Metrics. A caller-built bundle must come from obs.New.
 	Ops *obs.Ops
 	// BusLagDegraded and BusLagUnhealthy are the bus-lag health-probe
 	// thresholds in messages behind (defaults 1024 and 8192): past the
@@ -104,7 +95,7 @@ type Config struct {
 	// Intake enables the network front door: syslog UDP/TCP listeners
 	// and the HTTP bulk endpoint feeding the bus through the bounded
 	// multi-tenant admission layer. The zero value disables every
-	// listener. Clock, Metrics, and Events default to the pipeline's.
+	// listener. Clock and Ops default to the pipeline's.
 	Intake intake.Config
 	// Recovery enables the crash-recovery plane: checkpoint/restore,
 	// commit-gated at-least-once consumption, supervised restarts, and
@@ -158,13 +149,10 @@ type Pipeline struct {
 	unparsed  atomic.Uint64
 	forwarded atomic.Uint64
 
-	// events is the ops-plane flight recorder (nil when Config.Ops is
-	// unset).
-	events *obs.FlightRecorder
+	// ops is the ops plane (Config.Ops, or a private bundle).
+	ops *obs.Ops
 
-	// Registry handles, resolved once at construction (the registry is
-	// never nil: Config.Metrics defaults to a private one).
-	reg           *metrics.Registry
+	// Registry handles, resolved once at construction.
 	linesTotal    *metrics.Counter
 	hbTotal       *metrics.Counter
 	parsedTotal   *metrics.Counter
@@ -172,7 +160,7 @@ type Pipeline struct {
 	lineSeconds   *metrics.Histogram
 
 	// lat is the latency/freshness tracker.
-	lat *latency.Tracker
+	lat *obs.Latency
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -203,8 +191,8 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.New()
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
+	if cfg.Ops == nil {
+		cfg.Ops = obs.New(cfg.Clock)
 	}
 	if cfg.BusLagDegraded <= 0 {
 		cfg.BusLagDegraded = 1024
@@ -225,46 +213,36 @@ func New(cfg Config) (*Pipeline, error) {
 		store:    st,
 		bySource: make(map[string]*modelmgr.Model),
 		runErr:   make(chan error, 1),
-		reg:      cfg.Metrics,
-		events:   obs.EventsOf(cfg.Ops),
+		ops:      cfg.Ops,
 	}
 	if p.bus == nil {
 		p.localBus = bus.NewWithClock(cfg.Clock)
 		p.bus = p.localBus
 	}
-	p.linesTotal = p.reg.Counter("core_lines_total")
-	p.hbTotal = p.reg.Counter("core_heartbeats_total")
-	p.parsedTotal = p.reg.Counter("core_parsed_total")
-	p.unparsedTotal = p.reg.Counter("core_unparsed_total")
-	p.lineSeconds = p.reg.Histogram("core_line_seconds", nil)
-	parts := cfg.Partitions
-	if parts <= 0 {
-		parts = 4 // stream.Config's default
-	}
-	p.lat = latency.New(p.reg, cfg.Clock, parts, cfg.SLOE2E)
-	// Instrumentation hooks are optional broker capabilities: the
-	// in-process bus and the netbus client both expose them, but the
-	// Broker interface stays transport-minimal.
-	if mb, ok := p.bus.(interface{ SetMetrics(*metrics.Registry) }); ok {
-		mb.SetMetrics(p.reg)
-	}
-	if rb, ok := p.bus.(interface{ SetRecorder(*obs.FlightRecorder) }); ok {
-		rb.SetRecorder(p.events)
+	reg := p.ops.Metrics
+	p.linesTotal = reg.Counter("core_lines_total")
+	p.hbTotal = reg.Counter("core_heartbeats_total")
+	p.parsedTotal = reg.Counter("core_parsed_total")
+	p.unparsedTotal = reg.Counter("core_unparsed_total")
+	p.lineSeconds = reg.Histogram("core_line_seconds", nil)
+	// Instrumentation is an optional broker capability: the in-process
+	// bus and the netbus client both have it, but the Broker interface
+	// stays transport-minimal.
+	if ib, ok := p.bus.(interface{ Instrument(*obs.Ops) }); ok {
+		ib.Instrument(p.ops)
 	}
 	p.builder = modelmgr.NewBuilder(cfg.Builder)
 	p.manager = modelmgr.NewManager(p.store, p.builder)
-	p.manager.Instrument(p.reg)
-	p.manager.SetRecorder(p.events)
+	p.manager.Instrument(p.ops)
 	p.controller, err = modelmgr.NewController(p.bus)
 	if err != nil {
 		return nil, err
 	}
-	p.controller.SetMetrics(p.reg)
+	p.controller.Instrument(reg)
 	if !cfg.DisableHeartbeat {
 		p.hb = heartbeat.New(cfg.Heartbeat)
 		p.hb.SetClock(cfg.Clock)
-		p.hb.Instrument(p.reg)
-		p.hb.SetOps(cfg.Ops)
+		p.hb.Instrument(p.ops)
 	}
 	if cfg.Recovery.enabled() {
 		if err := p.initRecovery(); err != nil {
@@ -277,8 +255,7 @@ func New(cfg Config) (*Pipeline, error) {
 		BatchInterval: cfg.BatchInterval,
 		MaxBatch:      cfg.MaxBatch,
 		Clock:         cfg.Clock,
-		Metrics:       p.reg,
-		Ops:           cfg.Ops,
+		Ops:           p.ops,
 	}
 	if p.ckpt != nil {
 		engineCfg.PanicHook = p.onOperatorPanic
@@ -295,10 +272,10 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p.engine = stream.New(engineCfg, p.operator)
 	p.engine.SetSink(p.sink)
+	p.lat = obs.NewLatency(reg, cfg.Clock, p.engine.Partitions(), cfg.SLOE2E)
 	lmCfg := logmanager.Config{
 		ArchiveLogs:  cfg.ArchiveLogs,
-		Metrics:      p.reg,
-		Tracer:       cfg.Tracer,
+		Metrics:      reg,
 		ForwardBatch: p.forwardBatch,
 	}
 	if p.commits != nil {
@@ -325,11 +302,8 @@ func New(cfg Config) (*Pipeline, error) {
 		if p.intakeCfg.Clock == nil {
 			p.intakeCfg.Clock = cfg.Clock
 		}
-		if p.intakeCfg.Metrics == nil {
-			p.intakeCfg.Metrics = p.reg
-		}
-		if p.intakeCfg.Events == nil {
-			p.intakeCfg.Events = p.events
+		if p.intakeCfg.Ops == nil {
+			p.intakeCfg.Ops = p.ops
 		}
 	}
 	p.registerProbes()
@@ -352,7 +326,7 @@ func (p *Pipeline) Intake() *intake.Service {
 // (zero otherwise), matching the sampled stage histograms downstream.
 func (p *Pipeline) publishIntake(tenant string, seq uint64, raw []byte, admitted time.Time) {
 	if !admitted.IsZero() {
-		p.lat.Observe(latency.StageIntake, p.cfg.Clock.Since(admitted))
+		p.lat.Observe(obs.StageIntake, p.cfg.Clock.Since(admitted))
 	}
 	p.bus.Publish(agent.LogsTopic, tenant, raw, map[string]string{
 		agent.HeaderSource: tenant,
@@ -362,11 +336,11 @@ func (p *Pipeline) publishIntake(tenant string, seq uint64, raw []byte, admitted
 
 // Latency exposes the latency/freshness tracker. The dashboard serves
 // its percentiles and watermark table at /api/latency.
-func (p *Pipeline) Latency() *latency.Tracker { return p.lat }
+func (p *Pipeline) Latency() *obs.Latency { return p.lat }
 
-// Ops exposes the pipeline's ops plane (nil when disabled). The
-// dashboard serves its spans, events, and health probes.
-func (p *Pipeline) Ops() *obs.Ops { return p.cfg.Ops }
+// Ops exposes the pipeline's ops plane (never nil). The dashboard serves
+// its spans, events, and health probes.
+func (p *Pipeline) Ops() *obs.Ops { return p.ops }
 
 // Running reports whether the pipeline has been started and its engine
 // loops are live.
@@ -380,14 +354,11 @@ func (p *Pipeline) Running() bool {
 	return p.engine.Running()
 }
 
-// registerProbes installs the per-component health probes (no-ops when
-// the ops plane is off). Thresholds come from Config; DESIGN.md's "Ops
-// plane" section documents the semantics.
+// registerProbes installs the per-component health probes. Thresholds
+// come from Config; DESIGN.md's "Telemetry plane" section documents the
+// semantics.
 func (p *Pipeline) registerProbes() {
-	if p.cfg.Ops == nil || p.cfg.Ops.Health == nil {
-		return
-	}
-	h := p.cfg.Ops.Health
+	h := p.ops.Health
 	h.Register("pipeline", func() obs.ProbeResult {
 		p.mu.Lock()
 		started := p.running
@@ -511,7 +482,7 @@ func (p *Pipeline) Engine() *stream.Engine { return p.engine }
 
 // Metrics exposes the pipeline's observability registry (never nil). The
 // dashboard serves its Snapshot at /api/metrics.
-func (p *Pipeline) Metrics() *metrics.Registry { return p.reg }
+func (p *Pipeline) Metrics() *metrics.Registry { return p.ops.Metrics }
 
 // AnomalyCount returns the total anomalies reported so far.
 func (p *Pipeline) AnomalyCount() uint64 { return p.anomalies.Load() }
@@ -607,14 +578,12 @@ func (p *Pipeline) installModel(source string, m *modelmgr.Model) {
 	}
 }
 
-// Agent creates a shipping agent for a source. The pipeline's tracer, if
-// any, rides along so agent stamps open each traced line's journey.
+// Agent creates a shipping agent for a source.
 func (p *Pipeline) Agent(source string, ratePerSec int) (*agent.Agent, error) {
 	return agent.New(p.bus, agent.Config{
 		Source:          source,
 		RatePerSec:      ratePerSec,
 		TopicPartitions: p.engine.Partitions(),
-		Tracer:          p.cfg.Tracer,
 	})
 }
 
@@ -923,7 +892,7 @@ func (p *Pipeline) applyInstruction(ins modelmgr.Instruction) {
 	case modelmgr.OpAdd, modelmgr.OpUpdate:
 		m, err := p.manager.Load(ins.ModelID)
 		if err != nil {
-			p.events.Record(obs.EventRebroadcastFailed, ins.ModelID,
+			p.ops.Events.Record(obs.EventRebroadcastFailed, ins.ModelID,
 				string(ins.Op)+": "+err.Error(), 0)
 			return
 		}

@@ -15,10 +15,8 @@ import (
 	"loglens/internal/logmanager"
 	"loglens/internal/logtypes"
 	"loglens/internal/obs"
-	"loglens/internal/preprocess"
 	"loglens/internal/recovery"
 	"loglens/internal/stream"
-	"loglens/internal/volume"
 )
 
 // RecoveryConfig enables the crash-recovery plane (internal/recovery):
@@ -134,12 +132,12 @@ func (p *Pipeline) initRecovery() error {
 	if rc.Keep > 0 {
 		p.ckpt.SetKeep(rc.Keep)
 	}
-	q, err := recovery.NewQuarantine(rc.PoisonStrikes, p.bus, p.events)
+	q, err := recovery.NewQuarantine(rc.PoisonStrikes, p.bus, p.ops.Events)
 	if err != nil {
 		return err
 	}
 	p.quarantine = q
-	p.quarantinedTotal = p.reg.Counter("core_quarantined_total")
+	p.quarantinedTotal = p.ops.Metrics.Counter("core_quarantined_total")
 	p.commits = &commitTracker{on: &p.commitsOn}
 	return nil
 }
@@ -153,7 +151,7 @@ func (p *Pipeline) supervisorConfig() recovery.SupervisorConfig {
 		Window:      rc.RestartWindow,
 		MaxRestarts: rc.MaxRestarts,
 		Seed:        rc.Seed,
-		Events:      p.events,
+		Events:      p.ops.Events,
 	}
 }
 
@@ -166,9 +164,7 @@ func (p *Pipeline) runSupervised(name string, ctx context.Context, task func(con
 		return task(ctx)
 	}
 	sup := recovery.NewSupervisor(name, p.supervisorConfig())
-	if p.cfg.Ops != nil && p.cfg.Ops.Health != nil {
-		p.cfg.Ops.Health.Register("supervisor:"+name, sup.Probe)
-	}
+	p.ops.Health.Register("supervisor:"+name, sup.Probe)
 	return sup.Run(ctx, task)
 }
 
@@ -258,10 +254,10 @@ func (p *Pipeline) noteCheckpoint(gen uint64, err error) {
 	}
 	p.ckptStatusMu.Unlock()
 	if err != nil {
-		p.events.Record(obs.EventStorageError, "checkpoint", err.Error(), 0)
+		p.ops.Events.Record(obs.EventStorageError, "checkpoint", err.Error(), 0)
 		return
 	}
-	p.events.Record(obs.EventCheckpoint, "save", fmt.Sprintf("generation %d", gen), int64(gen))
+	p.ops.Events.Record(obs.EventCheckpoint, "save", fmt.Sprintf("generation %d", gen), int64(gen))
 }
 
 // quiesce pauses the log manager, takes the cut at the offsets it has
@@ -420,7 +416,7 @@ func (p *Pipeline) Restore() (bool, error) {
 	p.ckptStatusMu.Lock()
 	p.ckptLastGen = cp.Generation
 	p.ckptStatusMu.Unlock()
-	p.events.Record(obs.EventCheckpoint, "restore",
+	p.ops.Events.Record(obs.EventCheckpoint, "restore",
 		fmt.Sprintf("restored generation %d", cp.Generation), int64(cp.Generation))
 	return true, nil
 }
@@ -509,25 +505,14 @@ func (p *Pipeline) rebuildOpState(ks recovery.KeyState) *coreOpState {
 	if m == nil {
 		return nil
 	}
-	st := &coreOpState{model: m, modelID: modelIDFor(source)}
+	st := p.newOpState(m, source)
 	if ks.Parser != nil {
-		pp := p.cfg.Builder.Preprocessor
-		if pp == nil {
-			pp = preprocess.New(nil, nil)
-		}
-		st.parser = m.NewParser(pp.Clone())
-		st.parser.Instrument(p.reg)
 		st.parser.RestoreState(*ks.Parser)
 	}
 	if ks.Detector != nil {
-		st.detector = m.NewDetector(p.cfg.Seq)
-		st.detector.Instrument(p.reg)
-		st.detector.SetTracer(p.cfg.Tracer)
-		st.detector.SetRecorder(p.events)
 		st.detector.RestoreState(*ks.Detector)
 	}
-	if ks.Volume != nil && m.Volume != nil {
-		st.volume = volume.New(m.Volume, p.cfg.Volume)
+	if ks.Volume != nil && st.volume != nil {
 		st.volume.RestoreState(*ks.Volume)
 	}
 	return st
@@ -566,5 +551,5 @@ func (p *Pipeline) Kill() {
 	// flushing — unsynced mutations die with the process, exactly what
 	// the recovery tests must survive.
 	p.store.Abort()
-	p.events.Record(obs.EventShutdown, "kill", "crash simulated: loops aborted, nothing drained", 0)
+	p.ops.Events.Record(obs.EventShutdown, "kill", "crash simulated: loops aborted, nothing drained", 0)
 }

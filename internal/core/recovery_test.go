@@ -346,6 +346,66 @@ func TestRestoreKeepsAnomalyScanOrder(t *testing.T) {
 	}
 }
 
+// TestRestoredSourceKeepsFreshness: a source whose operator state came
+// back from a checkpoint still advances its tenant freshness watermark,
+// the row /api/latency and freshness_*_lag_ms{tenant} report.
+func TestRestoredSourceKeepsFreshness(t *testing.T) {
+	training, prod := conservationCorpus(40, 0)
+	dir := t.TempDir()
+	p1 := newRecoveryPipeline(t, dir, nil)
+	if _, _, err := p1.Train("recovery", training); err != nil {
+		t.Fatal(err)
+	}
+	if err := p1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ag1, err := p1.Agent("web", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, ag1, prod[:20])
+	if err := p1.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	p1.Kill()
+
+	p2 := newRecoveryPipeline(t, dir, nil)
+	if restored, err := p2.Restore(); err != nil || !restored {
+		t.Fatalf("Restore = %v, %v", restored, err)
+	}
+	if err := p2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Stop()
+	ag2, err := p2.Agent("web", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replay the whole input: the checkpointed prefix is skipped, the
+	// rest reaches the restored "web" state.
+	resumed := time.Now()
+	feed(t, ag2, prod)
+	if err := p2.Drain(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := p2.Metrics().Snapshot().Counter("core_parsed_total"); got != uint64(len(prod)) {
+		t.Fatalf("core_parsed_total = %d, want %d", got, len(prod))
+	}
+	_, tenants := p2.Latency().Watermarks()
+	for _, tw := range tenants {
+		if tw.Tenant == "web" {
+			if tw.ProcTime.Before(resumed) {
+				t.Fatalf("web watermark %v predates the resumed input (%v)", tw.ProcTime, resumed)
+			}
+			return
+		}
+	}
+	t.Fatalf("no tenant watermark for the restored source: %+v", tenants)
+}
+
 // TestCrashRecoveryRejectedRestoreMutatesNothing: a checkpoint this
 // pipeline cannot hold — operator state for more partitions than it
 // runs, or for engines other than "main" — must be rejected before the

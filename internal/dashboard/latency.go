@@ -4,8 +4,8 @@ import (
 	"net/http"
 	"time"
 
-	"loglens/internal/latency"
 	"loglens/internal/metrics"
+	"loglens/internal/obs"
 )
 
 // stageSummary is one row of the /api/latency stage table: observation
@@ -20,12 +20,12 @@ type stageSummary struct {
 
 // latencyResponse is the /api/latency payload.
 type latencyResponse struct {
-	Enabled         bool                         `json:"enabled"`
-	SLO             sloSummary                   `json:"slo"`
-	IngestWatermark *time.Time                   `json:"ingestWatermark"`
-	Stages          []stageSummary               `json:"stages"`
-	Partitions      []latency.PartitionWatermark `json:"partitions"`
-	Tenants         []latency.TenantWatermark    `json:"tenants"`
+	Enabled         bool                     `json:"enabled"`
+	SLO             sloSummary               `json:"slo"`
+	IngestWatermark *time.Time               `json:"ingestWatermark"`
+	Stages          []stageSummary           `json:"stages"`
+	Partitions      []obs.PartitionWatermark `json:"partitions"`
+	Tenants         []obs.TenantWatermark    `json:"tenants"`
 }
 
 // sloSummary reports the configured end-to-end objective and how often
@@ -69,7 +69,7 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 	if wm := lat.IngestWatermark(); !wm.IsZero() {
 		resp.IngestWatermark = &wm
 	}
-	for _, name := range latency.Stages() {
+	for _, name := range obs.Stages() {
 		hv, _ := snap.Histogram("latency_stage_seconds", "stage", name)
 		resp.Stages = append(resp.Stages, stageRow(name, hv))
 	}
@@ -77,10 +77,10 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 	resp.Stages = append(resp.Stages, stageRow("e2e", e2e))
 	resp.Partitions, resp.Tenants = lat.Watermarks()
 	if resp.Partitions == nil {
-		resp.Partitions = []latency.PartitionWatermark{}
+		resp.Partitions = []obs.PartitionWatermark{}
 	}
 	if resp.Tenants == nil {
-		resp.Tenants = []latency.TenantWatermark{}
+		resp.Tenants = []obs.TenantWatermark{}
 	}
 	writeJSON(w, resp)
 }

@@ -9,7 +9,7 @@ import (
 
 	"loglens/internal/clock"
 	"loglens/internal/core"
-	"loglens/internal/latency"
+	"loglens/internal/obs"
 )
 
 // latencyGet fetches /api/latency and decodes the response body.
@@ -44,7 +44,7 @@ func TestLatencyEndpoint(t *testing.T) {
 	// 4 parse observations at 10ms: all land in the (0.005, 0.01]
 	// StageBuckets bucket, so every quantile interpolates inside it.
 	for i := 0; i < 4; i++ {
-		lat.Observe(latency.StageParse, 10*time.Millisecond)
+		lat.Observe(obs.StageParse, 10*time.Millisecond)
 	}
 	lat.CheckSLO(60 * time.Millisecond) // breach
 	lat.CheckSLO(40 * time.Millisecond) // within SLO
@@ -66,7 +66,7 @@ func TestLatencyEndpoint(t *testing.T) {
 	}
 
 	stages := body["stages"].([]any)
-	want := append(latency.Stages(), "e2e")
+	want := append(obs.Stages(), "e2e")
 	if len(stages) != len(want) {
 		t.Fatalf("got %d stage rows, want %d", len(stages), len(want))
 	}
@@ -85,7 +85,7 @@ func TestLatencyEndpoint(t *testing.T) {
 	}
 	// All 4 observations sit in one bucket: p50 interpolates halfway
 	// through it, p95 at 95% of it.
-	bounds := latency.StageBuckets
+	bounds := obs.StageBuckets
 	var lo, hi float64
 	for i, b := range bounds {
 		if b >= 0.01 {
@@ -141,7 +141,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Latency().Observe(latency.StageParse, 10*time.Millisecond)
+	p.Latency().Observe(obs.StageParse, 10*time.Millisecond)
 	p.Latency().CheckSLO(5 * time.Millisecond)
 	srv := New(p)
 
@@ -176,8 +176,8 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 			parseBuckets = append(parseBuckets, l)
 		}
 	}
-	if len(parseBuckets) != len(latency.StageBuckets)+1 {
-		t.Fatalf("got %d parse bucket lines, want %d", len(parseBuckets), len(latency.StageBuckets)+1)
+	if len(parseBuckets) != len(obs.StageBuckets)+1 {
+		t.Fatalf("got %d parse bucket lines, want %d", len(parseBuckets), len(obs.StageBuckets)+1)
 	}
 	if last := parseBuckets[len(parseBuckets)-1]; !strings.Contains(last, `le="+Inf"`) {
 		t.Errorf("last bucket line = %q, want +Inf", last)

@@ -13,10 +13,7 @@ import (
 )
 
 // registerOps mounts the ops-plane endpoints: health probes, the flight
-// recorder, trace export, the live metrics stream, and pprof. They are
-// always mounted; with the ops plane disabled the handlers degrade to
-// empty-but-valid responses rather than 404s, so probes and dashboards
-// can be configured identically everywhere.
+// recorder, trace export, the live metrics stream, and pprof.
 func (s *Server) registerOps() {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -31,21 +28,13 @@ func (s *Server) registerOps() {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// health returns the ops-plane health registry (nil when disabled).
-func (s *Server) health() *obs.Health {
-	if o := s.pipeline.Ops(); o != nil {
-		return o.Health
-	}
-	return nil
-}
-
 // handleHealthz reports liveness: 200 while the service can do its job
 // (healthy or merely degraded), 503 once any probe is unhealthy. The
 // body always carries the per-probe detail.
 //
 //	GET /healthz
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	overall, probes := s.health().Check()
+	overall, probes := s.pipeline.Ops().Health.Check()
 	w.Header().Set("Content-Type", "application/json")
 	if overall == obs.Unhealthy {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -58,7 +47,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 //
 //	GET /readyz
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	overall, probes := s.health().Check()
+	overall, probes := s.pipeline.Ops().Health.Check()
 	w.Header().Set("Content-Type", "application/json")
 	if overall != obs.Healthy {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -89,7 +78,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Limit = n
 	}
-	events := obs.EventsOf(s.pipeline.Ops()).Events(q)
+	events := s.pipeline.Ops().Events.Events(q)
 	if events == nil {
 		events = []obs.Event{}
 	}
@@ -154,7 +143,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	since := s.clk.Now().Add(-time.Duration(sec) * time.Second)
 	w.Header().Set("Content-Type", "application/json")
-	obs.SpansOf(s.pipeline.Ops()).WriteChromeTrace(w, since)
+	s.pipeline.Ops().Spans.WriteChromeTrace(w, since)
 }
 
 // handleMetricsStream pushes metrics snapshots as Server-Sent Events:

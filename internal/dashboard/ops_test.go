@@ -375,29 +375,32 @@ func TestMetricsStreamBadInterval(t *testing.T) {
 	}
 }
 
-// TestOpsEndpointsWithoutOpsPlane: with Config.Ops unset every ops
-// endpoint still answers with an empty-but-valid body, so probes can be
-// configured identically on instrumented and bare deployments.
-func TestOpsEndpointsWithoutOpsPlane(t *testing.T) {
+// TestOpsEndpointsOnDefaultOpsPlane: with Config.Ops unset the pipeline
+// runs its own ops plane, and every ops endpoint serves it: the probes,
+// one flight-recorder event per anomaly, and the engine's batch spans.
+func TestOpsEndpointsOnDefaultOpsPlane(t *testing.T) {
 	srv := New(buildPipeline(t))
 
 	code, body := get(t, srv, "/healthz")
 	if code != 200 || body["status"] != "healthy" {
 		t.Fatalf("healthz = %d %v, want 200 healthy", code, body["status"])
 	}
+	if status, _ := probeOf(t, body, "pipeline"); status != "healthy" {
+		t.Fatalf("pipeline probe = %s, want healthy", status)
+	}
 	if code, _ := get(t, srv, "/readyz"); code != 200 {
 		t.Fatalf("readyz = %d, want 200", code)
 	}
-	code, body = get(t, srv, "/api/events")
-	if code != 200 || body["total"].(float64) != 0 {
-		t.Fatalf("events = %d %v, want 200 total 0", code, body["total"])
+	code, body = get(t, srv, "/api/events?type=anomaly")
+	if code != 200 || body["total"].(float64) != 3 {
+		t.Fatalf("anomaly events = %d %v, want 200 total 3", code, body["total"])
 	}
 	code, body = get(t, srv, "/debug/trace")
 	if code != 200 {
 		t.Fatalf("trace = %d, want 200", code)
 	}
-	if events, ok := body["traceEvents"].([]any); !ok || len(events) != 0 {
-		t.Fatalf("trace body = %v, want empty traceEvents", body)
+	if events, ok := body["traceEvents"].([]any); !ok || len(events) == 0 {
+		t.Fatalf("trace body = %v, want the engine's spans", body)
 	}
 
 	req := httptest.NewRequest("GET", "/debug/pprof/", nil)

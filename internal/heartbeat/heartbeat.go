@@ -102,27 +102,18 @@ func (c *Controller) clock() clock.Clock {
 	return c.clk
 }
 
-// Instrument mirrors controller activity into reg: observations fed in,
-// heartbeats synthesized, and the tracked-source gauge. Call before Run.
-func (c *Controller) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
+// Instrument attaches the ops plane: observations fed in, heartbeats
+// synthesized, and the tracked-source gauge go to its registry; each
+// Tick sweep becomes a span on its own logical thread, and forgetting a
+// silent source records a flight-recorder event. Call before Run.
+func (c *Controller) Instrument(o *obs.Ops) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.observations = reg.Counter("heartbeat_observations_total")
-	c.emitted = reg.Counter("heartbeat_emitted_total")
-	c.tracked = reg.Gauge("heartbeat_sources")
-}
-
-// SetOps attaches the ops plane: each Tick sweep becomes a span on its
-// own logical thread, and forgetting a silent source records a
-// flight-recorder event. Call before Run; nil disables.
-func (c *Controller) SetOps(o *obs.Ops) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.spans = obs.SpansOf(o)
-	c.events = obs.EventsOf(o)
+	c.observations = o.Metrics.Counter("heartbeat_observations_total")
+	c.emitted = o.Metrics.Counter("heartbeat_emitted_total")
+	c.tracked = o.Metrics.Gauge("heartbeat_sources")
+	c.spans = o.Spans
+	c.events = o.Events
 	c.sweepTid = c.spans.Thread("heartbeat sweep")
 }
 

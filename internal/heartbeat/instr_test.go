@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"loglens/internal/metrics"
+	"loglens/internal/obs"
 )
 
 // TestInstrumentCounts: observations, synthesized heartbeats, and the
@@ -12,7 +13,7 @@ import (
 func TestInstrumentCounts(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c, clk := newTestController()
-	c.Instrument(reg)
+	c.Instrument(&obs.Ops{Metrics: reg})
 
 	c.Observe("a", log0)
 	clk.Advance(time.Second)

@@ -27,15 +27,15 @@ func TestStalenessTracksWallClock(t *testing.T) {
 	}
 }
 
-// TestSetOpsRecordsSweepsAndForgottenSources: with the ops plane
+// TestInstrumentRecordsSweepsAndForgottenSources: with the ops plane
 // attached, every Tick sweep leaves a span on the sweep thread and a
 // source deleted for silence leaves a flight-recorder event.
-func TestSetOpsRecordsSweepsAndForgottenSources(t *testing.T) {
+func TestInstrumentRecordsSweepsAndForgottenSources(t *testing.T) {
 	fake := clock.NewFakeAt(wall0)
 	c := New(Config{ActivityWindow: time.Minute})
 	c.SetClock(fake)
 	ops := obs.New(fake)
-	c.SetOps(ops)
+	c.Instrument(ops)
 
 	c.Observe("src", log0)
 	fake.Advance(2 * time.Minute) // past the activity window

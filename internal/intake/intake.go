@@ -74,11 +74,10 @@ type Config struct {
 	// Clock drives rate-limit refill and idle accounting (default the
 	// wall clock; tests inject clock.Fake).
 	Clock clock.Clock
-	// Metrics receives the intake_* instruments (nil = none).
-	Metrics *metrics.Registry
-	// Events is the flight recorder every shed line and rejected
-	// connection is written to (nil = disabled).
-	Events *obs.FlightRecorder
+	// Ops receives the intake_* instruments in its registry and a
+	// flight-recorder event for every shed line and rejected connection
+	// (nil = a private registry and no events).
+	Ops *obs.Ops
 }
 
 // Enabled reports whether any listener is configured.
@@ -227,7 +226,10 @@ func New(cfg Config, publish PublishFunc) *Service {
 	if cfg.DefaultTenant == "" {
 		cfg.DefaultTenant = DefaultTenant
 	}
-	reg := cfg.Metrics
+	if cfg.Ops == nil {
+		cfg.Ops = &obs.Ops{}
+	}
+	reg := cfg.Ops.Metrics
 	if reg == nil {
 		// A nil registry would alias every handle to the shared no-op
 		// counter, cross-contaminating Stats. A private registry keeps the
@@ -239,7 +241,7 @@ func New(cfg Config, publish PublishFunc) *Service {
 		clk:        cfg.Clock,
 		publish:    publish,
 		limiter:    NewLimiter(cfg.Clock, cfg.TenantRate, cfg.TenantBurst),
-		events:     cfg.Events,
+		events:     cfg.Ops.Events,
 		queue:      make(chan item, cfg.QueueDepth),
 		closing:    make(chan struct{}),
 		done:       make(chan struct{}),

@@ -74,7 +74,7 @@ func dialTCP(t *testing.T, s *Service) net.Conn {
 // the publish callback with the hostname as tenant and per-tenant seqs.
 func TestServiceTCPEndToEnd(t *testing.T) {
 	sink := newCollector()
-	s := startService(t, Config{SyslogTCP: "127.0.0.1:0", Metrics: metrics.NewRegistry()}, sink)
+	s := startService(t, Config{SyslogTCP: "127.0.0.1:0"}, sink)
 
 	conn := dialTCP(t, s)
 	payload := "<13>Feb  5 17:32:18 web01 app: hello line one\n"
@@ -100,7 +100,7 @@ func TestServiceTCPEndToEnd(t *testing.T) {
 func TestServiceMalformedForwardedRaw(t *testing.T) {
 	sink := newCollector()
 	s := startService(t, Config{
-		SyslogTCP: "127.0.0.1:0", DefaultTenant: "dt", Metrics: metrics.NewRegistry(),
+		SyslogTCP: "127.0.0.1:0", DefaultTenant: "dt",
 	}, sink)
 
 	conn := dialTCP(t, s)
@@ -123,7 +123,7 @@ func TestServiceMalformedForwardedRaw(t *testing.T) {
 func TestServiceFrameErrorClosesOnlyThatConn(t *testing.T) {
 	sink := newCollector()
 	s := startService(t, Config{
-		SyslogTCP: "127.0.0.1:0", MaxLineBytes: 128, Metrics: metrics.NewRegistry(),
+		SyslogTCP: "127.0.0.1:0", MaxLineBytes: 128,
 	}, sink)
 
 	bad := dialTCP(t, s)
@@ -154,7 +154,7 @@ func TestServiceUDPShedsOverRate(t *testing.T) {
 	sink := newCollector()
 	s := startService(t, Config{
 		SyslogUDP: "127.0.0.1:0", TenantRate: 5, TenantBurst: 5,
-		Clock: fc, Metrics: reg, Events: events,
+		Clock: fc, Ops: &obs.Ops{Metrics: reg, Events: events},
 	}, sink)
 
 	conn, err := net.Dial("udp", s.UDPAddr())
@@ -210,7 +210,7 @@ func TestServiceTCPBackpressure(t *testing.T) {
 	sink := newCollector()
 	s := startService(t, Config{
 		SyslogTCP: "127.0.0.1:0", TenantRate: 10, TenantBurst: 10,
-		Clock: fc, Metrics: metrics.NewRegistry(),
+		Clock: fc,
 	}, sink)
 
 	conn := dialTCP(t, s)
@@ -230,8 +230,11 @@ func TestServiceTCPBackpressure(t *testing.T) {
 	if got := sink.total.Load(); got != 10 {
 		t.Fatalf("published %d before clock advance, want exactly the burst 10", got)
 	}
-	// Each second of fake time releases another 10 lines — no sheds.
+	// Each second of fake time releases another 10 lines — no sheds. The
+	// rate wait is the only waiter on the fake clock: advancing before
+	// the handler has parked in it would let the tick pass unseen.
 	for want := uint64(20); want <= n; want += 10 {
+		fc.BlockUntil(1)
 		fc.Advance(time.Second)
 		testutil.WaitUntil(t, 5*time.Second, func() bool { return sink.total.Load() >= want },
 			"refill did not release lines")
@@ -254,7 +257,7 @@ func TestServiceQueueBoundedAndSheds(t *testing.T) {
 	sink.block = make(chan struct{})
 	const depth = 8
 	s := startService(t, Config{
-		SyslogUDP: "127.0.0.1:0", QueueDepth: depth, Metrics: reg,
+		SyslogUDP: "127.0.0.1:0", QueueDepth: depth, Ops: &obs.Ops{Metrics: reg},
 	}, sink)
 
 	conn, err := net.Dial("udp", s.UDPAddr())
@@ -298,7 +301,7 @@ func TestServiceHTTPIngest(t *testing.T) {
 	sink := newCollector()
 	s := startService(t, Config{
 		HTTP: "127.0.0.1:0", TenantRate: 10, TenantBurst: 10,
-		Clock: fc, Metrics: metrics.NewRegistry(),
+		Clock: fc,
 	}, sink)
 
 	post := func(body string) (int, IngestResponse) {
@@ -353,7 +356,7 @@ func TestServiceHTTPIngest(t *testing.T) {
 // connection keep full service.
 func TestServiceStalledReaderIsolation(t *testing.T) {
 	sink := newCollector()
-	s := startService(t, Config{SyslogTCP: "127.0.0.1:0", Metrics: metrics.NewRegistry()}, sink)
+	s := startService(t, Config{SyslogTCP: "127.0.0.1:0"}, sink)
 
 	stalled := dialTCP(t, s)
 	// Half an octet-counted frame: the server read loop now waits for
@@ -375,7 +378,7 @@ func TestServiceStalledReaderIsolation(t *testing.T) {
 func TestServiceConnCap(t *testing.T) {
 	sink := newCollector()
 	s := startService(t, Config{
-		SyslogTCP: "127.0.0.1:0", MaxConns: 4, Metrics: metrics.NewRegistry(),
+		SyslogTCP: "127.0.0.1:0", MaxConns: 4,
 	}, sink)
 
 	var held []net.Conn
@@ -409,7 +412,7 @@ func TestServiceConnCap(t *testing.T) {
 // and leaves the balance closed with nothing shed.
 func TestServiceGracefulShutdownDrains(t *testing.T) {
 	sink := newCollector()
-	s := startService(t, Config{SyslogTCP: "127.0.0.1:0", Metrics: metrics.NewRegistry()}, sink)
+	s := startService(t, Config{SyslogTCP: "127.0.0.1:0"}, sink)
 
 	conn := dialTCP(t, s)
 	const n = 100
@@ -452,7 +455,7 @@ func TestServiceCloseShedsBlockedAdmissions(t *testing.T) {
 	sink := newCollector()
 	s := startService(t, Config{
 		SyslogTCP: "127.0.0.1:0", TenantRate: 1, TenantBurst: 1,
-		Clock: fc, Metrics: reg,
+		Clock: fc, Ops: &obs.Ops{Metrics: reg},
 	}, sink)
 
 	conn := dialTCP(t, s)
@@ -489,7 +492,7 @@ func TestServiceThousandConnections(t *testing.T) {
 	sink := newCollector()
 	s := startService(t, Config{
 		SyslogTCP: "127.0.0.1:0", QueueDepth: depth, MaxConns: conns + 10,
-		Metrics: reg,
+		Ops: &obs.Ops{Metrics: reg},
 	}, sink)
 
 	var wg sync.WaitGroup
@@ -571,7 +574,7 @@ func FuzzIngestJSON(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 
 	sink := newCollector()
-	s := New(Config{HTTP: "127.0.0.1:0", Metrics: metrics.NewRegistry()}, sink.publish)
+	s := New(Config{HTTP: "127.0.0.1:0"}, sink.publish)
 	if err := s.Start(); err != nil {
 		f.Fatal(err)
 	}

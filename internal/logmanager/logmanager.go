@@ -38,10 +38,6 @@ type Config struct {
 	// (logmanager_* names); nil keeps them private.
 	Metrics *metrics.Registry
 
-	// Tracer, when set, stamps StageBus for every log consumed off the
-	// bus.
-	Tracer metrics.Tracer
-
 	// OnBatch, when set, runs the consumer with auto-commit disabled and
 	// is invoked after every handled poll batch with the consumed
 	// messages: the committed offsets only advance when the recovery
@@ -403,10 +399,6 @@ func (m *Manager) handle(msg bus.Message) {
 		Raw:     raw,
 	}
 	m.recvCounter.Inc()
-	if m.cfg.Tracer != nil {
-		m.cfg.Tracer.Stamp(source, seq, metrics.StageBus,
-			msg.Topic+"/"+strconv.Itoa(msg.Partition)+"@"+strconv.FormatInt(msg.Offset, 10))
-	}
 
 	if m.cfg.ArchiveLogs && m.store != nil {
 		m.archive[source] = append(m.archive[source], modelmgr.ArchiveDoc(l))

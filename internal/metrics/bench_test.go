@@ -7,7 +7,7 @@ import (
 
 // The registry lives on every hot path of the pipeline, so its costs are
 // benchmarked here: a counter increment should stay within a few
-// nanoseconds and a disabled (nil) tracer should cost zero allocations.
+// nanoseconds.
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total")
@@ -51,19 +51,6 @@ func BenchmarkCounterResolve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Counter("bench_total", "topic", "logs", "partition", "0")
-	}
-}
-
-// BenchmarkDisabledTracer is the instrumented-component idiom with tracing
-// off: a nil interface check and nothing else. Must be ~0 ns, 0 allocs.
-func BenchmarkDisabledTracer(b *testing.B) {
-	var tr Tracer
-	src, seq := "web", uint64(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if tr != nil {
-			tr.Stamp(src, seq, StageParser, "pattern=1")
-		}
 	}
 }
 

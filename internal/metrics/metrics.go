@@ -1,7 +1,8 @@
-// Package metrics is the pipeline-wide observability registry: atomic
-// counters, gauges, and histograms with named labels, an immutable
-// Snapshot for tests and the dashboard, and the Tracer hook that stamps a
-// log line's journey through the processing stages (tracer.go).
+// Package metrics is the pipeline-wide registry: atomic counters, gauges,
+// and histograms with named labels, and an immutable Snapshot for tests
+// and the dashboard. The ops plane (internal/obs) carries one registry
+// as obs.Ops.Metrics; components that record only counters take the
+// registry itself through an Instrument(*Registry) method.
 //
 // LogLens is itself an observability system, so its own internals — parse
 // hit/miss rates, per-stage latency, state-map occupancy, bus lag — must
@@ -11,7 +12,7 @@
 // instructions, so a counter increment costs a few nanoseconds and the
 // instrumented components keep the "fast as the hardware allows" budget.
 //
-// Conventions (see DESIGN.md "Metrics and tracing"):
+// Conventions (see DESIGN.md "Telemetry plane"):
 //
 //   - Names are snake_case with a _total suffix for counters and a unit
 //     suffix for histograms (_seconds, _size).

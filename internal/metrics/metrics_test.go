@@ -164,21 +164,3 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("histogram count = %d, want 8000", hv.Count)
 	}
 }
-
-func TestRecordingTracer(t *testing.T) {
-	tr := NewRecordingTracer(func(source string, seq uint64) bool {
-		return source == "web" && seq == 3
-	})
-	tr.Stamp("web", 1, StageAgent, "")
-	tr.Stamp("web", 3, StageAgent, "topic=logs")
-	tr.Stamp("db", 3, StageAgent, "")
-	tr.Stamp("web", 3, StageParser, "pattern=1")
-	stamps := tr.Stamps()
-	if len(stamps) != 2 {
-		t.Fatalf("stamps = %v, want 2 entries", stamps)
-	}
-	lines := tr.Lines()
-	if lines[0] != "web#3 agent topic=logs" || lines[1] != "web#3 parser pattern=1" {
-		t.Fatalf("lines = %v", lines)
-	}
-}

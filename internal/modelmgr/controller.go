@@ -52,10 +52,10 @@ func NewController(b bus.Broker) (*Controller, error) {
 	return &Controller{bus: b}, nil
 }
 
-// SetMetrics installs a registry counting announced instructions by op
+// Instrument installs a registry counting announced instructions by op
 // (modelmgr_announced_total). Announcements are rare control-plane events,
 // so the per-op counter is resolved on each call.
-func (c *Controller) SetMetrics(reg *metrics.Registry) { c.reg = reg }
+func (c *Controller) Instrument(reg *metrics.Registry) { c.reg = reg }
 
 // Announce publishes one control instruction.
 func (c *Controller) Announce(ins Instruction) error {

@@ -7,6 +7,7 @@ import (
 	"loglens/internal/bus"
 	"loglens/internal/clock"
 	"loglens/internal/metrics"
+	"loglens/internal/obs"
 	"loglens/internal/store"
 )
 
@@ -17,7 +18,7 @@ func TestManagerInstrument(t *testing.T) {
 	st := store.New()
 	mgr := NewManager(st, NewBuilder(BuilderConfig{}))
 	mgr.SetClock(clock.NewFakeAt(base))
-	mgr.Instrument(reg)
+	mgr.Instrument(&obs.Ops{Metrics: reg})
 
 	ix := st.Index(LogsIndexFor("tasks"))
 	for _, l := range corpus(60) {
@@ -54,7 +55,7 @@ func TestControllerAnnounceMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetMetrics(reg)
+	c.Instrument(reg)
 
 	if err := c.Announce(Instruction{Op: OpAdd, ModelID: "m1"}); err != nil {
 		t.Fatal(err)

@@ -43,22 +43,17 @@ func NewManager(st *store.Store, builder *Builder) *Manager {
 // Set it before RelearnLoop starts.
 func (mgr *Manager) SetClock(clk clock.Clock) { mgr.clk = clk }
 
-// Instrument mirrors manager activity into reg: rebuild counts and
-// durations (measured on the manager's clock), plus save/load counts. Call
-// during wiring, before relearning starts.
-func (mgr *Manager) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	mgr.rebuilds = reg.Counter("modelmgr_rebuilds_total")
-	mgr.rebuildSeconds = reg.Histogram("modelmgr_rebuild_seconds", nil)
-	mgr.saves = reg.Counter("modelmgr_saves_total")
-	mgr.loads = reg.Counter("modelmgr_loads_total")
+// Instrument attaches the ops plane: rebuild counts and durations
+// (measured on the manager's clock), save/load counts, and
+// flight-recorder events for model-storage failures. Call during wiring,
+// before relearning starts.
+func (mgr *Manager) Instrument(o *obs.Ops) {
+	mgr.rebuilds = o.Metrics.Counter("modelmgr_rebuilds_total")
+	mgr.rebuildSeconds = o.Metrics.Histogram("modelmgr_rebuild_seconds", nil)
+	mgr.saves = o.Metrics.Counter("modelmgr_saves_total")
+	mgr.loads = o.Metrics.Counter("modelmgr_loads_total")
+	mgr.events = o.Events
 }
-
-// SetRecorder installs a flight recorder capturing model-storage
-// failures at the source; nil disables.
-func (mgr *Manager) SetRecorder(f *obs.FlightRecorder) { mgr.events = f }
 
 // Save stores a model in the model storage under its ID.
 func (mgr *Manager) Save(m *Model) error {

@@ -14,7 +14,7 @@ import (
 func TestStorageErrorsRecorded(t *testing.T) {
 	mgr := NewManager(store.New(), NewBuilder(BuilderConfig{}))
 	f := obs.NewFlightRecorder(clock.NewFake(), 8)
-	mgr.SetRecorder(f)
+	mgr.Instrument(&obs.Ops{Events: f})
 
 	if _, err := mgr.Load("ghost"); err == nil {
 		t.Fatal("loading a missing model must fail")

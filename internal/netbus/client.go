@@ -135,21 +135,17 @@ func Dial(addr string, opt Options) *Client {
 	return c
 }
 
-// SetMetrics installs the observability registry
-// (netbus_reconnect_total{role}, netbus_request_seconds{op}).
-func (c *Client) SetMetrics(reg *metrics.Registry) {
+// Instrument attaches the ops plane: netbus_reconnect_total{role},
+// netbus_request_seconds{op}, and flight-recorder events for
+// connect/disconnect transitions.
+func (c *Client) Instrument(o *obs.Ops) {
 	c.instrMu.Lock()
-	defer c.instrMu.Unlock()
-	c.reg = reg
-	c.reconnects = reg.Counter("netbus_reconnect_total", "role", c.opt.Role)
-}
-
-// SetRecorder installs a flight recorder capturing connect/disconnect
-// transitions; nil disables.
-func (c *Client) SetRecorder(f *obs.FlightRecorder) {
+	c.reg = o.Metrics
+	c.reconnects = o.Metrics.Counter("netbus_reconnect_total", "role", c.opt.Role)
+	c.instrMu.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = f
+	c.events = o.Events
+	c.mu.Unlock()
 }
 
 func (c *Client) recorder() *obs.FlightRecorder {

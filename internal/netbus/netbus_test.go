@@ -172,7 +172,7 @@ func TestDedupClaimReleasedOnFailedPublish(t *testing.T) {
 func TestPublisherBeforeTopicExists(t *testing.T) {
 	srv, c := startBroker(t, Options{})
 	reg := metrics.NewRegistry()
-	srv.SetMetrics(reg)
+	srv.Instrument(reg)
 	spool, err := OpenSpool(SpoolOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestManualCommitSurvivesPollPath(t *testing.T) {
 func TestBrokerRestartKeepsState(t *testing.T) {
 	srv, c := startBroker(t, Options{BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond})
 	reg := metrics.NewRegistry()
-	c.SetMetrics(reg)
+	c.Instrument(&obs.Ops{Metrics: reg})
 	if err := c.CreateTopic("logs", 1); err != nil {
 		t.Fatal(err)
 	}

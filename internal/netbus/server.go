@@ -71,8 +71,8 @@ func NewServer(b *bus.Bus) *Server {
 // process's own dashboard).
 func (s *Server) Bus() *bus.Bus { return s.bus }
 
-// SetMetrics counts served requests into reg.
-func (s *Server) SetMetrics(reg *metrics.Registry) {
+// Instrument counts served requests into reg.
+func (s *Server) Instrument(reg *metrics.Registry) {
 	s.served = reg.Counter("netbus_requests_served_total")
 }
 

@@ -8,8 +8,6 @@ import (
 
 	"loglens/internal/frame"
 	"loglens/internal/fsx"
-	"loglens/internal/metrics"
-	"loglens/internal/obs"
 )
 
 // Each spool record on disk is a frame record (package frame) whose
@@ -43,8 +41,8 @@ type spoolEntry struct {
 // Spool is the publisher's bounded outage buffer: publish requests append
 // at the tail, drain from the head, and when the byte cap is hit the
 // OLDEST unacked ones are shed first — the newest data is the most valuable
-// to an operator watching a live system, and the flight recorder keeps
-// the audit trail of what was dropped. With a filesystem attached the
+// to an operator watching a live system, and Shed counts what was
+// dropped. With a filesystem attached the
 // queue is mirrored to one CRC-framed file so a crashed or restarted
 // agent resumes with its backlog intact; with none it is memory-only.
 type Spool struct {
@@ -57,10 +55,6 @@ type Spool struct {
 	bytes   int64 // live (unacked) framed bytes
 	dead    int64 // acked bytes still occupying the file head
 	shed    uint64
-
-	events    *obs.FlightRecorder
-	bytesG    *metrics.Gauge
-	shedTotal *metrics.Counter
 }
 
 // SpoolOptions configures a Spool.
@@ -71,8 +65,6 @@ type SpoolOptions struct {
 	Path string
 	// MaxBytes caps the live framed bytes (default DefaultSpoolMaxBytes).
 	MaxBytes int64
-	// Events receives EventSpoolShed records; nil disables.
-	Events *obs.FlightRecorder
 }
 
 // OpenSpool opens (or creates) a spool, replaying any valid record
@@ -81,7 +73,7 @@ func OpenSpool(opt SpoolOptions) (*Spool, error) {
 	if opt.MaxBytes <= 0 {
 		opt.MaxBytes = DefaultSpoolMaxBytes
 	}
-	s := &Spool{fsys: opt.FS, path: opt.Path, max: opt.MaxBytes, events: opt.Events}
+	s := &Spool{fsys: opt.FS, path: opt.Path, max: opt.MaxBytes}
 	if s.fsys == nil {
 		return s, nil
 	}
@@ -119,15 +111,6 @@ func OpenSpool(opt SpoolOptions) (*Spool, error) {
 	return s, nil
 }
 
-// SetMetrics installs spool_bytes and spool_lines_shed_total.
-func (s *Spool) SetMetrics(reg *metrics.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bytesG = reg.Gauge("spool_bytes")
-	s.shedTotal = reg.Counter("spool_lines_shed_total")
-	s.bytesG.Set(s.bytes)
-}
-
 // Append queues one publish request, shedding from the head if the cap
 // would be exceeded. The disk write happens before the request is visible
 // to the drainer, so an acked line is always one that reached the file
@@ -149,9 +132,6 @@ func (s *Spool) Append(req *Request) error {
 	s.entries = append(s.entries, spoolEntry{req: *req, size: int64(len(rec))})
 	s.bytes += int64(len(rec))
 	s.enforceCapLocked()
-	if s.bytesG != nil {
-		s.bytesG.Set(s.bytes)
-	}
 	return nil
 }
 
@@ -164,23 +144,13 @@ func appendPayload(dst []byte, req *Request) ([]byte, error) {
 // Shed records stay in the file as dead bytes until the next compaction;
 // the in-memory queue is the authority on what is live.
 func (s *Spool) enforceCapLocked() {
-	shed := 0
 	for s.bytes > s.max && len(s.entries) > 0 {
 		e := s.entries[0]
 		s.entries = s.entries[1:]
 		s.bytes -= e.size
 		s.dead += e.size
-		shed++
+		s.shed++
 	}
-	if shed == 0 {
-		return
-	}
-	s.shed += uint64(shed)
-	if s.shedTotal != nil {
-		s.shedTotal.Add(uint64(shed))
-	}
-	s.events.Record(obs.EventSpoolShed, s.path,
-		fmt.Sprintf("spool cap %d bytes: shed oldest", s.max), int64(shed))
 }
 
 // AckHead drops the head entry after a successful (or deduplicated)
@@ -195,9 +165,6 @@ func (s *Spool) AckHead() {
 	s.entries = s.entries[1:]
 	s.bytes -= e.size
 	s.dead += e.size
-	if s.bytesG != nil {
-		s.bytesG.Set(s.bytes)
-	}
 	if s.fsys != nil && s.dead >= compactSlack {
 		s.compactLocked()
 	}

@@ -6,9 +6,10 @@ import (
 	"loglens/internal/clock"
 )
 
-// The disabled path is the price every component pays when the ops plane
-// is off — it must stay in the low single-digit nanoseconds with zero
-// allocations (ISSUE 3 acceptance: ≤ 5ns/op, 0 allocs).
+// The disabled path is the price a component built outside a pipeline (a
+// bare bus, a benchmark's netbus endpoint) pays for its nil recorders —
+// it must stay in the low single-digit nanoseconds with zero allocations
+// (≤ 5ns/op, 0 allocs).
 
 func BenchmarkSpanDisabled(b *testing.B) {
 	var r *SpanRecorder

@@ -1,7 +1,6 @@
-// Package latency is the freshness half of the ops plane: where the
-// metrics registry counts *how much* work the pipeline did, this
-// package measures *how stale* its answers are. It tracks two related
-// signals on the injected clock:
+// Latency and freshness: where the span recorder shows *where* a
+// micro-batch spent its time, this file measures *how stale* the
+// pipeline's answers are, on the injected clock:
 //
 //   - Per-stage latency histograms (latency_stage_seconds{stage=...}):
 //     the line path is split at its hand-off points — intake admission
@@ -18,15 +17,15 @@
 // Everything on the steady-state path is allocation-free: histogram
 // handles and partition cells are resolved at construction, tenant
 // cells once per tenant (cached by the caller), and watermark updates
-// are single-writer atomic load/compare/store — the same contract the
-// zero-alloc hot path (PR 5) enforces with AllocsPerRun budgets.
+// are single-writer atomic load/compare/store.
 //
 // The tracker also owns the end-to-end SLO burn counter
 // (latency_slo_breach_total): CheckSLO increments it for every line
 // whose e2e latency exceeded the configured threshold (loglens
 // -slo-e2e-ms), giving alerting a counter to rate() instead of a
 // percentile to threshold.
-package latency
+
+package obs
 
 import (
 	"sort"
@@ -84,9 +83,9 @@ var StageBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }
 
-// Cell holds the freshness watermarks for one partition or tenant: the
-// newest event-time and processing-time (arrival) stamps that have
-// cleared the detector, plus the lag-age gauges republished at every
+// LatencyCell holds the freshness watermarks for one partition or
+// tenant: the newest event-time and processing-time (arrival) stamps
+// that have cleared the detector, plus the lag-age gauges republished at every
 // barrier. Watermarks only move forward (max semantics), so late or
 // reordered lines never make a partition look fresher than it is.
 //
@@ -94,7 +93,7 @@ var StageBuckets = []float64{
 // cells may be shared when a tenant's sources hash to different
 // partitions, so Note uses atomic loads and stores (a lost race between
 // two near-equal maxima is harmless — both are valid watermarks).
-type Cell struct {
+type LatencyCell struct {
 	event atomic.Int64 // newest event-time stamp, unixnanos (0 = no data)
 	proc  atomic.Int64 // newest processing-time stamp, unixnanos (0 = no data)
 
@@ -108,10 +107,7 @@ type Cell struct {
 
 // Note advances the cell's watermarks to the given stamps if they are
 // newer. Allocation-free; called once per line on the hot path.
-func (c *Cell) Note(eventNanos, procNanos int64) {
-	if c == nil {
-		return
-	}
+func (c *LatencyCell) Note(eventNanos, procNanos int64) {
 	if eventNanos > c.event.Load() {
 		c.event.Store(eventNanos)
 	}
@@ -120,10 +116,9 @@ func (c *Cell) Note(eventNanos, procNanos int64) {
 	}
 }
 
-// Tracker is the pipeline-wide latency/freshness instrument. A nil
-// *Tracker is a valid disabled tracker: every method no-ops, so a
-// caller may hold a plain pointer without nil checks of its own.
-type Tracker struct {
+// Latency is the pipeline-wide latency/freshness instrument. The
+// pipeline always builds one, so no method guards a nil receiver.
+type Latency struct {
 	clk      clock.Clock
 	sloNanos int64
 
@@ -136,30 +131,30 @@ type Tracker struct {
 	// proc watermarks is work in flight.
 	ingest atomic.Int64
 
-	parts []Cell
+	parts []LatencyCell
 
 	mu      sync.Mutex
-	tenants map[string]*Cell
+	tenants map[string]*LatencyCell
 
 	reg *metrics.Registry
 }
 
-// New builds a tracker on reg with one watermark cell per partition.
+// NewLatency builds a tracker on reg with one watermark cell per partition.
 // slo is the end-to-end latency threshold for latency_slo_breach_total;
 // zero disables breach counting but keeps the histograms.
-func New(reg *metrics.Registry, clk clock.Clock, partitions int, slo time.Duration) *Tracker {
+func NewLatency(reg *metrics.Registry, clk clock.Clock, partitions int, slo time.Duration) *Latency {
 	if clk == nil {
 		clk = clock.New()
 	}
 	if partitions <= 0 {
 		partitions = 1
 	}
-	t := &Tracker{
+	t := &Latency{
 		clk:      clk,
 		sloNanos: int64(slo),
 		breaches: reg.Counter("latency_slo_breach_total"),
-		parts:    make([]Cell, partitions),
-		tenants:  make(map[string]*Cell),
+		parts:    make([]LatencyCell, partitions),
+		tenants:  make(map[string]*LatencyCell),
 		reg:      reg,
 	}
 	for i := range t.stages {
@@ -176,10 +171,7 @@ func New(reg *metrics.Registry, clk clock.Clock, partitions int, slo time.Durati
 // Observe records one stage delta. Negative deltas (clock skew between
 // stamp points cannot happen on one injected clock, but belt and
 // braces) clamp to zero. Allocation-free.
-func (t *Tracker) Observe(s Stage, d time.Duration) {
-	if t == nil {
-		return
-	}
+func (t *Latency) Observe(s Stage, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -188,8 +180,8 @@ func (t *Tracker) Observe(s Stage, d time.Duration) {
 
 // CheckSLO counts an SLO breach if the end-to-end latency exceeded the
 // configured threshold. Allocation-free.
-func (t *Tracker) CheckSLO(e2e time.Duration) {
-	if t == nil || t.sloNanos <= 0 {
+func (t *Latency) CheckSLO(e2e time.Duration) {
+	if t.sloNanos <= 0 {
 		return
 	}
 	if int64(e2e) > t.sloNanos {
@@ -198,34 +190,25 @@ func (t *Tracker) CheckSLO(e2e time.Duration) {
 }
 
 // SLO returns the configured end-to-end threshold (0 = disabled).
-func (t *Tracker) SLO() time.Duration {
-	if t == nil {
-		return 0
-	}
+func (t *Latency) SLO() time.Duration {
 	return time.Duration(t.sloNanos)
 }
 
 // Partition returns partition i's watermark cell. The caller indexes
 // with the stream context's partition id, which is always in range.
-func (t *Tracker) Partition(i int) *Cell {
-	if t == nil {
-		return nil
-	}
+func (t *Latency) Partition(i int) *LatencyCell {
 	return &t.parts[i]
 }
 
 // Tenant resolves (registering if needed) the named tenant's watermark
 // cell. Callers cache the returned pointer in per-source state so the
 // hot path never takes the tracker mutex.
-func (t *Tracker) Tenant(name string) *Cell {
-	if t == nil {
-		return nil
-	}
+func (t *Latency) Tenant(name string) *LatencyCell {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	c, ok := t.tenants[name]
 	if !ok {
-		c = &Cell{
+		c = &LatencyCell{
 			eventLag: t.reg.Gauge("freshness_event_lag_ms", "tenant", name),
 			procLag:  t.reg.Gauge("freshness_proc_lag_ms", "tenant", name),
 		}
@@ -236,10 +219,7 @@ func (t *Tracker) Tenant(name string) *Cell {
 
 // NoteIngest advances the admission watermark. Called by the log
 // manager with the newest arrival stamp of each forwarded poll batch.
-func (t *Tracker) NoteIngest(arrival time.Time) {
-	if t == nil {
-		return
-	}
+func (t *Latency) NoteIngest(arrival time.Time) {
 	n := arrival.UnixNano()
 	if n > t.ingest.Load() {
 		t.ingest.Store(n)
@@ -247,10 +227,7 @@ func (t *Tracker) NoteIngest(arrival time.Time) {
 }
 
 // IngestWatermark returns the admission watermark (zero time = no data).
-func (t *Tracker) IngestWatermark() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
+func (t *Latency) IngestWatermark() time.Time {
 	return stampTime(t.ingest.Load())
 }
 
@@ -260,10 +237,7 @@ func (t *Tracker) IngestWatermark() time.Time {
 // lock — so lag ages keep growing while a partition is idle or stuck
 // instead of freezing at their last value. Allocation-free for a fixed
 // tenant set.
-func (t *Tracker) Refresh() {
-	if t == nil {
-		return
-	}
+func (t *Latency) Refresh() {
 	now := t.clk.Now().UnixNano()
 	for i := range t.parts {
 		t.parts[i].refresh(now)
@@ -277,7 +251,7 @@ func (t *Tracker) Refresh() {
 
 // refresh republishes one cell's lag gauges. A cell that has seen no
 // data reports -1, distinguishing "never produced" from "fresh".
-func (c *Cell) refresh(nowNanos int64) {
+func (c *LatencyCell) refresh(nowNanos int64) {
 	c.eventLag.Set(lagMillis(nowNanos, c.event.Load()))
 	c.procLag.Set(lagMillis(nowNanos, c.proc.Load()))
 }
@@ -326,10 +300,7 @@ type TenantWatermark struct {
 // Watermarks snapshots the watermark table with lag ages computed
 // against the clock now — fresher than the barrier-cadence gauges, for
 // the dashboard endpoint. Tenants are sorted by name.
-func (t *Tracker) Watermarks() ([]PartitionWatermark, []TenantWatermark) {
-	if t == nil {
-		return nil, nil
-	}
+func (t *Latency) Watermarks() ([]PartitionWatermark, []TenantWatermark) {
 	now := t.clk.Now().UnixNano()
 	parts := make([]PartitionWatermark, len(t.parts))
 	for i := range t.parts {
@@ -365,9 +336,6 @@ func (t *Tracker) Watermarks() ([]PartitionWatermark, []TenantWatermark) {
 }
 
 // Breaches returns the SLO burn counter's current value.
-func (t *Tracker) Breaches() uint64 {
-	if t == nil {
-		return 0
-	}
+func (t *Latency) Breaches() uint64 {
 	return t.breaches.Value()
 }

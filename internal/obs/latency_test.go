@@ -1,4 +1,4 @@
-package latency
+package obs
 
 import (
 	"testing"
@@ -11,7 +11,7 @@ import (
 func TestStageObserveAndQuantile(t *testing.T) {
 	reg := metrics.NewRegistry()
 	clk := clock.NewFake()
-	tr := New(reg, clk, 2, 0)
+	tr := NewLatency(reg, clk, 2, 0)
 
 	for i := 0; i < 90; i++ {
 		tr.Observe(StageParse, 3*time.Microsecond) // bucket (2.5e-6, 5e-6]
@@ -46,7 +46,7 @@ func snap2(reg *metrics.Registry, stage string) (metrics.HistogramValue, bool) {
 
 func TestSLOBreachCounting(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tr := New(reg, clock.NewFake(), 1, 50*time.Millisecond)
+	tr := NewLatency(reg, clock.NewFake(), 1, 50*time.Millisecond)
 	tr.CheckSLO(49 * time.Millisecond)
 	tr.CheckSLO(50 * time.Millisecond) // at threshold: not a breach
 	tr.CheckSLO(51 * time.Millisecond)
@@ -62,7 +62,7 @@ func TestSLOBreachCounting(t *testing.T) {
 	}
 
 	// Zero threshold disables breach counting entirely.
-	off := New(metrics.NewRegistry(), clock.NewFake(), 1, 0)
+	off := NewLatency(metrics.NewRegistry(), clock.NewFake(), 1, 0)
 	off.CheckSLO(time.Hour)
 	if off.Breaches() != 0 {
 		t.Errorf("disabled SLO counted a breach")
@@ -73,7 +73,7 @@ func TestWatermarksAndRefresh(t *testing.T) {
 	reg := metrics.NewRegistry()
 	clk := clock.NewFake()
 	t0 := clk.Now()
-	tr := New(reg, clk, 2, 0)
+	tr := NewLatency(reg, clk, 2, 0)
 
 	// No data: gauges report -1, table rows carry zero times.
 	tr.Refresh()
@@ -132,7 +132,7 @@ func TestWatermarksAndRefresh(t *testing.T) {
 func TestIngestWatermark(t *testing.T) {
 	clk := clock.NewFake()
 	t0 := clk.Now()
-	tr := New(metrics.NewRegistry(), clk, 1, 0)
+	tr := NewLatency(metrics.NewRegistry(), clk, 1, 0)
 	if !tr.IngestWatermark().IsZero() {
 		t.Errorf("fresh tracker has ingest watermark")
 	}
@@ -143,25 +143,6 @@ func TestIngestWatermark(t *testing.T) {
 	}
 }
 
-// TestNilTrackerIsDisabled pins the disabled contract: every method on
-// a nil *Tracker (and nil *Cell) is a safe no-op, so wiring code holds
-// plain pointers without nil checks.
-func TestNilTrackerIsDisabled(t *testing.T) {
-	var tr *Tracker
-	tr.Observe(StageParse, time.Second)
-	tr.CheckSLO(time.Hour)
-	tr.NoteIngest(time.Now())
-	tr.Refresh()
-	tr.Partition(0).Note(1, 1)
-	tr.Tenant("x").Note(1, 1)
-	if tr.Breaches() != 0 || tr.SLO() != 0 || !tr.IngestWatermark().IsZero() {
-		t.Errorf("nil tracker leaked state")
-	}
-	if p, tn := tr.Watermarks(); p != nil || tn != nil {
-		t.Errorf("nil tracker returned watermarks")
-	}
-}
-
 // TestLatencyAllocBudgets extends the PR 5 AllocsPerRun budgets to the
 // latency plane: stage observation, SLO check, watermark notes, and the
 // barrier refresh must all be allocation-free once tenants are
@@ -169,7 +150,7 @@ func TestNilTrackerIsDisabled(t *testing.T) {
 func TestLatencyAllocBudgets(t *testing.T) {
 	reg := metrics.NewRegistry()
 	clk := clock.NewFake()
-	tr := New(reg, clk, 4, 100*time.Millisecond)
+	tr := NewLatency(reg, clk, 4, 100*time.Millisecond)
 	cell := tr.Tenant("alpha")
 	now := clk.Now().UnixNano()
 

@@ -281,13 +281,10 @@ func TestStatusJSON(t *testing.T) {
 
 func TestOpsBundleAccessors(t *testing.T) {
 	o := New(nil)
-	if o.Spans == nil || o.Events == nil || o.Health == nil {
+	if o.Metrics == nil || o.Spans == nil || o.Events == nil || o.Health == nil {
 		t.Fatalf("New left nil facilities: %+v", o)
 	}
-	if SpansOf(o) != o.Spans || EventsOf(o) != o.Events {
-		t.Fatal("accessors do not pass through")
-	}
-	if SpansOf(nil) != nil || EventsOf(nil) != nil {
-		t.Fatal("nil bundle accessors not nil")
+	if New(nil).Metrics == o.Metrics {
+		t.Fatal("bundles share one registry")
 	}
 }

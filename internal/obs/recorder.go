@@ -64,10 +64,6 @@ const (
 	// client role, Detail says lost vs re-established, Value the number of
 	// consumer groups resumed (netbus).
 	EventNetbusReconnect EventType = "netbus-reconnect"
-	// EventSpoolShed: the publisher disk spool hit its byte cap and
-	// dropped its oldest unacked lines — Source is the spool path, Value
-	// the lines shed (netbus).
-	EventSpoolShed EventType = "spool-shed"
 )
 
 // Event is one flight-recorder entry. All fields are fixed-shape so

@@ -1,11 +1,11 @@
 package seqdetect
 
 import (
-	"strings"
 	"testing"
 
 	"loglens/internal/logtypes"
 	"loglens/internal/metrics"
+	"loglens/internal/obs"
 )
 
 // TestInstrumentMirrorsStats: the registry counters track the detector's
@@ -14,7 +14,7 @@ import (
 func TestInstrumentMirrorsStats(t *testing.T) {
 	reg := metrics.NewRegistry()
 	d := New(learnedModel(), Config{})
-	d.Instrument(reg)
+	d.Instrument(&obs.Ops{Metrics: reg})
 	if d.Model() == nil {
 		t.Fatal("Model() returned nil")
 	}
@@ -53,27 +53,5 @@ func TestInstrumentMirrorsStats(t *testing.T) {
 	}
 	if got := snap.Gauge("seqdetect_open_states"); got != int64(d.OpenStates()) {
 		t.Errorf("open gauge = %d, detector says %d", got, d.OpenStates())
-	}
-}
-
-// TestTracerStamps: a tracer installed on the detector stamps every
-// processed log's verdict (open or close) and the skip reasons.
-func TestTracerStamps(t *testing.T) {
-	tr := metrics.NewRecordingTracer(nil)
-	d := New(learnedModel(), Config{})
-	d.SetTracer(tr)
-	feed(d, trace("e1", 0, 1, 2, 3))
-
-	lines := tr.Lines()
-	if len(lines) != 3 {
-		t.Fatalf("stamps = %v, want 3", lines)
-	}
-	for _, l := range lines[:2] {
-		if !strings.Contains(l, "seqdetect event=e1 open") {
-			t.Errorf("stamp %q, want open verdict", l)
-		}
-	}
-	if !strings.Contains(lines[2], "event=e1 close anomalies=0") {
-		t.Errorf("final stamp %q, want clean close", lines[2])
 	}
 }

@@ -14,7 +14,7 @@ import (
 func TestHeartbeatExpiryRecorded(t *testing.T) {
 	d := New(learnedModel(), Config{})
 	f := obs.NewFlightRecorder(clock.NewFake(), 8)
-	d.SetRecorder(f)
+	d.Instrument(&obs.Ops{Events: f})
 
 	feed(d, trace("e1", 0, 1, 2)) // starts, never ends
 	recs := d.Heartbeat(t0.Add(time.Hour))

@@ -93,7 +93,6 @@ type Detector struct {
 	byPattern map[int][]*automata.Automaton
 	stats     Stats
 	instr     *detectInstr
-	tracer    metrics.Tracer
 	events    *obs.FlightRecorder
 }
 
@@ -137,13 +136,12 @@ func (d *Detector) automataFor(patternID int) []*automata.Automaton {
 // Model returns the active model.
 func (d *Detector) Model() *automata.Model { return d.model }
 
-// Instrument mirrors the detector's counters into reg under the
-// seqdetect_* names. Call before feeding logs; the open-states gauge
+// Instrument mirrors the detector's counters into the ops plane's
+// registry under the seqdetect_* names and records heartbeat expiries in
+// its flight recorder. Call before feeding logs; the open-states gauge
 // tracks deltas from the moment of instrumentation.
-func (d *Detector) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
+func (d *Detector) Instrument(o *obs.Ops) {
+	reg := o.Metrics
 	d.instr = &detectInstr{
 		transitions: reg.Counter("seqdetect_transitions_total"),
 		skipped:     reg.Counter("seqdetect_skipped_total"),
@@ -152,15 +150,8 @@ func (d *Detector) Instrument(reg *metrics.Registry) {
 		anomalies:   reg.Counter("seqdetect_anomalies_total"),
 		open:        reg.Gauge("seqdetect_open_states"),
 	}
+	d.events = o.Events
 }
-
-// SetTracer installs a tracer stamping StageDetect for every processed
-// log; nil disables tracing.
-func (d *Detector) SetTracer(tr metrics.Tracer) { d.tracer = tr }
-
-// SetRecorder installs a flight recorder capturing heartbeat expiries at
-// the source; nil disables.
-func (d *Detector) SetRecorder(f *obs.FlightRecorder) { d.events = f }
 
 // SetModel swaps in an updated model without losing unrelated state (§V-A:
 // model updates must preserve states). Open states whose automaton no
@@ -191,12 +182,12 @@ func (d *Detector) Stats() Stats { return d.stats }
 func (d *Detector) Process(l *logtypes.ParsedLog) []anomaly.Record {
 	eventID, ok := d.model.EventID(l)
 	if !ok || eventID == "" {
-		d.skip(l, "no-event-id")
+		d.skip()
 		return nil
 	}
 	autos := d.automataFor(l.PatternID)
 	if len(autos) == 0 {
-		d.skip(l, "no-automaton")
+		d.skip()
 		return nil
 	}
 	d.stats.LogsProcessed++
@@ -241,27 +232,16 @@ func (d *Detector) Process(l *logtypes.ParsedLog) []anomaly.Record {
 		}
 	}
 	if !closing {
-		if d.tracer != nil {
-			d.tracer.Stamp(l.Source, l.Seq, metrics.StageDetect, "event="+eventID+" open")
-		}
 		return nil
 	}
-	recs := d.closeEvent(eventID, now)
-	if d.tracer != nil {
-		d.tracer.Stamp(l.Source, l.Seq, metrics.StageDetect,
-			fmt.Sprintf("event=%s close anomalies=%d", eventID, len(recs)))
-	}
-	return recs
+	return d.closeEvent(eventID, now)
 }
 
 // skip accounts a log the detector cannot track.
-func (d *Detector) skip(l *logtypes.ParsedLog, why string) {
+func (d *Detector) skip() {
 	d.stats.LogsSkipped++
 	if d.instr != nil {
 		d.instr.skipped.Inc()
-	}
-	if d.tracer != nil {
-		d.tracer.Stamp(l.Source, l.Seq, metrics.StageDetect, "skip "+why)
 	}
 }
 

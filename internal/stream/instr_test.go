@@ -7,6 +7,7 @@ import (
 
 	"loglens/internal/clock"
 	"loglens/internal/metrics"
+	"loglens/internal/obs"
 )
 
 // TestCancelDropAccounting: records accepted by Send but abandoned when Run
@@ -15,7 +16,7 @@ import (
 // silently discarded both the half-collected batch and the input buffer.
 func TestCancelDropAccounting(t *testing.T) {
 	clk := clock.NewFake()
-	e := New(Config{Partitions: 2, Clock: clk, Metrics: metrics.NewRegistry(), Name: "main"},
+	e := New(Config{Partitions: 2, Clock: clk, Ops: &obs.Ops{Metrics: metrics.NewRegistry()}, Name: "main"},
 		func(ctx *Context, rec Record) []any { return []any{rec.Value} })
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -47,7 +48,7 @@ func TestCancelDropAccounting(t *testing.T) {
 		t.Fatalf("conservation broken: processed %d + dropped %d != sent %d",
 			m.Records, m.RecordsDropped, sent)
 	}
-	snap := e.cfg.Metrics.Snapshot()
+	snap := e.cfg.Ops.Metrics.Snapshot()
 	if got := snap.Counter("stream_records_dropped_total", "engine", "main", "reason", "abandoned"); got != sent {
 		t.Fatalf("registry dropped counter = %d, want %d", got, sent)
 	}
@@ -58,7 +59,7 @@ func TestCancelDropAccounting(t *testing.T) {
 // histograms, per-partition state gauges, and broadcast versions.
 func TestRegistryMirrors(t *testing.T) {
 	reg := metrics.NewRegistry()
-	e := New(Config{Partitions: 2, Metrics: reg, Name: "parse"},
+	e := New(Config{Partitions: 2, Ops: &obs.Ops{Metrics: reg}, Name: "parse"},
 		func(ctx *Context, rec Record) []any {
 			ctx.States().Put(rec.Key, rec.Value)
 			return nil

@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"loglens/internal/metrics"
+	"loglens/internal/obs"
 )
 
 func TestSendAfterCloseCountsReasonLabel(t *testing.T) {
 	reg := metrics.NewRegistry()
-	e := New(Config{Name: "main", Metrics: reg}, func(ctx *Context, rec Record) []any { return nil })
+	e := New(Config{Name: "main", Ops: &obs.Ops{Metrics: reg}}, func(ctx *Context, rec Record) []any { return nil })
 	run(t, e, []Record{{Key: "a", Value: 1}})
 
 	for i := 0; i < 3; i++ {

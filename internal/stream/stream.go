@@ -134,13 +134,11 @@ type Config struct {
 	// default "stream". Several engines sharing one registry need
 	// distinct names.
 	Name string
-	// Metrics is the observability registry. Nil leaves the engine
-	// uninstrumented: only the built-in Metrics struct is maintained.
-	Metrics *metrics.Registry
-	// Ops is the ops plane: span tracing of the micro-batch hierarchy
-	// (per-partition process and sink lanes) and flight-recorder events
-	// for rebroadcasts, operator panics, and dropped records. Nil
-	// disables both at a nil-check's cost.
+	// Ops is the ops plane: stream_* metrics in its registry, span
+	// tracing of the micro-batch hierarchy (per-partition process and
+	// sink lanes), and flight-recorder events for rebroadcasts, operator
+	// panics, and dropped records. Nil leaves the engine uninstrumented:
+	// only the built-in Metrics struct is maintained.
 	Ops *obs.Ops
 	// BatchHook, when set, is called under the engine's barrier lock at
 	// every micro-batch barrier — including empty ones — with the
@@ -326,8 +324,8 @@ type Engine struct {
 	bcPulls atomic.Uint64
 
 	// instr mirrors the built-in counters into the shared registry; nil
-	// when Config.Metrics is unset, so uninstrumented engines pay only a
-	// nil check.
+	// when Config.Ops is unset, so uninstrumented engines pay only a nil
+	// check.
 	instr *engineInstr
 
 	// spans/events are the ops-plane recorders (nil when Config.Ops is
@@ -462,8 +460,11 @@ func New(cfg Config, proc ProcessFunc) *Engine {
 		closed:   make(chan struct{}),
 		driver:   &driver{blocks: make(map[string]block)},
 	}
-	e.spans = obs.SpansOf(cfg.Ops)
-	e.events = obs.EventsOf(cfg.Ops)
+	if cfg.Ops != nil {
+		e.spans = cfg.Ops.Spans
+		e.events = cfg.Ops.Events
+		e.instr = newEngineInstr(cfg.Ops.Metrics, cfg.Name, cfg.Partitions)
+	}
 	e.driverTid = e.spans.Thread(cfg.Name + " driver")
 	queueCap := cfg.InputBuffer / cfg.Partitions
 	if queueCap < 64 {
@@ -481,9 +482,6 @@ func New(cfg Config, proc ProcessFunc) *Engine {
 			procLabel: "p" + label + " process",
 			sinkLabel: "p" + label + " sink",
 		})
-	}
-	if cfg.Metrics != nil {
-		e.instr = newEngineInstr(cfg.Metrics, cfg.Name, cfg.Partitions)
 	}
 	return e
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"loglens/internal/latency"
+	"loglens/internal/obs"
 )
 
 // ANSI fragments used by the renderer. Colors are deliberately minimal:
@@ -157,7 +157,7 @@ func (m *Model) Render(w io.Writer) {
 			fmtSeconds(hv.Quantile(0.95)),
 			fmtSeconds(hv.Quantile(0.99)))
 	}
-	for _, st := range latency.Stages() {
+	for _, st := range obs.Stages() {
 		stageRow(st, "latency_stage_seconds", "stage", st)
 	}
 	stageRow("e2e", "core_line_seconds")

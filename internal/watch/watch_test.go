@@ -17,7 +17,6 @@ import (
 	"loglens/internal/clock"
 	"loglens/internal/core"
 	"loglens/internal/dashboard"
-	"loglens/internal/latency"
 	"loglens/internal/obs"
 )
 
@@ -198,10 +197,10 @@ func recordFixtures(t *testing.T) {
 
 	lat := p.Latency()
 	for i := 0; i < 90; i++ {
-		lat.Observe(latency.StageIntake, 300*time.Microsecond)
-		lat.Observe(latency.StageDeliver, 70*time.Millisecond)
-		lat.Observe(latency.StageParse, 8*time.Microsecond)
-		lat.Observe(latency.StageDetect, 12*time.Microsecond)
+		lat.Observe(obs.StageIntake, 300*time.Microsecond)
+		lat.Observe(obs.StageDeliver, 70*time.Millisecond)
+		lat.Observe(obs.StageParse, 8*time.Microsecond)
+		lat.Observe(obs.StageDetect, 12*time.Microsecond)
 		e2e.Observe(0.0722)
 		lat.CheckSLO(72 * time.Millisecond)
 	}
