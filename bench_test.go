@@ -14,6 +14,7 @@ package loglens
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -216,10 +217,20 @@ func BenchmarkRebroadcast(b *testing.B) {
 		return nil
 	})
 	e.Broadcast("model", 0)
+	done := make(chan error, 1)
+	go func() { done <- e.Run(context.Background()) }()
+	for !e.Running() {
+		runtime.Gosched()
+	}
+	// While Run is active each Broadcast queues a rebroadcast for the
+	// next micro-batch barrier.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Rebroadcast("model", i)
+		e.Broadcast("model", i)
 	}
+	b.StopTimer()
+	e.Close()
+	<-done
 }
 
 // --- Figure 6: anomaly clustering ---

@@ -125,6 +125,6 @@ func main() {
 	m := p.Engine().Metrics()
 	fmt.Printf("\nsummary: probe anomalies %d (1 before the update, 0 after), fetch anomalies %d\n",
 		probeAnoms.Load(), fetchAnoms.Load())
-	fmt.Printf("engine: %d records in %d micro-batches, %d model update(s), update lock-step %v, restarts 0\n",
-		m.Records, m.Batches, m.UpdatesApplied, m.UpdateBlocked)
+	fmt.Printf("engine: %d records in %d micro-batches, %d model update(s), update lock-step %v, %d model pull(s) by partition workers\n",
+		m.Records, m.Batches, m.UpdatesApplied, m.UpdateBlocked, m.BroadcastPulls)
 }

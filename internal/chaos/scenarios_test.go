@@ -205,7 +205,7 @@ func TestScenarioRebroadcastUnderWorkerCrashes(t *testing.T) {
 	advanceBatches(t, clk, interval, func() bool { return eng.Metrics().Records >= wave })
 
 	// Wave 1 fully processed under v1; install v2 with zero downtime.
-	eng.Rebroadcast("model", 2)
+	eng.Broadcast("model", 2)
 	for i := wave; i < 2*wave; i++ {
 		if err := eng.Send(stream.Record{Key: fmt.Sprintf("k%d", i), Value: i}); err != nil {
 			t.Fatal(err)

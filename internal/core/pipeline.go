@@ -260,22 +260,21 @@ func New(cfg Config) (*Pipeline, error) {
 	if p.ckpt != nil {
 		engineCfg.PanicHook = p.onOperatorPanic
 	}
-	// Every barrier, empty ones included, re-ages the freshness gauges (so
-	// lag grows while the engine is stuck) and, after the commit gate,
-	// wakes the Drain and checkpoint-barrier waits.
-	engineCfg.OnBarrier = func() {
+	// Every barrier, empty ones included, runs the commit gate (with
+	// recovery on), re-ages the freshness gauges (so lag grows while the
+	// engine is stuck) and wakes the Drain and checkpoint-barrier waits.
+	engineCfg.OnBarrier = func(resolved uint64) {
+		if p.commits != nil {
+			p.logmgr.Commit(p.commits.due(resolved))
+		}
 		p.lat.Refresh()
 		p.logmgr.Notify()
-	}
-	if p.commits != nil {
-		engineCfg.BatchHook = func(resolved uint64) { p.logmgr.Commit(p.commits.due(resolved)) }
 	}
 	p.engine = stream.New(engineCfg, p.operator)
 	p.engine.SetSink(p.sink)
 	p.lat = obs.NewLatency(reg, cfg.Clock, p.engine.Partitions(), cfg.SLOE2E)
 	lmCfg := logmanager.Config{
 		ArchiveLogs:  cfg.ArchiveLogs,
-		Metrics:      reg,
 		ForwardBatch: p.forwardBatch,
 	}
 	if p.commits != nil {
@@ -297,6 +296,7 @@ func New(cfg Config) (*Pipeline, error) {
 		p.forwarded.Add(1)
 		p.engine.Send(stream.Record{Key: source, Time: t, Heartbeat: true})
 	})
+	p.logmgr.Instrument(reg)
 	if cfg.Intake.Enabled() {
 		p.intakeCfg = cfg.Intake
 		if p.intakeCfg.Clock == nil {
@@ -569,13 +569,8 @@ func (p *Pipeline) installModel(source string, m *modelmgr.Model) {
 	} else {
 		p.bySource[source] = m
 	}
-	running := p.running
 	p.mu.Unlock()
-	if running {
-		p.engine.Rebroadcast(modelIDFor(source), m)
-	} else {
-		p.engine.Broadcast(modelIDFor(source), m)
-	}
+	p.engine.Broadcast(modelIDFor(source), m)
 }
 
 // Agent creates a shipping agent for a source.

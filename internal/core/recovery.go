@@ -132,10 +132,11 @@ func (p *Pipeline) initRecovery() error {
 	if rc.Keep > 0 {
 		p.ckpt.SetKeep(rc.Keep)
 	}
-	q, err := recovery.NewQuarantine(rc.PoisonStrikes, p.bus, p.ops.Events)
+	q, err := recovery.NewQuarantine(rc.PoisonStrikes, p.bus)
 	if err != nil {
 		return err
 	}
+	q.Instrument(p.ops)
 	p.quarantine = q
 	p.quarantinedTotal = p.ops.Metrics.Counter("core_quarantined_total")
 	p.commits = &commitTracker{on: &p.commitsOn}
@@ -151,7 +152,6 @@ func (p *Pipeline) supervisorConfig() recovery.SupervisorConfig {
 		Window:      rc.RestartWindow,
 		MaxRestarts: rc.MaxRestarts,
 		Seed:        rc.Seed,
-		Events:      p.ops.Events,
 	}
 }
 
@@ -164,6 +164,7 @@ func (p *Pipeline) runSupervised(name string, ctx context.Context, task func(con
 		return task(ctx)
 	}
 	sup := recovery.NewSupervisor(name, p.supervisorConfig())
+	sup.Instrument(p.ops)
 	p.ops.Health.Register("supervisor:"+name, sup.Probe)
 	return sup.Run(ctx, task)
 }
@@ -314,17 +315,15 @@ func (p *Pipeline) buildCheckpoint() *recovery.Checkpoint {
 			cp.SourceModels[source] = m.ID
 		}
 	}
-	running := p.running
 	p.mu.Unlock()
-	cp.Engines = []recovery.EngineState{engineSnapshot(engineName, p.engine, running)}
+	cp.Engines = []recovery.EngineState{engineSnapshot(engineName, p.engine)}
 	return cp
 }
 
-// engineSnapshot serializes one engine's per-partition operator state.
-// On a running engine the capture happens at a micro-batch barrier (the
-// same lock step model updates use); on a stopped one the partitions are
-// quiescent and read directly.
-func engineSnapshot(name string, e *stream.Engine, running bool) recovery.EngineState {
+// engineSnapshot serializes one engine's per-partition operator state
+// through Inspect: at a micro-batch barrier (the same lock step model
+// updates use) while the engine runs, directly when it does not.
+func engineSnapshot(name string, e *stream.Engine) recovery.EngineState {
 	es := recovery.EngineState{Name: name}
 	capture := func(partition int, states *stream.StateMap) {
 		ps := recovery.PartitionState{Index: partition}
@@ -355,15 +354,7 @@ func engineSnapshot(name string, e *stream.Engine, running bool) recovery.Engine
 		sort.Slice(ps.Keys, func(i, j int) bool { return ps.Keys[i].Key < ps.Keys[j].Key })
 		es.Partitions = append(es.Partitions, ps)
 	}
-	if running {
-		e.Inspect(capture)
-	} else {
-		for i := 0; i < e.Partitions(); i++ {
-			if sm, err := e.StateMap(i); err == nil {
-				capture(i, sm)
-			}
-		}
-	}
+	e.Inspect(capture)
 	sort.Slice(es.Partitions, func(i, j int) bool { return es.Partitions[i].Index < es.Partitions[j].Index })
 	return es
 }

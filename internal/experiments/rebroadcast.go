@@ -64,7 +64,7 @@ func RunRebroadcast(records, updates, partitions int) (*RebroadcastResult, error
 			for processed.Load() < uint64(i)*9/10 {
 				time.Sleep(time.Millisecond)
 			}
-			e.Rebroadcast("model", i/perUpdate)
+			e.Broadcast("model", i/perUpdate)
 		}
 	}
 	e.Close()

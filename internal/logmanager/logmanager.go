@@ -34,10 +34,6 @@ type Config struct {
 	// registers its offsets.
 	ArchiveLogs bool
 
-	// Metrics, when set, holds the received/heartbeat/dropped counters
-	// (logmanager_* names); nil keeps them private.
-	Metrics *metrics.Registry
-
 	// OnBatch, when set, runs the consumer with auto-commit disabled and
 	// is invoked after every handled poll batch with the consumed
 	// messages: the committed offsets only advance when the recovery
@@ -102,23 +98,26 @@ func New(b bus.Broker, st *store.Store, cfg Config, heartbeat func(source string
 		handled:   make(map[int]int64),
 	}
 	m.parked.Store(true)
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	m.Instrument(metrics.NewRegistry())
+	return m
+}
+
+// Instrument keeps the received/heartbeat/dropped counters
+// (logmanager_* names) in reg; until it is called they are private. Call
+// it before Run.
+func (m *Manager) Instrument(reg *metrics.Registry) {
 	m.recvCounter = reg.Counter("logmanager_received_total")
 	m.hbCounter = reg.Counter("logmanager_heartbeats_total")
 	m.dropCounter = reg.Counter("logmanager_dropped_total")
-	return m
 }
 
 // Received returns the number of logs consumed from the bus.
 func (m *Manager) Received() uint64 { return m.recvCounter.Value() }
 
-// Run consumes the logs topic until ctx is done. A consumer with Wait
-// (the in-process bus) is drained with TryPoll and parks in Wait when
-// that comes back empty; other readers (netbus) long-poll with Poll. A
-// Pause cuts either park short.
+// Run consumes the logs topic until ctx is done, polling in bounded
+// batches: Poll returns what is pending at once and otherwise parks until
+// a message arrives (the in-process bus waits on a publish, netbus
+// long-polls the broker). A Pause cuts the park short.
 func (m *Manager) Run(ctx context.Context) error {
 	consumer, err := m.bus.Subscribe(Group, agent.LogsTopic)
 	if err != nil {
@@ -143,16 +142,11 @@ func (m *Manager) Run(ctx context.Context) error {
 		m.signalLocked()
 		m.mu.Unlock()
 	}()
-	waiter, _ := consumer.(interface{ Wait(context.Context) error })
 	for ctx.Err() == nil && err == nil {
 		run, stop := m.unpaused(ctx)
 		for run.Err() == nil && err == nil {
 			var msgs []bus.Message
-			if waiter == nil {
-				msgs, err = consumer.Poll(run, pollBatchMax)
-			} else if msgs = consumer.TryPoll(pollBatchMax); len(msgs) == 0 {
-				err = waiter.Wait(run)
-			}
+			msgs, err = consumer.Poll(run, pollBatchMax)
 			if run.Err() != nil {
 				err = nil
 			}

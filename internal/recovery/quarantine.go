@@ -37,7 +37,7 @@ const DefaultStrikes = 3
 type Quarantine struct {
 	k      int
 	bus    bus.Broker
-	events *obs.FlightRecorder
+	events *obs.FlightRecorder // nil until Instrument
 
 	mu      sync.Mutex
 	strikes map[string]int
@@ -48,7 +48,7 @@ type Quarantine struct {
 // when <= 0) publishing to b's deadletter topic. The topic is declared
 // here so consumers and the dashboard can subscribe before the first
 // poison record.
-func NewQuarantine(k int, b bus.Broker, events *obs.FlightRecorder) (*Quarantine, error) {
+func NewQuarantine(k int, b bus.Broker) (*Quarantine, error) {
 	if k <= 0 {
 		k = DefaultStrikes
 	}
@@ -57,8 +57,11 @@ func NewQuarantine(k int, b bus.Broker, events *obs.FlightRecorder) (*Quarantine
 			return nil, err
 		}
 	}
-	return &Quarantine{k: k, bus: b, events: events, strikes: make(map[string]int)}, nil
+	return &Quarantine{k: k, bus: b, strikes: make(map[string]int)}, nil
 }
+
+// Instrument records each quarantine as an event in o's flight recorder.
+func (q *Quarantine) Instrument(o *obs.Ops) { q.events = o.Events }
 
 // K returns the strike threshold.
 func (q *Quarantine) K() int { return q.k }

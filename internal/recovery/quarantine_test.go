@@ -11,10 +11,11 @@ import (
 func TestQuarantineStrikesThenDeadletters(t *testing.T) {
 	b := bus.New()
 	rec := obs.NewFlightRecorder(clock.NewFake(), 16)
-	q, err := NewQuarantine(3, b, rec)
+	q, err := NewQuarantine(3, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.Instrument(&obs.Ops{Events: rec})
 
 	for i := 1; i <= 2; i++ {
 		if q.Strike("web#12", "web", 12, "the raw line", "panic: bad parse") {
@@ -54,7 +55,7 @@ func TestQuarantineStrikesThenDeadletters(t *testing.T) {
 }
 
 func TestQuarantineIndependentKeys(t *testing.T) {
-	q, err := NewQuarantine(2, nil, nil)
+	q, err := NewQuarantine(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestQuarantineIndependentKeys(t *testing.T) {
 }
 
 func TestQuarantineDefaultK(t *testing.T) {
-	q, err := NewQuarantine(0, nil, nil)
+	q, err := NewQuarantine(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +83,12 @@ func TestQuarantineDefaultK(t *testing.T) {
 }
 
 func TestQuarantinePendingRestoreRoundTrip(t *testing.T) {
-	q1, _ := NewQuarantine(3, nil, nil)
+	q1, _ := NewQuarantine(3, nil)
 	q1.Strike("web#5", "web", 5, "l", "e")
 	q1.Strike("web#5", "web", 5, "l", "e")
 	q1.Strike("db#9", "db", 9, "l", "e")
 
-	q2, _ := NewQuarantine(3, nil, nil)
+	q2, _ := NewQuarantine(3, nil)
 	q2.Restore(q1.Pending(), q1.Quarantined())
 	// web#5 carried 2 strikes across the "restart": one more quarantines.
 	if !q2.Strike("web#5", "web", 5, "l", "e") {

@@ -32,8 +32,6 @@ type SupervisorConfig struct {
 	// error (panics always restart; clean returns and context
 	// cancellation never do).
 	RestartOnError bool
-	// Events records worker-crash and restart events; nil disables.
-	Events *obs.FlightRecorder
 }
 
 func (c *SupervisorConfig) setDefaults() {
@@ -70,8 +68,9 @@ func splitmix64(x uint64) uint64 {
 // registry so a restart storm degrades /readyz before the breaker takes
 // the component down.
 type Supervisor struct {
-	name string
-	cfg  SupervisorConfig
+	name   string
+	cfg    SupervisorConfig
+	events *obs.FlightRecorder // nil until Instrument
 
 	mu       sync.Mutex
 	recent   []time.Time // restart times within the window
@@ -87,6 +86,10 @@ func NewSupervisor(name string, cfg SupervisorConfig) *Supervisor {
 	cfg.setDefaults()
 	return &Supervisor{name: name, cfg: cfg}
 }
+
+// Instrument records the supervisor's worker-crash and restart events in
+// o's flight recorder. Call it before Run.
+func (s *Supervisor) Instrument(o *obs.Ops) { s.events = o.Events }
 
 // Run executes task, restarting it after panics (and after errors when
 // RestartOnError is set) until the context is cancelled, the task
@@ -122,13 +125,13 @@ func (s *Supervisor) Run(ctx context.Context, task func(ctx context.Context) err
 
 		if windowCount > s.cfg.MaxRestarts {
 			s.tripped.Store(true)
-			s.cfg.Events.Record(obs.EventWorkerCrash, s.name,
+			s.events.Record(obs.EventWorkerCrash, s.name,
 				fmt.Sprintf("circuit breaker open after %d restarts in %v", windowCount, s.cfg.Window), int64(windowCount))
 			return fmt.Errorf("recovery: %s: circuit breaker open after %d restarts in %v (last: %v)",
 				s.name, windowCount, s.cfg.Window, err)
 		}
 		delay := s.backoff(attempt)
-		s.cfg.Events.Record(obs.EventWorkerCrash, s.name,
+		s.events.Record(obs.EventWorkerCrash, s.name,
 			fmt.Sprintf("restarting after %v (attempt %d): %v", delay, attempt+1, err), int64(attempt+1))
 		select {
 		case <-ctx.Done():

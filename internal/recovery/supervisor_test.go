@@ -59,8 +59,9 @@ func TestSupervisorBreakerTripsAfterRestartStorm(t *testing.T) {
 	fc := clock.NewFake()
 	rec := obs.NewFlightRecorder(fc, 64)
 	s := NewSupervisor("worker", SupervisorConfig{
-		Clock: fc, MaxRestarts: 2, Window: time.Hour, Events: rec,
+		Clock: fc, MaxRestarts: 2, Window: time.Hour,
 	})
+	s.Instrument(&obs.Ops{Events: rec})
 	stop := make(chan struct{})
 	defer close(stop)
 	go pump(fc, stop)

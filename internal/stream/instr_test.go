@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"loglens/internal/clock"
 	"loglens/internal/metrics"
 	"loglens/internal/obs"
+	"loglens/internal/testutil"
 )
 
 // TestCancelDropAccounting: records accepted by Send but abandoned when Run
@@ -54,9 +56,10 @@ func TestCancelDropAccounting(t *testing.T) {
 	}
 }
 
-// TestRegistryMirrors: an instrumented engine must mirror its built-in
-// counters into the shared registry with the engine label, including batch
-// histograms, per-partition state gauges, and broadcast versions.
+// TestRegistryMirrors: an instrumented engine keeps its counts in the
+// shared registry under its engine label, including batch histograms,
+// per-partition state gauges, and broadcast versions, and Metrics reads
+// the same counts back.
 func TestRegistryMirrors(t *testing.T) {
 	reg := metrics.NewRegistry()
 	e := New(Config{Partitions: 2, Ops: &obs.Ops{Metrics: reg}, Name: "parse"},
@@ -64,14 +67,20 @@ func TestRegistryMirrors(t *testing.T) {
 			ctx.States().Put(rec.Key, rec.Value)
 			return nil
 		})
-	e.Broadcast("model", "v1")
-	e.Rebroadcast("model", "v2") // queued; Run applies it between batches
-
-	var recs []Record
+	e.Broadcast("model", "v1") // installed at once: Run is not active
+	done := make(chan error, 1)
+	go func() { done <- e.Run(t.Context()) }()
+	testutil.WaitUntil(t, 5*time.Second, e.Running, "engine never reported running")
+	e.Broadcast("model", "v2") // queued; applied at a barrier
 	for i := 0; i < 10; i++ {
-		recs = append(recs, Record{Key: fmt.Sprintf("k%d", i), Value: i})
+		if err := e.Send(Record{Key: fmt.Sprintf("k%d", i), Value: i}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	run(t, e, recs)
+	e.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 
 	snap := reg.Snapshot()
 	if got := snap.Counter("stream_records_total", "engine", "parse"); got != 10 {
@@ -97,6 +106,9 @@ func TestRegistryMirrors(t *testing.T) {
 		t.Fatalf("stream_broadcast_version = %d, want 2", got)
 	}
 	if got := snap.Counter("stream_updates_applied_total", "engine", "parse"); got != 1 {
-		t.Fatalf("stream_updates_applied_total = %d, want 1", got)
+		t.Fatalf("stream_updates_applied_total = %d, want 1 (the pre-Run install is no rebroadcast)", got)
+	}
+	if m := e.Metrics(); m.Records != 10 || m.UpdatesApplied != 1 {
+		t.Fatalf("Metrics = %+v, want the registry's 10 records and 1 update", m)
 	}
 }

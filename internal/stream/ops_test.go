@@ -48,8 +48,8 @@ func TestRunningAndBroadcastVersions(t *testing.T) {
 
 	// Two rebroadcasts with no traffic in between: the driver runs
 	// ahead; workers hold the version they last pulled.
-	e.Rebroadcast("model", "v2")
-	e.Rebroadcast("model", "v3")
+	e.Broadcast("model", "v2")
+	e.Broadcast("model", "v3")
 	testutil.WaitUntil(t, 5*time.Second, func() bool {
 		driver, _ := e.BroadcastVersions("model")
 		return driver == 3

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,30 +108,52 @@ func TestHeartbeatsNeverRetried(t *testing.T) {
 	}
 }
 
-func TestBatchHookReportsResolvedWatermark(t *testing.T) {
-	var mu sync.Mutex
-	var marks []uint64
-	e := New(Config{Partitions: 2, BatchHook: func(resolved uint64) {
-		mu.Lock()
-		marks = append(marks, resolved)
-		mu.Unlock()
-	}}, func(ctx *Context, rec Record) []any { return []any{rec.Value} })
-	var recs []Record
-	for i := 0; i < 10; i++ {
-		recs = append(recs, Record{Key: "k", Value: i})
-	}
-	run(t, e, recs)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(marks) == 0 {
-		t.Fatal("BatchHook never fired")
-	}
-	for i := 1; i < len(marks); i++ {
-		if marks[i] < marks[i-1] {
-			t.Fatalf("watermark regressed: %v", marks)
-		}
-	}
-	if final := marks[len(marks)-1]; final != 10 {
-		t.Fatalf("final watermark = %d, want 10", final)
+// TestOnBarrierReportsResolvedWatermark feeds SendBatch buffers that
+// carry heartbeats mid-batch, at one partition and at four. The frontier
+// marks OnBarrier receives never decrease and end at the number of
+// non-heartbeat records (heartbeats take no seq), and Resolved counts
+// each heartbeat once however many partitions ran a copy of it.
+func TestOnBarrierReportsResolvedWatermark(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			var mu sync.Mutex
+			var marks []uint64
+			e := New(Config{Partitions: parts, OnBarrier: func(resolved uint64) {
+				mu.Lock()
+				marks = append(marks, resolved)
+				mu.Unlock()
+			}}, func(ctx *Context, rec Record) []any { return []any{rec.Value} })
+			var recs []Record
+			var records, heartbeats uint64
+			for i := 0; i < 200; i++ {
+				if i%7 == 3 {
+					recs = append(recs, Record{Key: "hb", Heartbeat: true})
+					heartbeats++
+					continue
+				}
+				recs = append(recs, Record{Key: fmt.Sprintf("k%d", i%5), Value: i})
+				records++
+			}
+			runBatched(t, e, recs, 16) // every chunk holds two or three heartbeats
+			mu.Lock()
+			defer mu.Unlock()
+			if len(marks) == 0 {
+				t.Fatal("OnBarrier never fired")
+			}
+			for i := 1; i < len(marks); i++ {
+				if marks[i] < marks[i-1] {
+					t.Fatalf("watermark regressed: %v", marks)
+				}
+			}
+			if final := marks[len(marks)-1]; final != records {
+				t.Fatalf("final watermark = %d, want %d non-heartbeat records", final, records)
+			}
+			if got := e.Accepted(); got != records {
+				t.Errorf("Accepted = %d, want %d", got, records)
+			}
+			if m := e.Metrics(); m.Resolved != records+heartbeats {
+				t.Errorf("Resolved = %d, want %d records + %d heartbeats, each once", m.Resolved, records, heartbeats)
+			}
+		})
 	}
 }

@@ -31,14 +31,17 @@ func TestSlowPartitionDoesNotStallOthers(t *testing.T) {
 		return time.Duration(rng.Intn(200)) * time.Microsecond
 	}
 
-	e := New(Config{
-		Partitions:    parts,
-		BatchInterval: time.Millisecond,
-		Partitioner: func(rec Record, partitions int) int {
-			p, _ := strconv.Atoi(rec.Key)
-			return p % partitions
-		},
-	}, func(ctx *Context, rec Record) []any {
+	// keys[p] is a key the engine routes to partition p.
+	var keys [parts]string
+	for i, found := 0, 0; found < parts; i++ {
+		k := strconv.Itoa(i)
+		if p := partition(k, parts); keys[p] == "" {
+			keys[p] = k
+			found++
+		}
+	}
+
+	e := New(Config{Partitions: parts, BatchInterval: time.Millisecond}, func(ctx *Context, rec Record) []any {
 		if ctx.Partition() == 0 {
 			<-gate
 		} else {
@@ -53,7 +56,7 @@ func TestSlowPartitionDoesNotStallOthers(t *testing.T) {
 
 	for i := 0; i < perPart; i++ {
 		for p := 0; p < parts; p++ {
-			if err := e.Send(Record{Key: strconv.Itoa(p), Value: i}); err != nil {
+			if err := e.Send(Record{Key: keys[p], Value: i}); err != nil {
 				t.Fatal(err)
 			}
 		}
