@@ -25,12 +25,14 @@ import (
 	"unicode/utf8"
 )
 
-// encodeDoc returns doc's JSON bytes and its canonical form.
-func encodeDoc(doc Document) (json.RawMessage, Document, error) {
-	if raw, cdoc, ok := encodeCanonical(doc); ok {
-		return raw, cdoc, nil
+// encodeDoc returns doc's JSON bytes and canonical form as a memtable
+// document, with the key of each top-level time.Time field recorded.
+func encodeDoc(doc Document) (memDoc, error) {
+	if md, ok := encodeCanonical(doc); ok {
+		return md, nil
 	}
-	return canonicalize(doc)
+	raw, cdoc, err := canonicalize(doc)
+	return memDoc{doc: cdoc, raw: raw}, err
 }
 
 // canonicalize JSON round-trips a document so memtable and segment copies
@@ -58,28 +60,28 @@ var canonBufs = sync.Pool{New: func() any {
 
 // encodeCanonical is the single-walk encoder; ok is false when doc needs
 // the JSON round trip instead.
-func encodeCanonical(doc Document) (json.RawMessage, Document, bool) {
+func encodeCanonical(doc Document) (md memDoc, ok bool) {
 	if doc == nil {
-		return nil, nil, false // json.Marshal writes null; leave it to the round trip
+		return md, false // json.Marshal writes null; leave it to the round trip
 	}
 	bp := canonBufs.Get().(*[]byte)
-	buf, cdoc, ok := appendCanonMap((*bp)[:0], doc)
-	var raw json.RawMessage
+	buf, cdoc, ok := appendCanonMap((*bp)[:0], doc, &md.times)
 	if ok {
-		raw = append(json.RawMessage(nil), buf...)
+		md.raw = append(json.RawMessage(nil), buf...)
+		md.doc = cdoc
 	}
 	if cap(buf) <= 64<<10 {
 		*bp = buf
 		canonBufs.Put(bp)
 	}
-	return raw, cdoc, ok
+	return md, ok
 }
 
 // encodeOwned is encodeDoc for a document the store keeps as given
 // (PutBatch): when every value is already canonical, doc is its own
 // canonical form and only its bytes are new. A document that cannot be
 // encoded comes back as given, with the error.
-func encodeOwned(doc Document) (json.RawMessage, Document, error) {
+func encodeOwned(doc Document) (memDoc, error) {
 	bp := canonBufs.Get().(*[]byte)
 	buf, ok := appendFlatDoc((*bp)[:0], doc)
 	var raw json.RawMessage
@@ -91,13 +93,13 @@ func encodeOwned(doc Document) (json.RawMessage, Document, error) {
 		canonBufs.Put(bp)
 	}
 	if ok {
-		return raw, doc, nil
+		return memDoc{doc: doc, raw: raw}, nil
 	}
-	raw, cdoc, err := encodeDoc(doc)
+	md, err := encodeDoc(doc)
 	if err != nil {
-		cdoc = doc
+		md.doc = doc
 	}
-	return raw, cdoc, err
+	return md, err
 }
 
 // appendFlatDoc appends doc's JSON encoding when every value is already
@@ -145,8 +147,9 @@ func appendFlatDoc(dst []byte, doc Document) ([]byte, bool) {
 }
 
 // appendCanonMap encodes m as a JSON object with sorted keys, returning
-// the canonical map.
-func appendCanonMap(dst []byte, m map[string]any) ([]byte, map[string]any, bool) {
+// the canonical map. For the top-level map, times is non-nil and gets
+// the key of each field m holds as a time.Time.
+func appendCanonMap(dst []byte, m map[string]any, times *[]timeField) ([]byte, map[string]any, bool) {
 	var stack [16]string
 	keys := stack[:0]
 	for k := range m {
@@ -167,6 +170,9 @@ func appendCanonMap(dst []byte, m map[string]any) ([]byte, map[string]any, bool)
 		var v any
 		if dst, v, ok = appendCanonValue(dst, m[k]); !ok {
 			return dst, nil, false
+		}
+		if t, isTime := m[k].(time.Time); isTime && times != nil {
+			*times = recordTime(*times, k, t)
 		}
 		out[k] = v
 	}
@@ -229,12 +235,12 @@ func appendCanonValue(dst []byte, v any) ([]byte, any, bool) {
 		if x == nil {
 			return append(dst, "null"...), nil, true
 		}
-		return appendCanonMap(dst, x)
+		return appendCanonMap(dst, x, nil)
 	case Document:
 		if x == nil {
 			return append(dst, "null"...), nil, true
 		}
-		return appendCanonMap(dst, x)
+		return appendCanonMap(dst, x, nil)
 	case []any:
 		if x == nil {
 			return append(dst, "null"...), nil, true

@@ -13,11 +13,34 @@ import (
 
 // sameCanon asserts that encodeDoc yields exactly what the JSON round
 // trip (canonicalize) yields: the same bytes, the same document down to
-// the sign of zero, or the same error.
+// the sign of zero, or the same error. Each key it records is the key
+// its field's canonical string parses to; on the encode-once path every
+// top-level time.Time is recorded unless its zone offset has seconds.
 func sameCanon(t *testing.T, name string, doc Document) {
 	t.Helper()
 	wantRaw, wantDoc, wantErr := canonicalize(doc)
-	gotRaw, gotDoc, gotErr := encodeDoc(doc)
+	md, gotErr := encodeDoc(doc)
+	gotRaw, gotDoc := md.raw, md.doc
+	_, fast := encodeCanonical(doc)
+	recorded := 0
+	for k, v := range doc {
+		key, ok := timeOf(md.times, k)
+		if !ok {
+			if tv, isTime := v.(time.Time); isTime && fast {
+				if _, off := tv.Zone(); off%60 == 0 {
+					t.Fatalf("%s: time field %q has no recorded key", name, k)
+				}
+			}
+			continue
+		}
+		recorded++
+		if want, _ := parseKey(md.doc[k]); key != want {
+			t.Fatalf("%s: recorded key of %q is %+v, its string %q parses to %+v", name, k, key, md.doc[k], want)
+		}
+	}
+	if recorded != len(md.times) {
+		t.Fatalf("%s: %d keys recorded, %d of them for fields of the document", name, len(md.times), recorded)
+	}
 	if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
 		t.Fatalf("%s: error = %v, want %v", name, gotErr, wantErr)
 	}
@@ -84,7 +107,7 @@ func TestCanonicalEncoderMatchesRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sameCanon(t, tc.name, tc.doc)
-		if _, _, ok := encodeCanonical(tc.doc); ok != tc.fast {
+		if _, ok := encodeCanonical(tc.doc); ok != tc.fast {
 			t.Errorf("%s: encode-once path taken = %v, want %v", tc.name, ok, tc.fast)
 		}
 	}
@@ -143,7 +166,7 @@ func TestCanonicalEncoderSeeded(t *testing.T) {
 			doc[fmt.Sprintf("f%d", rng.Intn(10))] = value(0)
 		}
 		sameCanon(t, fmt.Sprintf("doc %d %#v", i, doc), doc)
-		if _, _, ok := encodeCanonical(doc); ok {
+		if _, ok := encodeCanonical(doc); ok {
 			fast++
 		}
 	}
@@ -156,10 +179,11 @@ func TestCanonicalEncoderSeeded(t *testing.T) {
 // record encoders to the bytes json.Marshal writes for the same record,
 // so the on-disk formats are unchanged.
 func TestRecordEncodersMatchMarshal(t *testing.T) {
-	raw, doc, err := encodeDoc(Document{"raw": "a <b> line", "n": 3})
+	md, err := encodeDoc(Document{"raw": "a <b> line", "n": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, doc := md.raw, md.doc
 	recs := []walRecord{
 		{Op: walPut, Ix: "logs-web01", ID: "logs-web01-7", Ord: 6, Seq: 7, Doc: raw},
 		{Op: walPut, Ix: "ix\xff<&>", ID: "", Doc: json.RawMessage(`{}`)},

@@ -264,7 +264,7 @@ func (st *stagedIndex) capture(ix *Index, id string, r ref) {
 	sd := segDoc{ID: id, Ord: r.ord}
 	if r.seg == nil {
 		md := ix.mem[id]
-		sd.Doc, sd.raw = md.doc, md.raw
+		sd.Doc, sd.raw, sd.times = md.doc, md.raw, md.times
 	}
 	st.docs = append(st.docs, sd)
 	st.refs = append(st.refs, r)
@@ -287,8 +287,11 @@ func (e *engine) build(job *sealJob) error {
 	return err
 }
 
-// buildSegment writes st's documents as its new segment file.
+// buildSegment writes st's documents as its new segment file. A
+// document a compaction reads from a segment takes its keys from that
+// segment's sort columns; it is never parsed for them.
 func (e *engine) buildSegment(st *stagedIndex, bucket time.Time) error {
+	var keys map[*segment][][]timeField
 	for i := range st.docs {
 		if r := st.refs[i]; r.seg != nil {
 			doc, err := r.seg.fetchDoc(r)
@@ -296,6 +299,18 @@ func (e *engine) buildSegment(st *stagedIndex, bucket time.Time) error {
 				return fmt.Errorf("store: compact %q: %w", st.ix.name, err)
 			}
 			st.docs[i].Doc = doc
+			if len(r.seg.footer.Sort) == 0 {
+				continue
+			}
+			if keys[r.seg] == nil {
+				if keys == nil {
+					keys = make(map[*segment][][]timeField)
+				}
+				keys[r.seg] = r.seg.footer.timesByPos()
+			}
+			if p := r.seg.footer.position(r.off); p >= 0 {
+				st.docs[i].times = keys[r.seg][p]
+			}
 		}
 	}
 	data, ft, err := encodeSegment(e.segBuf[:0], st.docs)

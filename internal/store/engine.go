@@ -136,12 +136,14 @@ type ref struct {
 }
 
 // memDoc is one memtable document: the canonical form queries read, its
-// ord, and the JSON bytes it was encoded to (nil when it has none), which
-// the WAL logged and the seal writes out again as they are.
+// ord, the JSON bytes it was encoded to (nil when it has none), which
+// the WAL logged and the seal writes out again as they are, and the
+// recorded keys of its time fields (topk.go).
 type memDoc struct {
-	doc Document
-	raw []byte
-	ord uint64
+	doc   Document
+	raw   []byte
+	ord   uint64
+	times []timeField
 }
 
 type engine struct {
@@ -454,7 +456,7 @@ func (e *engine) applyRecord(rec *walRecord) error {
 		if err := json.Unmarshal(rec.Doc, &doc); err != nil {
 			return nil
 		}
-		ix.applyPut(rec.ID, rec.Ord, memDoc{doc: doc, raw: rec.Doc})
+		ix.applyPut(rec.ID, rec.Ord, memDoc{doc: doc, raw: rec.Doc, times: parsedTimes(doc)})
 		ix.seq = rec.Seq
 	case walDel:
 		if ix := e.byName[rec.Ix]; ix != nil {
@@ -778,9 +780,9 @@ func (e *engine) stopLoops() {
 // put is the Put/PutAuto body.
 func (ix *Index) put(id string, doc Document, auto bool) string {
 	e := ix.eng
-	raw, cdoc, cerr := encodeDoc(doc)
+	md, cerr := encodeDoc(doc)
 	if cerr != nil {
-		cdoc = cloneDoc(doc)
+		md.doc = cloneDoc(doc)
 	}
 	e.mu.Lock()
 	ix.mu.Lock()
@@ -788,7 +790,7 @@ func (ix *Index) put(id string, doc Document, auto bool) string {
 		ix.seq++
 		id = autoID(ix.name, ix.seq)
 	}
-	ix.putLocked(id, memDoc{doc: cdoc, raw: raw}, cerr)
+	ix.putLocked(id, md, cerr)
 	ix.mu.Unlock()
 	e.spillLocked()
 	job := e.maybeSealLocked()
@@ -943,14 +945,22 @@ func (ix *Index) scanLocked(q Query, retain bool, fn func(id string, doc Documen
 }
 
 // searchTopLocked serves a sorted, limited search (topk.go) reading as
-// few segment documents as the sort allows: the memtable first, then the
-// segments in order of their footer bound for the sort field, leaving
-// unread (and counted in SegmentsSkipped) each segment whose bound cannot
-// beat the current k-th hit. ok is false when the keys are not all of
-// one kind; the caller then runs the full scan and sort. Caller holds
-// ix.mu (read side).
+// few segment documents as the sort allows: the memtable first, offering
+// recorded keys without parsing, then the segments in order of their
+// footer bound for the sort field, leaving unread (and counted in
+// SegmentsSkipped) each segment whose bound cannot beat the current k-th
+// hit. ok is false when the keys are not all of one kind; the caller
+// then runs the full scan and sort. Caller holds ix.mu (read side).
 func (ix *Index) searchTopLocked(q Query) (hits []Hit, ok bool) {
 	sel := newTopK(q)
+	offer := func(id string, md *memDoc) {
+		h := Hit{ID: id, Doc: md.doc}
+		if key, ok := timeOf(md.times, q.SortBy); ok {
+			sel.add(ranked{key: key, pos: md.ord, hit: h})
+		} else {
+			sel.offer(md.doc[q.SortBy], md.ord, h)
+		}
+	}
 	// The memtable newest first when descending, oldest first when
 	// ascending: on documents inserted roughly in key order the first
 	// offers fill the heap with the winners, and most later ones lose a
@@ -960,7 +970,7 @@ func (ix *Index) searchTopLocked(q Query) (hits []Hit, ok bool) {
 		switch {
 		case !matches(md.doc, q):
 		case q.Desc:
-			sel.offer(md.doc[q.SortBy], md.ord, Hit{ID: id, Doc: md.doc})
+			offer(id, &md)
 		default:
 			asc = append(asc, id)
 		}
@@ -968,7 +978,7 @@ func (ix *Index) searchTopLocked(q Query) (hits []Hit, ok bool) {
 	})
 	for i := len(asc) - 1; i >= 0 && !sel.mixed; i-- {
 		md := ix.mem[asc[i]]
-		sel.offer(md.doc[q.SortBy], md.ord, Hit{ID: asc[i], Doc: md.doc})
+		offer(asc[i], &md)
 	}
 	type candidate struct {
 		sg      *segment
@@ -1019,14 +1029,30 @@ func (ix *Index) searchTopLocked(q Query) (hits []Hit, ok bool) {
 	return hits, true
 }
 
-// offerSegment offers sel the live documents of sg that match q, newest
-// first when descending (see searchTopLocked).
+// offerSegment offers sel the live documents of sg that match q: in
+// result order along the sort field's column when sg has one, stopping
+// at the first entry that cannot enter the selection (none after it
+// can) before reading it; otherwise in directory order, newest first
+// when descending (see searchTopLocked), parsing each key.
 func (ix *Index) offerSegment(sel *topK, sg *segment, q Query) {
 	entries := sg.footer.Entries
-	for n := range entries {
-		i := n
+	col := sg.footer.Sort[q.SortBy]
+	n := len(entries)
+	if col != nil {
+		n = len(col.Pos)
+	}
+	for k := 0; k < n; k++ {
+		i := k
 		if q.Desc {
-			i = len(entries) - 1 - n
+			i = n - 1 - k
+		}
+		var c ranked
+		if col != nil {
+			c = ranked{key: col.key(i), pos: entries[col.Pos[i]].Ord}
+			if !sel.canBeat(&c) {
+				return
+			}
+			i = int(col.Pos[i])
 		}
 		en := &entries[i]
 		if en.Del {
@@ -1041,7 +1067,14 @@ func (ix *Index) offerSegment(sel *topK, sg *segment, q Query) {
 		if !ok || !matches(doc, q) {
 			continue
 		}
-		if sel.offer(doc[q.SortBy], r.ord, Hit{ID: en.ID, Doc: doc}); sel.mixed {
+		h := Hit{ID: en.ID, Doc: doc}
+		if col != nil {
+			c.hit = h
+			sel.add(c)
+		} else {
+			sel.offer(doc[q.SortBy], r.ord, h)
+		}
+		if sel.mixed {
 			return
 		}
 	}

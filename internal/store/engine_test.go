@@ -1015,3 +1015,72 @@ func TestEngineConcurrentWritesWithBackgroundSeals(t *testing.T) {
 	defer s2.Close()
 	check(s2, "reopen")
 }
+
+// TestPutBatchAllocBudget holds the archive's write path — PutBatch of
+// flat documents whose times are strings, as modelmgr.ArchiveDoc builds
+// them — to its allocations per document: the encoded bytes, the id,
+// and amortized growth of the memtable and the scan order, 3.02–3.05
+// before sort keys were recorded. Recording them must add no parse and
+// no allocation here.
+func TestPutBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	const batch, budget = 64, 3.1
+	base := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	docs := make([]Document, batch)
+	for i := range docs {
+		docs[i] = Document{
+			"raw":     fmt.Sprintf("2016/02/23 09:00:%02d.000 line %d of the archive", i%60, i),
+			"seq":     float64(i),
+			"arrival": base.Add(time.Duration(i) * time.Millisecond).Format(time.RFC3339Nano),
+			"source":  "default",
+		}
+	}
+	for _, kind := range []string{"in memory", "in a directory"} {
+		s := New()
+		if kind == "in a directory" {
+			s = openTest(t, t.TempDir(), clock.NewFake(), func(o *Options) { o.FlushBytes = 1 << 30 })
+		}
+		ix := s.Index("logs-default")
+		ix.PutBatch(docs)
+		if got := testing.AllocsPerRun(100, func() { ix.PutBatch(docs) }) / batch; got > budget {
+			t.Errorf("%s: PutBatch allocates %.3f per document, budget %.1f", kind, got, budget)
+		}
+		if n := len(ix.mem["logs-default-1"].times); n != 0 {
+			t.Errorf("%s: PutBatch recorded %d time keys for a document of strings", kind, n)
+		}
+		s.Close()
+	}
+}
+
+// TestReplayRecordsTimeKeys: documents the WAL replays at open carry
+// the keys of their time strings, so the first seal after a reopen
+// writes a sort column as the seal before it did.
+func TestReplayRecordsTimeKeys(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, clock.NewFake())
+	ix := s.Index("anomalies")
+	base := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	for i := 0; i < 10; i++ {
+		ix.PutAuto(Document{"ts": base.Add(time.Duration(9-i) * time.Minute), "n": i})
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.Abort()
+	s = openTest(t, dir, clock.NewFake())
+	defer s.Close()
+	ix = s.Index("anomalies")
+	md := ix.mem["anomalies-1"]
+	if key, ok := timeOf(md.times, "ts"); !ok || key != timeKey(base.Add(9*time.Minute)) {
+		t.Fatalf("replayed document's ts key = %+v, %v", key, ok)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	col := ix.segs[0].footer.Sort["ts"]
+	if col == nil || len(col.Pos) != 10 || col.Pos[0] != 9 {
+		t.Fatalf("seal after replay wrote sort column %+v, want all 10 documents, newest put first", col)
+	}
+}

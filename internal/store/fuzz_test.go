@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,12 +36,18 @@ func corruptSegmentFile(t *testing.T, dir string) {
 	}
 }
 
-// fuzzSeedSegment builds a small valid segment for the corpus.
+// fuzzSeedSegment builds a small valid segment for the corpus. Every
+// live document records a key for "time", so its footer carries a sort
+// column; "a" and "c" tie on it across zones.
 func fuzzSeedSegment() []byte {
 	docs := []segDoc{
 		{ID: "dead", Del: true},
 		{ID: "a", Ord: 1, Doc: Document{"n": float64(1), "s": "x", "time": "2020-01-01T00:00:00Z"}},
-		{ID: "b", Ord: 2, Doc: Document{"n": float64(2), "flag": true}},
+		{ID: "b", Ord: 2, Doc: Document{"n": float64(2), "flag": true, "time": "2019-06-01T00:00:00.5+02:00"}},
+		{ID: "c", Ord: 3, Doc: Document{"time": "2020-01-01T01:00:00+01:00"}},
+	}
+	for i := range docs {
+		docs[i].times = parsedTimes(docs[i].Doc)
 	}
 	data, _, err := encodeSegment(nil, docs)
 	if err != nil {
@@ -84,6 +92,9 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(ft.Entries, ft2.Entries) {
 			t.Fatalf("re-encode changed the directory:\nwas  %+v\nnow %+v", ft.Entries, ft2.Entries)
+		}
+		if !reflect.DeepEqual(ft.Sort, ft2.Sort) {
+			t.Fatalf("re-encode changed the sort columns:\nwas  %+v\nnow %+v", ft.Sort, ft2.Sort)
 		}
 		_, docs2, err := decodeSegment(again)
 		if err != nil {
@@ -278,6 +289,90 @@ func TestSegmentDecodeRejectsCorruptionTable(t *testing.T) {
 	}
 	if _, _, err := decodeSegment(valid); err != nil {
 		t.Fatalf("decodeSegment rejected the valid segment: %v", err)
+	}
+}
+
+// refooter returns valid with its footer replaced by mut's edit of it,
+// under a correct checksum: corruption only the footer's own checks can
+// catch.
+func refooter(t *testing.T, valid []byte, mut func(*segFooter)) []byte {
+	t.Helper()
+	ft, ftOff, err := decodeFooter(int64(len(valid)), valid, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut(ft)
+	js, err := json.Marshal(ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(append([]byte(nil), valid[:ftOff]...), js...)
+	var tail [16]byte
+	binary.LittleEndian.PutUint32(tail[0:4], uint32(len(js)))
+	binary.LittleEndian.PutUint32(tail[4:8], crc32.ChecksumIEEE(js))
+	copy(tail[8:], segMagic)
+	return append(out, tail[:]...)
+}
+
+// TestSortColumnCorruptionRejected: a footer whose sort column is
+// malformed fails decoding as corruption — at open (decodeFooter) and in
+// the deep verify (decodeSegment) — and never panics. A key that is not
+// its document's can only be seen by reading the document, so only the
+// deep verify rejects it. The seed segment the fuzz targets start from
+// carries the column these cases corrupt.
+func TestSortColumnCorruptionRejected(t *testing.T) {
+	valid := fuzzSeedSegment()
+	ft, docs, err := decodeSegment(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := ft.Sort["time"]
+	if col == nil || len(col.Pos) != 3 || fmt.Sprint(col.Pos) != "[2 1 3]" {
+		t.Fatalf("seed segment's time column = %+v, want positions [2 1 3]", col)
+	}
+	if len(docs[1].times) != 1 || docs[1].times[0].key() != col.key(1) {
+		t.Fatalf("decoded document a carries keys %+v", docs[1].times)
+	}
+	edit := func(f func(c *sortColumn)) func(*segFooter) {
+		return func(ft *segFooter) { f(ft.Sort["time"]) }
+	}
+	cases := []struct {
+		name     string
+		mut      func(*segFooter)
+		deepOnly bool
+	}{
+		{"position out of range", edit(func(c *sortColumn) { c.Pos[0] = 4 }), false},
+		{"negative position", edit(func(c *sortColumn) { c.Pos[0] = -1 }), false},
+		{"repeated position", edit(func(c *sortColumn) { c.Pos[2] = c.Pos[1] }), false},
+		{"tombstone position", edit(func(c *sortColumn) { c.Pos[0] = 0 }), false},
+		{"out of key order", edit(func(c *sortColumn) { c.Pos[0], c.Pos[1] = c.Pos[1], c.Pos[0]; c.Sec[0], c.Sec[1] = c.Sec[1], c.Sec[0] }), false},
+		{"tie out of ord order", edit(func(c *sortColumn) { c.Pos[1], c.Pos[2] = c.Pos[2], c.Pos[1] }), false},
+		{"missing entry", edit(func(c *sortColumn) { c.Pos, c.Sec, c.Nsec = c.Pos[:2], c.Sec[:2], c.Nsec[:2] }), false},
+		{"short keys", edit(func(c *sortColumn) { c.Nsec = c.Nsec[:2] }), false},
+		{"nanoseconds out of range", edit(func(c *sortColumn) { c.Nsec[2] = 1e9 }), false},
+		{"null column", func(ft *segFooter) { ft.Sort["time"] = nil }, false},
+		{"empty column", func(ft *segFooter) { ft.Sort["time"] = &sortColumn{} }, false},
+		{"key not the document's", edit(func(c *sortColumn) { c.Sec[2]++ }), true},
+		{"column for another field", func(ft *segFooter) { ft.Sort["n"] = ft.Sort["time"] }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := refooter(t, valid, tc.mut)
+			_, _, err := decodeFooter(int64(len(data)), data, 0)
+			if tc.deepOnly != (err == nil) {
+				t.Fatalf("decodeFooter error = %v, deep-only %v", err, tc.deepOnly)
+			}
+			if _, _, err := decodeSegment(data); err == nil {
+				t.Fatal("decodeSegment accepted the corrupt column")
+			}
+		})
+	}
+	if _, _, err := decodeSegment(refooter(t, valid, func(*segFooter) {})); err != nil {
+		t.Fatalf("an unedited re-footer was rejected: %v", err)
+	}
+	noCol := refooter(t, valid, func(ft *segFooter) { ft.Sort = nil })
+	if ft, _, err := decodeSegment(noCol); err != nil || ft.Sort != nil {
+		t.Fatalf("a footer without columns (as older segments have): %v, %+v", err, ft.Sort)
 	}
 }
 

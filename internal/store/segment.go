@@ -16,7 +16,9 @@
 //
 // The footer carries the per-document directory (id → offset/length/ord)
 // plus sparse per-field statistics, so opening a segment reads only the
-// trailer and queries can skip segments that provably cannot match. Every
+// trailer and queries can skip segments that provably cannot match. It
+// may also carry sort columns (sortColumn), so a sorted, limited search
+// reads a segment in key order and stops at k. Every
 // document fetch re-verifies the record checksum, so a flipped bit on disk
 // surfaces as a detected read error, never as silent corruption or a panic.
 package store
@@ -27,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
 	"strconv"
 	"time"
 
@@ -69,6 +72,10 @@ type segDoc struct {
 	// raw is Doc's JSON encoding when the memtable kept it; the record
 	// embeds it instead of encoding Doc again.
 	raw []byte
+	// times are the recorded keys of Doc's time fields, from the
+	// memtable or an input segment's sort columns; encodeSegment builds
+	// the footer's columns from them.
+	times []timeField
 }
 
 // appendSegDoc appends sd's record payload: the bytes json.Marshal(sd)
@@ -142,6 +149,152 @@ type segFooter struct {
 	FieldsOver bool                  `json:"fields_over,omitempty"`
 	MinOrd     uint64                `json:"min_ord,omitempty"`
 	MaxOrd     uint64                `json:"max_ord,omitempty"`
+	// Sort holds a sort column for each field every live document has
+	// a recorded time key for; absent in segments without one.
+	Sort map[string]*sortColumn `json:"sort,omitempty"`
+}
+
+// sortColumn lists a segment's live directory entries in column order
+// (colEntry.less) for one field, with their keys: Pos[i] is
+// a position in Entries, Sec[i] and Nsec[i] its key, the instant the
+// field's RFC 3339 string names.
+type sortColumn struct {
+	Pos  []int32 `json:"pos"`
+	Sec  []int64 `json:"sec"`
+	Nsec []int32 `json:"nsec"`
+}
+
+// key is the sort key of the column's i-th entry.
+func (c *sortColumn) key(i int) sortKey {
+	return sortKey{kind: kindTime, sec: c.Sec[i], nsec: c.Nsec[i]}
+}
+
+// sortColumns builds the footer's sort columns over docs, whose i-th
+// record is directory entry i: one for each field every live document
+// has a recorded key for. Nil when there is none.
+func sortColumns(docs []segDoc) map[string]*sortColumn {
+	var live []int32
+	var fields []string
+	for i := range docs {
+		if docs[i].Del {
+			continue
+		}
+		if live == nil {
+			for _, f := range docs[i].times {
+				fields = append(fields, f.name)
+			}
+		} else {
+			kept := fields[:0]
+			for _, name := range fields {
+				if _, ok := timeOf(docs[i].times, name); ok {
+					kept = append(kept, name)
+				}
+			}
+			fields = kept
+		}
+		if len(fields) == 0 {
+			return nil
+		}
+		live = append(live, int32(i))
+	}
+	if len(fields) == 0 {
+		return nil
+	}
+	ents := make([]colEntry, len(live))
+	cols := make(map[string]*sortColumn, len(fields))
+	for _, name := range fields {
+		for i, p := range live {
+			ents[i].key, _ = timeOf(docs[p].times, name)
+			ents[i].ord, ents[i].pos = docs[p].Ord, p
+		}
+		sort.Slice(ents, func(i, j int) bool { return ents[i].less(&ents[j]) })
+		c := &sortColumn{Pos: make([]int32, len(ents)), Sec: make([]int64, len(ents)), Nsec: make([]int32, len(ents))}
+		for i := range ents {
+			c.Pos[i], c.Sec[i], c.Nsec[i] = ents[i].pos, ents[i].key.sec, ents[i].key.nsec
+		}
+		cols[name] = c
+	}
+	return cols
+}
+
+// colEntry is one column entry with what orders it: by key, then ord,
+// then directory position.
+type colEntry struct {
+	key sortKey
+	ord uint64
+	pos int32
+}
+
+func (a *colEntry) less(b *colEntry) bool {
+	if c := a.key.compare(b.key); c != 0 {
+		return c < 0
+	}
+	if a.ord != b.ord {
+		return a.ord < b.ord
+	}
+	return a.pos < b.pos
+}
+
+// timesByPos returns, for each directory position, the keys the sort
+// columns record for that entry (none for a tombstone).
+func (ft *segFooter) timesByPos() [][]timeField {
+	k := len(ft.Sort)
+	flat := make([]timeField, len(ft.Entries)*k)
+	out := make([][]timeField, len(ft.Entries))
+	for p := range out {
+		out[p] = flat[p*k : p*k : p*k+k]
+	}
+	for name, c := range ft.Sort {
+		for i, p := range c.Pos {
+			out[p] = append(out[p], timeField{name: name, sec: c.Sec[i], nsec: c.Nsec[i]})
+		}
+	}
+	return out
+}
+
+// position returns the directory position of the record at off, or -1.
+// Records are written in directory order, so offsets ascend.
+func (ft *segFooter) position(off int64) int {
+	p := sort.Search(len(ft.Entries), func(i int) bool { return ft.Entries[i].Off >= off })
+	if p == len(ft.Entries) || ft.Entries[p].Off != off {
+		return -1
+	}
+	return p
+}
+
+// valid reports whether c lists every live entry of ft exactly once, in
+// column order, with well-formed keys: a column that fails it would
+// make a search skip or repeat documents.
+func (c *sortColumn) valid(ft *segFooter) bool {
+	if c == nil || len(c.Sec) != len(c.Pos) || len(c.Nsec) != len(c.Pos) {
+		return false
+	}
+	live := 0
+	for i := range ft.Entries {
+		if !ft.Entries[i].Del {
+			live++
+		}
+	}
+	if len(c.Pos) == 0 || len(c.Pos) != live {
+		return false
+	}
+	seen := make([]bool, len(ft.Entries))
+	var prev colEntry
+	for i, p := range c.Pos {
+		if p < 0 || int(p) >= len(ft.Entries) || ft.Entries[p].Del || seen[p] {
+			return false
+		}
+		seen[p] = true
+		if c.Nsec[i] < 0 || c.Nsec[i] >= 1e9 {
+			return false
+		}
+		e := colEntry{key: c.key(i), ord: ft.Entries[p].Ord, pos: p}
+		if i > 0 && !prev.less(&e) {
+			return false
+		}
+		prev = e
+	}
+	return true
 }
 
 // segment is an open sealed segment: immutable bytes on disk plus the
@@ -205,6 +358,7 @@ func encodeSegment(dst []byte, docs []segDoc) ([]byte, *segFooter, error) {
 	if len(ft.Fields) == 0 {
 		ft.Fields = nil
 	}
+	ft.Sort = sortColumns(docs)
 	footerJSON, err := json.Marshal(ft)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: segment: encode footer: %w", err)
@@ -329,6 +483,14 @@ func decodeFooter(size int64, tail []byte, tailOff int64) (*segFooter, int64, er
 			return nil, 0, errOutOfRange
 		}
 	}
+	for _, c := range ft.Sort {
+		if !c.valid(&ft) {
+			return nil, 0, errBadFooter
+		}
+	}
+	if len(ft.Sort) == 0 {
+		ft.Sort = nil // as encodeSegment leaves a segment without columns
+	}
 	return &ft, ftOff, nil
 }
 
@@ -369,6 +531,16 @@ func decodeSegment(data []byte) (*segFooter, []segDoc, error) {
 			return nil, nil, errBadRecord
 		}
 		docs = append(docs, sd)
+	}
+	// Each column key must be the one its document's field parses to.
+	for name, c := range ft.Sort {
+		for i, p := range c.Pos {
+			d := &docs[p]
+			if k, ok := parseKey(d.Doc[name]); !ok || k.kind != kindTime || k.compare(c.key(i)) != 0 {
+				return nil, nil, errBadFooter
+			}
+			d.times = append(d.times, timeField{name: name, sec: c.Sec[i], nsec: c.Nsec[i]})
+		}
 	}
 	return ft, docs, nil
 }

@@ -175,7 +175,7 @@ func (ix *Index) PutBatch(docs []Document) {
 	}
 	enc := make([]encoded, len(docs))
 	for i, doc := range docs {
-		enc[i].md.raw, enc[i].md.doc, enc[i].err = encodeOwned(doc)
+		enc[i].md, enc[i].err = encodeOwned(doc)
 	}
 	e.mu.Lock()
 	ix.mu.Lock()

@@ -12,8 +12,20 @@ import (
 
 // Sorted, limited searches. A Search with SortBy and Limit > 0 — the
 // dashboard's "newest hundred" — selects its hits with a bounded heap
-// instead of sorting every match, parsing each sort key once, and leaves
-// unread the segments that cannot hold a hit (Index.searchTopLocked).
+// instead of sorting every match, and reads as few documents as the
+// sort allows (Index.searchTopLocked).
+//
+// Where keys come from: a put records the key of every top-level field
+// it was handed as a time.Time (timeField, kept with the memtable
+// document), so the memtable offers those keys without parsing; WAL
+// replay parses them once at open. At seal, each field every live
+// document recorded a key for gets a sort column in the segment footer
+// (sortColumn): the live entries in key order with their keys, so a
+// segment is read from its best end and the read stops at the first
+// entry that cannot enter the selection. Any other value — a string
+// field, a document without a recorded key, a segment without a column
+// (the archive's, a compaction's over such a segment, or one written
+// before columns existed) — is parsed from the document as before.
 //
 // The result order is stated, not left to the sort algorithm: by key,
 // ties by insertion position, both reversed when descending — so a
@@ -75,6 +87,51 @@ func parseKey(v any) (k sortKey, ok bool) {
 // parsed string or a segment footer's bound.
 func timeKey(t time.Time) sortKey {
 	return sortKey{kind: kindTime, sec: t.Unix(), nsec: int32(t.Nanosecond())}
+}
+
+// timeField is the recorded key of one top-level field a document holds
+// as an RFC 3339 string: the key parseKey reads from that string.
+type timeField struct {
+	name string
+	sec  int64
+	nsec int32
+}
+
+func (f *timeField) key() sortKey { return sortKey{kind: kindTime, sec: f.sec, nsec: f.nsec} }
+
+// recordTime appends the key of field name, which a put was handed as
+// t, unless t's zone offset has seconds: its RFC 3339 form keeps only
+// hours and minutes, so that string names another instant.
+func recordTime(times []timeField, name string, t time.Time) []timeField {
+	if _, off := t.Zone(); off%60 != 0 {
+		return times
+	}
+	return append(times, timeField{name: name, sec: t.Unix(), nsec: int32(t.Nanosecond())})
+}
+
+// parsedTimes records the key of every top-level string of doc that
+// parses as a time: a document read back from the WAL, which does not
+// say which of its strings were handed to the put as times.
+func parsedTimes(doc Document) []timeField {
+	var times []timeField
+	for name, v := range doc {
+		if s, ok := v.(string); ok {
+			if t, ok := asTime(s); ok {
+				times = recordTime(times, name, t)
+			}
+		}
+	}
+	return times
+}
+
+// timeOf returns the recorded key of field name.
+func timeOf(times []timeField, name string) (sortKey, bool) {
+	for i := range times {
+		if times[i].name == name {
+			return times[i].key(), true
+		}
+	}
+	return sortKey{}, false
 }
 
 // compare orders two keys of the same kind exactly as compareValues
@@ -143,12 +200,23 @@ func (s *topK) offer(v any, pos uint64, h Hit) {
 		return
 	}
 	key, ok := parseKey(v)
-	if !ok || (s.kind != kindNone && key.kind != s.kind) {
+	if !ok {
 		s.mixed, s.heap = true, nil
 		return
 	}
-	s.kind = key.kind
-	r := ranked{key: key, pos: pos, hit: h}
+	s.add(ranked{key: key, pos: pos, hit: h})
+}
+
+// add considers one matching hit whose key is known.
+func (s *topK) add(r ranked) {
+	if s.mixed {
+		return
+	}
+	if s.kind != kindNone && r.key.kind != s.kind {
+		s.mixed, s.heap = true, nil
+		return
+	}
+	s.kind = r.key.kind
 	if !s.full() {
 		s.heap = append(s.heap, r)
 		s.up(len(s.heap) - 1)

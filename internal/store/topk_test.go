@@ -261,6 +261,102 @@ func TestNewestHundredReadsOneSegment(t *testing.T) {
 	}
 }
 
+// columnDoc is an anomaly-like document keyed by a time.Time: two
+// documents per second, in two zones, so keys tie across zones.
+func columnDoc(i int) Document {
+	base := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	zones := []*time.Location{time.UTC, time.FixedZone("CEST", 2*3600)}
+	return Document{
+		"type": "missing-end-state",
+		"ts":   base.Add(time.Duration(i/2) * time.Second).In(zones[i%2]),
+		"src":  fmt.Sprintf("s%d", i%4),
+		"n":    i,
+	}
+}
+
+// TestSortColumnStopsAtK: one sealed segment of 4,000 documents keyed
+// by time.Time values, put in shuffled key order, and 50 newer ones in
+// the memtable. A newest-100 walks the segment's sort column and reads
+// at most 100 of its documents (a walk in directory order reads all
+// 4,000), and every search returns the full sort's result: before and
+// after a reopen that replays the memtable, after a compaction (which
+// carries the column over),
+// and with the column taken away, through the plain walk.
+func TestSortColumnStopsAtK(t *testing.T) {
+	const sealed, inMem, k = 4000, 50, 100
+	dir := t.TempDir()
+	eng := openTest(t, dir, clock.NewFake())
+	defer func() { eng.Close() }()
+	ix := eng.Index("anomalies")
+	for _, i := range rand.New(rand.NewSource(5)).Perm(sealed) {
+		ix.PutAuto(columnDoc(i))
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := sealed; i < sealed+inMem; i++ {
+		ix.PutAuto(columnDoc(i))
+	}
+	queries := []Query{
+		{SortBy: "ts", Desc: true, Limit: k},
+		{SortBy: "ts", Limit: k},
+		// A quarter of the documents match: the walk reads about 4k.
+		{SortBy: "ts", Desc: true, Limit: k, Term: map[string]any{"src": "s1"}},
+	}
+	check := func(stage string, maxRead ...uint64) {
+		t.Helper()
+		ix := eng.Index("anomalies")
+		for j, q := range queries {
+			before := eng.Stats().SegmentDocsRead
+			got := ix.Search(q)
+			read := eng.Stats().SegmentDocsRead - before
+			want := sortAndLimitHits(ix.Search(Query{Term: q.Term}), q)
+			gj, _ := json.Marshal(got)
+			wj, _ := json.Marshal(want)
+			if len(got) != k || !bytes.Equal(gj, wj) {
+				t.Fatalf("%s %+v:\n got  %s\n want %s", stage, q, hitIDs(got), hitIDs(want))
+			}
+			if read > maxRead[j] {
+				t.Errorf("%s %+v read %d segment documents, want at most %d", stage, q, read, maxRead[j])
+			}
+		}
+	}
+	hasColumn := func(stage string) {
+		t.Helper()
+		ix := eng.Index("anomalies")
+		if len(ix.segs) != 1 || ix.segs[0].footer.Sort["ts"] == nil {
+			t.Fatalf("%s: want one segment with a ts column", stage)
+		}
+	}
+	hasColumn("sealed")
+	check("sealed", k, k, 4*k)
+
+	sg := ix.segs[0]
+	cols := sg.footer.Sort
+	ix.mu.Lock()
+	sg.footer.Sort = nil
+	ix.mu.Unlock()
+	check("without a column", sealed, sealed, sealed)
+	ix.mu.Lock()
+	sg.footer.Sort = cols
+	ix.mu.Unlock()
+
+	// Abort, not Close: the reopen replays the memtable from the WAL.
+	if err := eng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Abort()
+	eng = openTest(t, dir, clock.NewFake())
+	hasColumn("reopened")
+	check("reopened", k, k, 4*k)
+
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	hasColumn("compacted")
+	check("compacted", k, k, 4*k)
+}
+
 // sortedSearchDoc draws a document for the sorted-search property test.
 // Its fields cover each sort path: ts and tv are times (as strings and
 // as values), n a number, s a string, all with many ties; opt is a
@@ -562,8 +658,8 @@ func TestStatFieldsMatchesLegacy(t *testing.T) {
 				doc = sortedSearchDoc(rng, base)
 			}
 			docs := []Document{doc}
-			if _, cdoc, err := encodeDoc(doc); err == nil {
-				docs = append(docs, cdoc)
+			if md, err := encodeDoc(doc); err == nil {
+				docs = append(docs, md.doc)
 			}
 			for _, d := range docs {
 				statFields(newFt, newVals, d)
@@ -580,5 +676,41 @@ func TestStatFieldsMatchesLegacy(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkSortedSearch times the dashboard's newest-100 over anomaly
+// documents keyed by time.Time values in a store in a directory: with
+// 100, 1,000 and 5,000 documents in the memtable, and with 4,000 in one
+// sealed segment (put in shuffled key order) plus 50 in the memtable.
+func BenchmarkSortedSearch(b *testing.B) {
+	q := Query{SortBy: "ts", Desc: true, Limit: 100}
+	for _, bc := range []struct {
+		name        string
+		sealed, mem int
+	}{{"mem=100", 0, 100}, {"mem=1000", 0, 1000}, {"mem=5000", 0, 5000}, {"sealed=4000+mem=50", 4000, 50}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := Open(Options{Dir: b.TempDir(), Clock: clock.NewFake(), FlushBytes: 1 << 30})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			ix := s.Index("anomalies")
+			for _, i := range rand.New(rand.NewSource(1)).Perm(bc.sealed) {
+				ix.PutAuto(columnDoc(i))
+			}
+			if err := s.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			for i := bc.sealed; i < bc.sealed+bc.mem; i++ {
+				ix.PutAuto(columnDoc(i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if hits := ix.Search(q); len(hits) != 100 {
+					b.Fatalf("%d hits", len(hits))
+				}
+			}
+		})
 	}
 }

@@ -22,14 +22,30 @@ const UnifiedLayout = "2006/01/02 15:04:05.000"
 
 // Unify renders t in the unified DATETIME format.
 func Unify(t time.Time) string {
-	return t.Format(UnifiedLayout)
+	var buf [len(UnifiedLayout)]byte
+	return string(AppendUnified(buf[:0], t))
 }
 
 // AppendUnified appends t in the unified DATETIME format to dst and
 // returns the extended buffer, letting hot-path callers render without a
-// string allocation.
+// string allocation. It writes the fixed-width digits itself for years
+// 0–9999, the bytes t.AppendFormat(dst, UnifiedLayout) writes, and
+// leaves other years to AppendFormat.
 func AppendUnified(dst []byte, t time.Time) []byte {
-	return t.AppendFormat(dst, UnifiedLayout)
+	year, month, day := t.Date()
+	if year < 0 || year > 9999 {
+		return t.AppendFormat(dst, UnifiedLayout)
+	}
+	hour, min, sec := t.Clock()
+	ms := t.Nanosecond() / 1e6
+	return append(dst,
+		byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10), '/',
+		byte('0'+month/10), byte('0'+month%10), '/',
+		byte('0'+day/10), byte('0'+day%10), ' ',
+		byte('0'+hour/10), byte('0'+hour%10), ':',
+		byte('0'+min/10), byte('0'+min%10), ':',
+		byte('0'+sec/10), byte('0'+sec%10), '.',
+		byte('0'+ms/100), byte('0'+ms/10%10), byte('0'+ms%10))
 }
 
 // Format is one recognizable timestamp format. A format spans Tokens

@@ -18,6 +18,12 @@
 #     does is shown but does not fail the gate: the change may mend it);
 #   - the checkout fails a larger share of its operations than the base.
 #
+# A metric that passes reads "unresolved" instead of "ok" when the
+# base's own runs of it spread wider than its bound ((max - min) /
+# median): such runs cannot tell a change within the bound from none,
+# so the verdict is "within bound", not "unchanged". It does not fail
+# the gate.
+#
 # Every result line is kept in .bench_build/benchgate/results.jsonl as
 # {tree, seed, workload, result}, and each run's report in a .log file
 # beside it.
@@ -85,14 +91,16 @@ jq -n -r --slurpfile bf BENCHMARK.json '
 	| ($rw | map(select(.tree == "base"))) as $b
 	| ($rw | map(select(.tree == "head"))) as $h
 	| (($bf[0].end_to_end[] as $m
-		| ($b | map(.result.metrics[$m.name].value // empty) | median) as $bm
+		| ($b | map(.result.metrics[$m.name].value // empty)) as $bv
+		| ($bv | median) as $bm
 		| ($h | map(.result.metrics[$m.name].value // empty) | median) as $hm
 		| if $bm == null or $hm == null then
 			[$w, $m.name, "-", "-", "-", "\($m.bound * 100)%", "not reported"]
 		else
 			worse($m; $bm; $hm) as $x
+			| (if $bm == 0 then 0 else (($bv | max) - ($bv | min)) / $bm end) as $spread
 			| [$w, $m.name, ($bm | r), ($hm | r), "\($x * 100 | r)%", "\($m.bound * 100)%",
-				(if $x > $m.bound then "FAIL" else "ok" end)]
+				(if $x > $m.bound then "FAIL" elif $spread > $m.bound then "unresolved" else "ok" end)]
 		end),
 	  [$w, "failed share", ($b | share | r), ($h | share | r), "-", "no larger",
 		(if ($h | share) > ($b | share) then "FAIL" else "ok" end)],
