@@ -81,7 +81,7 @@ func TestConservationClean(t *testing.T) {
 	// The log manager pump runs on real time; wait for it to hand every
 	// line to the engine, then let Stop's close-drain process them.
 	testutil.WaitUntil(t, 10*time.Second, func() bool {
-		return p.forwarded.Load() == n
+		return p.logmgr.Received() == n
 	}, "log manager did not forward every line")
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestConservationUnderChaos(t *testing.T) {
 	}
 
 	testutil.WaitUntil(t, 10*time.Second, func() bool {
-		return p.forwarded.Load() == stats.Delivered
+		return p.logmgr.Received() == stats.Delivered
 	}, "log manager did not forward every delivered line")
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)

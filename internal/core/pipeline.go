@@ -147,7 +147,6 @@ type Pipeline struct {
 
 	anomalies atomic.Uint64
 	unparsed  atomic.Uint64
-	forwarded atomic.Uint64
 
 	// ops is the ops plane (Config.Ops, or a private bundle).
 	ops *obs.Ops
@@ -263,9 +262,9 @@ func New(cfg Config) (*Pipeline, error) {
 	// Every barrier, empty ones included, runs the commit gate (with
 	// recovery on), re-ages the freshness gauges (so lag grows while the
 	// engine is stuck) and wakes the Drain and checkpoint-barrier waits.
-	engineCfg.OnBarrier = func(resolved uint64) {
+	engineCfg.OnBarrier = func() {
 		if p.commits != nil {
-			p.logmgr.Commit(p.commits.due(resolved))
+			p.logmgr.Commit(p.commits.due(p.engine.Reached))
 		}
 		p.lat.Refresh()
 		p.logmgr.Notify()
@@ -279,21 +278,16 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	if p.commits != nil {
 		// At-least-once intake: the consumer commits nothing on its own;
-		// every poll batch becomes a pending commit gated on the engine's
-		// resolved watermark. The watermark must be in the engine's
-		// frontier unit (accepted seqs): heartbeats increment p.forwarded
-		// but are seq-less in the engine, so a forwarded-based watermark
-		// would sit permanently above the frontier after the first live
-		// heartbeat and the offsets behind it would never commit.
+		// every poll batch becomes a pending commit gated on the engine
+		// mark taken after its records (and heartbeats) were sent.
 		lmCfg.OnBatch = func([]bus.Message) {
-			p.commits.register(p.logmgr.Handled(), p.engine.Accepted())
+			p.commits.register(p.logmgr.Handled(), p.engine.Mark())
 		}
 	}
 	// Heartbeats arrive tagged on the data channel (§V-B) and become
 	// heartbeat records fanned to every partition of the stateful stage.
 	p.logmgr = logmanager.New(p.bus, p.store, lmCfg, func(source string, t time.Time) {
 		p.hbTotal.Inc()
-		p.forwarded.Add(1)
 		p.engine.Send(stream.Record{Key: source, Time: t, Heartbeat: true})
 	})
 	p.logmgr.Instrument(reg)
@@ -684,9 +678,10 @@ func (p *Pipeline) InjectHeartbeat(source string, t time.Time) {
 }
 
 // Drain waits until the log manager has handled everything on the bus
-// when Drain was called, then until the engine has resolved everything
-// forwarded: call it before reading exact anomaly counts. The timeout is
-// real time, so it elapses even when a fake clock stands still.
+// when Drain was called, then until the engine has retired everything
+// queued to it: call it before reading exact anomaly counts. The
+// timeout is real time, so it elapses even when a fake clock stands
+// still.
 func (p *Pipeline) Drain(timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -697,8 +692,8 @@ func (p *Pipeline) Drain(timeout time.Duration) error {
 	}
 	if p.logmgr.Await(ctx, func() bool { return reached(p.logmgr.Handled(), ends) }) != nil ||
 		p.logmgr.Await(ctx, p.resolvedAll) != nil {
-		return fmt.Errorf("core: drain timed out with bus lag %d and %d/%d records resolved",
-			p.logmgrLag(), p.engine.Metrics().Resolved, p.forwarded.Load())
+		return fmt.Errorf("core: drain timed out with bus lag %d and engine mark %v not reached",
+			p.logmgrLag(), p.engine.Mark())
 	}
 	return nil
 }
@@ -714,10 +709,10 @@ func reached(have, want map[int]int64) bool {
 	return true
 }
 
-// resolvedAll reports that the engine has resolved every record the log
-// manager forwarded.
+// resolvedAll reports that the engine has retired every record queued to
+// it so far.
 func (p *Pipeline) resolvedAll() bool {
-	return p.engine.Metrics().Resolved >= p.forwarded.Load()
+	return p.engine.Reached(p.engine.Mark())
 }
 
 // intakeDrainTimeout bounds how long Stop waits for in-flight intake
@@ -746,9 +741,9 @@ func (p *Pipeline) Stop() error {
 	}
 	p.cancel()
 	// Front-to-back: the log manager must finish its in-flight poll
-	// batch and park before the engine closes, or a batch counted as
-	// forwarded could land on an already-closed engine and be rejected —
-	// silently breaking the lines == parsed + unparsed balance.
+	// batch and park before the engine closes, or a batch it counted in
+	// core_lines_total could land on an already-closed engine and be
+	// rejected — silently breaking the lines == parsed + unparsed balance.
 	p.logmgr.Await(context.Background(), p.logmgr.Parked)
 	p.engine.Close()
 	err := <-p.runErr
@@ -866,7 +861,6 @@ func (p *Pipeline) logmgrLag() int64 {
 // The engine takes ownership of the buffer. The batch's newest arrival
 // stamp then becomes the freshness plane's admission watermark.
 func (p *Pipeline) forwardBatch(logs []logtypes.Log) {
-	p.forwarded.Add(uint64(len(logs)))
 	p.linesTotal.Add(uint64(len(logs)))
 	buf := p.engine.RecordBuffer()
 	var newest time.Time

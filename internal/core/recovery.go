@@ -74,25 +74,23 @@ const engineName = "main"
 const quiesceTimeout = 30 * time.Second
 
 // pendingCommit is the log manager's handled offsets after one poll
-// batch, waiting for the engine to resolve the records that came out of
+// batch, waiting for the engine to retire the records that came out of
 // it and every batch before.
 type pendingCommit struct {
-	offsets   map[int]int64 // partition -> next offset to consume
-	watermark uint64        // commit when the engine frontier reaches this
+	offsets map[int]int64 // partition -> next offset to consume
+	mark    stream.Mark   // commit once the engine has reached it
 }
 
-// commitTracker implements the at-least-once commit gate: the log
-// manager registers its handled offsets after each poll batch with the
-// engine's accepted-seq watermark (Engine.Accepted after the batch's
-// records were sent — the commit frontier's unit, which excludes
-// seq-less heartbeats), and at every barrier the engine's BatchHook
-// commits the newest registration whose watermark the engine's merged
-// commit frontier has passed. The frontier is the longest prefix of
-// accepted records — in acceptance order — that every partition worker
-// has fully processed and sunk, so with partitions progressing at
-// independent paces an offset still only commits once everything
-// consumed before it has cleared the sink, whichever worker was last. A
-// crash in between redelivers the uncommitted suffix.
+// commitTracker implements the at-least-once commit gate: after each poll
+// batch the log manager registers its handled offsets with the engine
+// mark taken after the batch's records and heartbeats were sent, and the
+// engine's OnBarrier hook commits the newest registration whose mark every
+// partition has reached. A partition reaches a mark only when it has
+// processed and sunk every record queued to it before the mark, so with
+// partitions progressing at independent paces an offset still only
+// commits once everything consumed before it has cleared the sink,
+// whichever worker was last. A crash in between redelivers the
+// uncommitted suffix.
 type commitTracker struct {
 	on *atomic.Bool // pipeline-level gate; Kill flips it off
 
@@ -100,24 +98,24 @@ type commitTracker struct {
 	pending []pendingCommit
 }
 
-// register queues handled offsets behind the watermark.
-func (t *commitTracker) register(offsets map[int]int64, watermark uint64) {
+// register queues handled offsets behind the mark.
+func (t *commitTracker) register(offsets map[int]int64, mark stream.Mark) {
 	t.mu.Lock()
-	t.pending = append(t.pending, pendingCommit{offsets: offsets, watermark: watermark})
+	t.pending = append(t.pending, pendingCommit{offsets: offsets, mark: mark})
 	t.mu.Unlock()
 }
 
-// due drops every registration the engine's commit frontier has reached
-// and returns the newest one's offsets: nil when none has been reached,
-// or when the gate is off.
-func (t *commitTracker) due(resolved uint64) map[int]int64 {
+// due drops every registration whose mark reached reports reached and
+// returns the newest one's offsets: nil when none has been reached, or
+// when the gate is off.
+func (t *commitTracker) due(reached func(stream.Mark) bool) map[int]int64 {
 	if !t.on.Load() {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var offsets map[int]int64
-	for len(t.pending) > 0 && t.pending[0].watermark <= resolved {
+	for len(t.pending) > 0 && reached(t.pending[0].mark) {
 		offsets, t.pending = t.pending[0].offsets, t.pending[1:]
 	}
 	return offsets
@@ -262,9 +260,9 @@ func (p *Pipeline) noteCheckpoint(gen uint64, err error) {
 }
 
 // quiesce pauses the log manager, takes the cut at the offsets it has
-// handled (the pause frontier), and waits until the engine has resolved
-// everything forwarded and the group's committed offsets, as the broker
-// reports them, reach the cut: committed == handled == resolved.
+// handled (the pause frontier), and waits until the engine has retired
+// everything queued to it and the group's committed offsets, as the
+// broker reports them, reach the cut: committed == handled == retired.
 // Messages published after the pause belong to the next checkpoint.
 func (p *Pipeline) quiesce(timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -273,13 +271,14 @@ func (p *Pipeline) quiesce(timeout time.Duration) error {
 	if err != nil {
 		return fmt.Errorf("core: checkpoint barrier timed out waiting for log-manager pause")
 	}
-	// Resolved can move before its barrier's commit hook returns, so the
-	// committed offsets are checked too; the commit gate runs at every
-	// barrier, empty ones included, before the barrier wakes this wait.
+	// A worker publishes what it retired before its barrier's commit
+	// hook runs, so the committed offsets are checked too; the commit
+	// gate runs at every barrier, empty ones included, before the
+	// barrier wakes this wait.
 	if p.logmgr.Await(ctx, func() bool { return p.resolvedAll() && reached(p.logmgr.Committed(), cut) }) != nil {
 		what := "offset commit"
 		if !p.resolvedAll() {
-			what = "engine resolution"
+			what = "the engine to retire its queued records"
 		}
 		return fmt.Errorf("core: checkpoint barrier timed out waiting for %s", what)
 	}

@@ -538,15 +538,16 @@ func TestCrashRecoveryRejectedRestoreMutatesNothing(t *testing.T) {
 	})
 }
 
-// TestCommitGateWithLiveHeartbeats pins the watermark-unit contract of
-// the commit gate: heartbeats increment the forwarded counters but are
-// seq-less in the engine, so commit watermarks must be taken from
-// Engine.Accepted (the frontier's unit). A watermark based on the
-// forwarded count would sit permanently above the frontier after the
-// first heartbeat and the offsets registered behind it would never
-// commit — Drain and every later Checkpoint would hang on committed
-// lag. Regression for a hang found driving the full binary, where the
-// wall-clock heartbeat controller interleaves with file replay.
+// TestCommitGateWithLiveHeartbeats pins the unit contract of the commit
+// gate: a heartbeat queues a copy to every partition, and the marks the
+// gate registers count those copies exactly as the workers retire them.
+// A mark in another unit — a count that takes each heartbeat once, or
+// not at all — drifts from what the workers retire after the first
+// heartbeat; one that drifts high is never reached, and the offsets
+// registered behind it never commit — Drain and every later Checkpoint hang on
+// committed lag. Regression for a hang found driving the full binary,
+// where the wall-clock heartbeat controller interleaves with file
+// replay.
 func TestCommitGateWithLiveHeartbeats(t *testing.T) {
 	// The subtest name is kept from when the test also ran a staged
 	// topology; the fused pipeline is now the only one.
@@ -570,7 +571,7 @@ func TestCommitGateWithLiveHeartbeats(t *testing.T) {
 		}
 		// Heartbeats before, between, and after the log traffic: each
 		// poll batch around them registers offsets that must still
-		// commit even though the heartbeat advanced no frontier seq.
+		// commit once the heartbeat copies have retired.
 		p.InjectHeartbeat("web", hbAt)
 		feed(t, ag, prod[:len(prod)/2])
 		p.InjectHeartbeat("web", hbAt.Add(time.Second))

@@ -61,7 +61,7 @@ func TestConservationEightPartitions(t *testing.T) {
 	n := uint64(len(prod))
 
 	testutil.WaitUntil(t, 10*time.Second, func() bool {
-		return p.forwarded.Load() == n
+		return p.logmgr.Received() == n
 	}, "log manager did not forward every line")
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
@@ -95,9 +95,9 @@ func TestConservationEightPartitions(t *testing.T) {
 
 // TestCrashRecoveryEightPartitions: one kill-and-restore cycle with 8
 // partition workers and traffic spread over 8 sources must reproduce the
-// golden (uninterrupted) end state exactly — the merged commit frontier
-// may only commit offsets whose records every worker has fully resolved
-// and sunk, whichever worker reached the barrier last.
+// golden (uninterrupted) end state exactly — the commit gate may only
+// commit offsets whose mark every worker has reached, having processed
+// and sunk its records, whichever worker reached the barrier last.
 func TestCrashRecoveryEightPartitions(t *testing.T) {
 	const nParsed, nUnparsed = 40, 8
 	const sources = 8

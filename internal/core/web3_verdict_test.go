@@ -73,7 +73,7 @@ func TestWeb3MissingBeginVerdict(t *testing.T) {
 		}
 	}
 	testutil.WaitUntil(t, 10*time.Second, func() bool {
-		return p.forwarded.Load() == uint64(len(lines))
+		return p.logmgr.Received() == uint64(len(lines))
 	}, "log manager did not forward every line")
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)

@@ -165,12 +165,17 @@ func TestHealthzFlipsUnderChaos(t *testing.T) {
 	if err := ag.Send(base.Add(time.Second).Format("2006/01/02 15:04:05.000") + " task live-1 done code 0"); err != nil {
 		t.Fatal(err)
 	}
+	// Both lines must have been parsed (and so observed by the
+	// heartbeat controller) before the clock jumps: a line parsed after
+	// the jump below would refresh the source and shift the staleness
+	// and sweep states that follow.
 	testutil.WaitUntil(t, 10*time.Second, func() bool {
 		fc.Advance(20 * time.Millisecond)
 		_, body := get(t, srv, "/healthz")
 		_, hbDetail := probeOf(t, body, "heartbeat")
-		return body["status"] == "healthy" && strings.Contains(hbDetail, "1 tracked")
-	}, "pipeline did not become healthy after start")
+		return body["status"] == "healthy" && strings.Contains(hbDetail, "1 tracked") &&
+			ops.Metrics.Snapshot().Counter("core_parsed_total") == 2
+	}, "pipeline did not become healthy with both lines parsed after start")
 	if code, _ := get(t, srv, "/readyz"); code != 200 {
 		t.Fatalf("running readyz = %d, want 200", code)
 	}

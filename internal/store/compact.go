@@ -119,6 +119,13 @@ func (e *engine) needsCompact(ix *Index, addingSeg bool) bool {
 	return false
 }
 
+// compactable reports whether a full rewrite would change ix: it has
+// more than one segment, or one that holds tombstones or shadowed
+// documents.
+func (ix *Index) compactable() bool {
+	return len(ix.segs) > 1 || len(ix.segs) == 1 && ix.segs[0].live < ix.segs[0].footer.Count
+}
+
 // sealLocked runs one seal inline: it waits for a seal in flight, then
 // cuts, builds and commits with e.mu held throughout. Caller holds e.mu.
 func (e *engine) sealLocked(plan sealPlan) error {
@@ -157,6 +164,11 @@ func (e *engine) cutLocked(plan sealPlan) (*sealJob, error) {
 	changed := e.walSize() > 0 || plan.pin
 	for _, victims := range plan.drop {
 		if len(victims) > 0 {
+			changed = true
+		}
+	}
+	for _, ix := range e.indices {
+		if plan.compactAll && ix.compactable() {
 			changed = true
 		}
 	}
@@ -289,8 +301,19 @@ func (e *engine) build(job *sealJob) error {
 
 // buildSegment writes st's documents as its new segment file. A
 // document a compaction reads from a segment takes its keys from that
-// segment's sort columns; it is never parsed for them.
+// segment's sort columns. One read from a segment without columns is
+// parsed for its keys, as WAL replay does, when another document of the
+// compaction carries keys: otherwise the output would lack the column
+// too, and every later compaction would inherit the gap. An index whose
+// documents carry no keys (the log archive) parses nothing.
 func (e *engine) buildSegment(st *stagedIndex, bucket time.Time) error {
+	keyed := false
+	for i := range st.docs {
+		if r := st.refs[i]; len(st.docs[i].times) > 0 || r.seg != nil && len(r.seg.footer.Sort) > 0 {
+			keyed = true
+			break
+		}
+	}
 	var keys map[*segment][][]timeField
 	for i := range st.docs {
 		if r := st.refs[i]; r.seg != nil {
@@ -300,6 +323,9 @@ func (e *engine) buildSegment(st *stagedIndex, bucket time.Time) error {
 			}
 			st.docs[i].Doc = doc
 			if len(r.seg.footer.Sort) == 0 {
+				if keyed {
+					st.docs[i].times = parsedTimes(doc)
+				}
 				continue
 			}
 			if keys[r.seg] == nil {

@@ -1084,3 +1084,51 @@ func TestReplayRecordsTimeKeys(t *testing.T) {
 		t.Fatalf("seal after replay wrote sort column %+v, want all 10 documents, newest put first", col)
 	}
 }
+
+// TestCompactAfterFlushRewrites: Compact rewrites every index into one
+// segment even when a Flush has just sealed everything and the WAL is
+// empty, and commits a new generation; a second Compact, with nothing
+// left to merge, changes nothing.
+func TestCompactAfterFlushRewrites(t *testing.T) {
+	s := openTest(t, t.TempDir(), clock.NewFake())
+	defer s.Close()
+	names := []string{"a", "b"}
+	for round := 0; round < 3; round++ {
+		for _, name := range names {
+			for i := 0; i < 5; i++ {
+				s.Index(name).PutAuto(Document{"round": round, "i": i})
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range names {
+		if n := len(s.Index(name).segs); n != 3 {
+			t.Fatalf("setup: index %s has %d segments, want 3", name, n)
+		}
+	}
+	gen := s.Generation()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Generation(); got != gen+1 {
+		t.Fatalf("generation after Compact = %d, want %d", got, gen+1)
+	}
+	for _, name := range names {
+		ix := s.Index(name)
+		if n := len(ix.segs); n != 1 {
+			t.Errorf("index %s has %d segments after Compact, want 1", name, n)
+		}
+		if n := ix.Count(); n != 15 {
+			t.Errorf("index %s holds %d documents after Compact, want 15", name, n)
+		}
+	}
+	gen = s.Generation()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Generation(); got != gen {
+		t.Fatalf("second Compact moved the generation %d → %d", gen, got)
+	}
+}

@@ -357,6 +357,57 @@ func TestSortColumnStopsAtK(t *testing.T) {
 	check("compacted", k, k, 4*k)
 }
 
+// TestCompactionRestoresSortColumn: an index whose only segment has no
+// sort column (written as flat documents, times as strings, as every
+// segment was before columns existed) takes 200 time-keyed puts and a
+// Compact, three times over. Each compaction parses the column-less
+// documents once and writes a column, so the newest-100 reads at most
+// 100 segment documents from the first round on, and returns the full
+// sort's result.
+func TestCompactionRestoresSortColumn(t *testing.T) {
+	const perRound, k = 200, 100
+	eng := openTest(t, t.TempDir(), clock.NewFake())
+	defer eng.Close()
+	ix := eng.Index("anomalies")
+	var flat []Document
+	for i := 0; i < perRound; i++ {
+		d := columnDoc(i)
+		d["ts"] = d["ts"].(time.Time).Format(time.RFC3339Nano)
+		flat = append(flat, d)
+	}
+	ix.PutBatch(flat)
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ix.segs) != 1 || ix.segs[0].footer.Sort != nil {
+		t.Fatal("setup: want one segment without a sort column")
+	}
+	q := Query{SortBy: "ts", Desc: true, Limit: k}
+	for round := 1; round <= 3; round++ {
+		for i := round * perRound; i < (round+1)*perRound; i++ {
+			ix.PutAuto(columnDoc(i))
+		}
+		if err := eng.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if len(ix.segs) != 1 || ix.segs[0].footer.Sort["ts"] == nil {
+			t.Fatalf("round %d: want one segment with a ts column", round)
+		}
+		before := eng.Stats().SegmentDocsRead
+		got := ix.Search(q)
+		read := eng.Stats().SegmentDocsRead - before
+		want := sortAndLimitHits(ix.Search(Query{}), q)
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if len(got) != k || !bytes.Equal(gj, wj) {
+			t.Fatalf("round %d:\n got  %s\n want %s", round, hitIDs(got), hitIDs(want))
+		}
+		if read > k {
+			t.Errorf("round %d: newest-%d read %d segment documents, want at most %d", round, k, read, k)
+		}
+	}
+}
+
 // sortedSearchDoc draws a document for the sorted-search property test.
 // Its fields cover each sort path: ts and tv are times (as strings and
 // as values), n a number, s a string, all with many ties; opt is a

@@ -53,8 +53,8 @@ func TestSendBatchDelivers(t *testing.T) {
 		t.Fatalf("outputs = %d, want 200", len(outs))
 	}
 	m := e.Metrics()
-	if m.Records != 200 || m.Resolved != 200 {
-		t.Errorf("metrics = %+v", m)
+	if m.Records-m.Retried != 200 || !e.Reached(e.Mark()) {
+		t.Errorf("metrics = %+v, mark %v reached %v", m, e.Mark(), e.Reached(e.Mark()))
 	}
 }
 

@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -58,8 +57,8 @@ func TestPanicHookRetriesUntilSuccess(t *testing.T) {
 	if m.OperatorPanics != 2 || m.Retried != 2 {
 		t.Errorf("panics = %d retried = %d, want 2/2", m.OperatorPanics, m.Retried)
 	}
-	if m.Resolved != 2 {
-		t.Errorf("Resolved = %d, want 2 (each input resolved once)", m.Resolved)
+	if m.Records-m.Retried != 2 || !e.Reached(e.Mark()) {
+		t.Errorf("records − retried = %d, want 2 (each input completed once); mark reached %v", m.Records-m.Retried, e.Reached(e.Mark()))
 	}
 	if m.RecordsDropped != 0 {
 		t.Errorf("RecordsDropped = %d, want 0", m.RecordsDropped)
@@ -82,8 +81,8 @@ func TestPanicHookGivesUpDropsRecord(t *testing.T) {
 	if m.OperatorPanics != 3 {
 		t.Errorf("OperatorPanics = %d, want 3 (K strikes)", m.OperatorPanics)
 	}
-	if m.Resolved != 1 {
-		t.Errorf("Resolved = %d, want 1 (record resolved when the hook gave up)", m.Resolved)
+	if m.Records-m.Retried != 1 || !e.Reached(e.Mark()) {
+		t.Errorf("records − retried = %d, want 1 (record retired when the hook gave up); mark reached %v", m.Records-m.Retried, e.Reached(e.Mark()))
 	}
 }
 
@@ -103,56 +102,65 @@ func TestHeartbeatsNeverRetried(t *testing.T) {
 	if m.OperatorPanics != 2 {
 		t.Errorf("OperatorPanics = %d, want 2 (one per partition copy)", m.OperatorPanics)
 	}
-	if m.Resolved != 1 {
-		t.Errorf("Resolved = %d, want 1 input record", m.Resolved)
+	if m.Records-m.Retried != 1 || !e.Reached(e.Mark()) {
+		t.Errorf("records − retried = %d, want 1 input record; mark reached %v", m.Records-m.Retried, e.Reached(e.Mark()))
 	}
 }
 
 // TestOnBarrierReportsResolvedWatermark feeds SendBatch buffers that
-// carry heartbeats mid-batch, at one partition and at four. The frontier
-// marks OnBarrier receives never decrease and end at the number of
-// non-heartbeat records (heartbeats take no seq), and Resolved counts
+// carry heartbeats mid-batch, at one partition and at four. At every
+// OnBarrier call each partition's retired count is at least what it was
+// at the previous call, and at the end it equals the engine's mark: each
+// partition's records plus one copy of every heartbeat. Records counts
 // each heartbeat once however many partitions ran a copy of it.
 func TestOnBarrierReportsResolvedWatermark(t *testing.T) {
 	for _, parts := range []int{1, 4} {
 		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
-			var mu sync.Mutex
-			var marks []uint64
-			e := New(Config{Partitions: parts, OnBarrier: func(resolved uint64) {
-				mu.Lock()
-				marks = append(marks, resolved)
-				mu.Unlock()
+			var snaps [][]uint64
+			var e *Engine
+			e = New(Config{Partitions: parts, OnBarrier: func() {
+				// Barriers are serialized, so snaps needs no lock.
+				snap := make([]uint64, parts)
+				for i, w := range e.workers {
+					snap[i] = w.retired.Load()
+				}
+				snaps = append(snaps, snap)
 			}}, func(ctx *Context, rec Record) []any { return []any{rec.Value} })
 			var recs []Record
-			var records, heartbeats uint64
+			var heartbeats uint64
+			want := make(Mark, parts)
 			for i := 0; i < 200; i++ {
 				if i%7 == 3 {
 					recs = append(recs, Record{Key: "hb", Heartbeat: true})
 					heartbeats++
 					continue
 				}
-				recs = append(recs, Record{Key: fmt.Sprintf("k%d", i%5), Value: i})
-				records++
+				key := fmt.Sprintf("k%d", i%5)
+				recs = append(recs, Record{Key: key, Value: i})
+				want[partition(key, parts)]++
+			}
+			for p := range want {
+				want[p] += heartbeats
 			}
 			runBatched(t, e, recs, 16) // every chunk holds two or three heartbeats
-			mu.Lock()
-			defer mu.Unlock()
-			if len(marks) == 0 {
+			if len(snaps) == 0 {
 				t.Fatal("OnBarrier never fired")
 			}
-			for i := 1; i < len(marks); i++ {
-				if marks[i] < marks[i-1] {
-					t.Fatalf("watermark regressed: %v", marks)
+			for i := 1; i < len(snaps); i++ {
+				for p := range snaps[i] {
+					if snaps[i][p] < snaps[i-1][p] {
+						t.Fatalf("partition %d retired count regressed: %v", p, snaps)
+					}
 				}
 			}
-			if final := marks[len(marks)-1]; final != records {
-				t.Fatalf("final watermark = %d, want %d non-heartbeat records", final, records)
+			if got := e.Mark(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("mark = %v, want %v (records plus one copy of each heartbeat)", got, want)
 			}
-			if got := e.Accepted(); got != records {
-				t.Errorf("Accepted = %d, want %d", got, records)
+			if final := snaps[len(snaps)-1]; fmt.Sprint(final) != fmt.Sprint([]uint64(want)) {
+				t.Fatalf("retired at the last barrier = %v, want %v", final, want)
 			}
-			if m := e.Metrics(); m.Resolved != records+heartbeats {
-				t.Errorf("Resolved = %d, want %d records + %d heartbeats, each once", m.Resolved, records, heartbeats)
+			if m := e.Metrics(); m.Records-m.Retried != uint64(len(recs)) {
+				t.Errorf("records − retried = %d, want %d inputs, each heartbeat once", m.Records-m.Retried, len(recs))
 			}
 		})
 	}

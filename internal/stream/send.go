@@ -17,7 +17,7 @@ func partition(key string, partitions int) int {
 
 // Send enqueues one input record onto its partition's worker queue
 // (heartbeats fan a copy to every queue): SendBatch of a one-record
-// buffer, under the same blocking, rejection and single-sender rules.
+// buffer, under the same blocking and rejection rules.
 func (e *Engine) Send(rec Record) error {
 	return e.SendBatch(append(e.RecordBuffer(), rec))
 }
@@ -34,10 +34,9 @@ func (e *Engine) Send(rec Record) error {
 // stream_records_dropped_total with reason "send-after-close" (outside
 // Metrics.RecordsDropped, which only balances accepted records).
 //
-// Send and SendBatch calls must not overlap: the engine has one sender.
-// Seqs are taken in call order, and with two senders a later seq could
-// reach a worker queue before an earlier one on the same partition, so
-// the frontier would certify the earlier seq before it had run.
+// Calls may overlap. Each partition's queue is FIFO, which is the only
+// order the engine keeps: a Mark taken after SendBatch returns covers its
+// records, whatever other senders queued meanwhile.
 func (e *Engine) SendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		e.putRecordBuffer(recs)
@@ -50,7 +49,8 @@ func (e *Engine) SendBatch(recs []Record) error {
 		return e.rejectClosed(n)
 	default:
 	}
-	parts := e.parts
+	pp := e.partsPool.Get().(*[][]Record)
+	parts := *pp
 	rejected := 0
 	for i := 0; i < len(recs) && rejected == 0; {
 		if recs[i].Heartbeat {
@@ -62,23 +62,19 @@ func (e *Engine) SendBatch(recs []Record) error {
 			i++
 			continue
 		}
-		// A heartbeat-free run: split it, reserve its seqs, deliver it.
-		n := uint64(0)
+		// A heartbeat-free run: split it by partition, deliver it.
 		for ; i < len(recs) && !recs[i].Heartbeat; i++ {
 			p := partition(recs[i].Key, len(parts))
 			if parts[p] == nil {
 				parts[p] = e.RecordBuffer()
 			}
-			n++
-			rec := recs[i]
-			rec.seq = n // rank within the run until reserve rebases it
-			parts[p] = append(parts[p], rec)
+			parts[p] = append(parts[p], recs[i])
 		}
-		e.reserve(parts, n)
 		if u := e.flushParts(parts); u > 0 {
 			rejected = u + len(recs) - i
 		}
 	}
+	e.partsPool.Put(pp)
 	e.putRecordBuffer(recs)
 	if rejected > 0 {
 		return e.rejectClosed(rejected)
@@ -86,37 +82,16 @@ func (e *Engine) SendBatch(recs []Record) error {
 	return nil
 }
 
-// reserve takes frontier seqs for a heartbeat-free run of n records just
-// split into parts, each holding its rank within the run: every touched
-// worker's enq is bumped first, then one seqCtr.Add takes the whole
-// range, so any seq a frontier snapshot can see is already pending at its
-// owner. Ranks become seqs by adding the range's base, which keeps seqs
-// in send order.
-func (e *Engine) reserve(parts [][]Record, n uint64) {
-	for p, buf := range parts {
-		if len(buf) > 0 {
-			e.workers[p].enq.Add(uint64(len(buf)))
-		}
-	}
-	base := e.seqCtr.Add(n) - n
-	for _, buf := range parts {
-		for i := range buf {
-			buf[i].seq += base
-		}
-	}
-}
-
 // fanHeartbeat delivers one copy of a heartbeat to every worker queue
 // (§V-B), sharing a fan-out token so the heartbeat is counted once no
-// matter how many partitions process it. Heartbeats carry no frontier
-// seq (seq 0): the commit watermarks compared against the frontier count
-// forwarded log records only, so a heartbeat must neither advance nor
-// constrain the certified prefix.
+// matter how many partitions process it. Each copy counts in its
+// worker's enq like any queued record.
 func (e *Engine) fanHeartbeat(rec Record) error {
 	fan := &hbFan{}
 	fan.left.Store(int32(len(e.workers)))
 	rec.fan = fan
 	for i, w := range e.workers {
+		w.enq.Add(1)
 		select {
 		case w.queue <- workerMsg{rec: rec}:
 		case <-e.closed:
@@ -133,10 +108,9 @@ func (e *Engine) fanHeartbeat(rec Record) error {
 
 // flushParts hands the accumulated per-partition slices to their worker
 // queues, returning how many records went undelivered because Close
-// interrupted the hand-off. A seq assigned to an undelivered record keeps
-// its owner constrained below it, so the frontier never certifies a
-// prefix containing a rejected record; the engine is closed, and commits
-// stop at the rejection point.
+// interrupted the hand-off. An undelivered slice that was already counted
+// in its worker's enq stays counted, so no mark taken from then on is
+// reached; the engine is closed, and commits stop at the rejection point.
 func (e *Engine) flushParts(parts [][]Record) (undelivered int) {
 	for p, buf := range parts {
 		if buf == nil {
@@ -155,8 +129,10 @@ func (e *Engine) flushParts(parts [][]Record) (undelivered int) {
 // travels by value and its array goes straight back to the pool, so it
 // takes no batchSem slot: the semaphore bounds pooled arrays parked in
 // the queues, and a single record must not wait behind another
-// partition's backlog.
+// partition's backlog. The slice counts in w's enq before it can enter
+// the queue.
 func (e *Engine) deliver(w *worker, buf []Record) bool {
+	w.enq.Add(uint64(len(buf)))
 	msg := workerMsg{batch: buf}
 	if len(buf) == 1 {
 		msg = workerMsg{rec: buf[0]}
@@ -217,13 +193,27 @@ func (e *Engine) Close() {
 	e.once.Do(func() { close(e.closed) })
 }
 
-// Accepted returns the number of frontier seqs assigned so far — every
-// non-heartbeat record accepted by Send/SendBatch. This is the unit of
-// the commit frontier reported to OnBarrier: a commit watermark taken
-// from Accepted after a batch of sends is certain to be reached once
-// those records (and everything accepted before them) retire.
-// Heartbeats are seq-less by design, so watermarks must come from here,
-// not from a sender-side count that includes them.
-func (e *Engine) Accepted() uint64 {
-	return e.seqCtr.Load()
+// Mark is a position in the engine's input: entry p counts the records
+// (heartbeat copies included) queued to partition p so far.
+type Mark []uint64
+
+// Mark returns the current position of every partition's queue. Taken
+// after a Send or SendBatch returns, it covers that call's records.
+func (e *Engine) Mark() Mark {
+	m := make(Mark, len(e.workers))
+	for i, w := range e.workers {
+		m[i] = w.enq.Load()
+	}
+	return m
+}
+
+// Reached reports whether every partition has retired — processed and
+// sunk, or dropped — every record queued to it before m was taken.
+func (e *Engine) Reached(m Mark) bool {
+	for i, w := range e.workers {
+		if w.retired.Load() < m[i] {
+			return false
+		}
+	}
+	return true
 }

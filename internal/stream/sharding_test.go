@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,15 +30,7 @@ func TestSlowPartitionDoesNotStallOthers(t *testing.T) {
 		return time.Duration(rng.Intn(200)) * time.Microsecond
 	}
 
-	// keys[p] is a key the engine routes to partition p.
-	var keys [parts]string
-	for i, found := 0, 0; found < parts; i++ {
-		k := strconv.Itoa(i)
-		if p := partition(k, parts); keys[p] == "" {
-			keys[p] = k
-			found++
-		}
-	}
+	keys := keysByPartition(parts)
 
 	e := New(Config{Partitions: parts, BatchInterval: time.Millisecond}, func(ctx *Context, rec Record) []any {
 		if ctx.Partition() == 0 {
@@ -89,8 +80,9 @@ func TestSlowPartitionDoesNotStallOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := e.Metrics()
-	if m.Records != parts*perPart || m.Resolved != parts*perPart {
-		t.Fatalf("conservation broken: records=%d resolved=%d, want %d", m.Records, m.Resolved, parts*perPart)
+	if m.Records-m.Retried != parts*perPart || !e.Reached(e.Mark()) {
+		t.Fatalf("conservation broken: records=%d retried=%d, want %d, mark %v reached %v",
+			m.Records, m.Retried, parts*perPart, e.Mark(), e.Reached(e.Mark()))
 	}
 	if m.RecordsDropped != 0 {
 		t.Fatalf("records dropped = %d, want 0", m.RecordsDropped)

@@ -23,13 +23,17 @@
 // Execution model: every partition is a persistent worker goroutine that
 // owns a bounded input queue, its own micro-batch timer on the injected
 // clock, its state map and broadcast cache, and its retry queue. Records
-// are routed to worker queues at enqueue time (Send/SendBatch), so a hot
-// partition backs up only its own queue — other partitions keep batching
-// independently instead of stalling at a global per-batch barrier. The
-// cross-partition synchronization that remains is intentionally narrow: a
-// barrier lock serializing sink emission and the shared commit frontier,
-// and a control lock serializing broadcast installs and state
-// inspections.
+// are routed to worker queues at enqueue time (Send/SendBatch), and each
+// worker batches at its own pace: a slow partition's queue fills while
+// the others keep batching. Only multi-record slices share one engine-wide
+// bound (batchSem), so a stalled worker holding its slots in parked slices
+// blocks batched senders for every partition; single records take no
+// slot. Progress is per partition too: each worker counts its queue
+// hand-offs and publishes how many it has retired, and a Mark of those
+// counts is what the commit gate and Drain wait on. The cross-partition
+// synchronization that remains is a barrier lock serializing sink
+// emission and the barrier hook, and a control lock serializing broadcast
+// installs and state inspections.
 package stream
 
 import (
@@ -62,16 +66,9 @@ type Record struct {
 	// fan is the shared countdown for a heartbeat's per-partition copies:
 	// the engine accepts one heartbeat but delivers Partitions copies, and
 	// only the copy that decrements the token to zero carries the record's
-	// Records/Resolved/RecordsDropped count — so conservation stays exact
-	// in input-record units.
+	// Records/RecordsDropped count — so conservation stays exact in
+	// input-record units.
 	fan *hbFan
-	// seq is the record's acceptance sequence number, assigned at
-	// enqueue. Workers retire their records in seq order (queues are
-	// FIFO, retries block the frontier), which is what lets the commit
-	// frontier reported to OnBarrier be computed from one watermark per
-	// worker. Heartbeats are seq-less (zero): commit watermarks count
-	// forwarded log records only.
-	seq uint64
 }
 
 // hbFan is the fan-out token shared by a heartbeat's partition copies.
@@ -137,18 +134,13 @@ type Config struct {
 	Ops *obs.Ops
 	// OnBarrier, when set, is called under the engine's barrier lock at
 	// every micro-batch barrier — including empty ones — after the batch
-	// (if any) has drained its outputs through the sink. It receives the
-	// engine's resolved frontier: the length of the longest prefix of
-	// accepted records (in acceptance order, heartbeats excluded) that
-	// are all fully resolved. The frontier is monotone across calls, and
-	// a record enters it only after the micro-batch that retired it has
-	// drained — so the recovery layer can commit offsets for the first N
-	// accepted records the moment the hook reports N, no matter how
-	// partition workers interleaved. Out-of-order resolution across
-	// partitions (a fast partition racing ahead of a backed-up one) holds
-	// the frontier back instead of inflating it. Firing at empty barriers
-	// too lets the hook re-age freshness gauges on the batch cadence.
-	OnBarrier func(resolved uint64)
+	// (if any) has drained its outputs through the sink and its worker
+	// has published what it retired. A hook that asks Reached about a
+	// Mark taken earlier therefore learns at the first barrier that could
+	// have covered it that every record behind the mark has been sunk, on
+	// whichever partition was last. Firing at empty barriers too lets the
+	// hook re-age freshness gauges on the batch cadence.
+	OnBarrier func()
 	// PanicHook, when set, is consulted when the operator panics on a
 	// record: return true to requeue the record for another attempt in
 	// the partition's next micro-batch, false to drop it (the
@@ -214,17 +206,9 @@ type Metrics struct {
 	RecordsDropped uint64
 	// Retried counts records requeued by the PanicHook for another
 	// attempt. Each retry attempt is counted again in Records, so
-	// Records is "processing attempts", not unique records.
+	// Records is "processing attempts" and Records − Retried counts each
+	// input record once, at its last attempt.
 	Retried uint64
-	// Resolved counts input records fully handled: processed to
-	// completion (outputs drained through the sink), dropped by panic
-	// containment, or quarantined — every outcome except "requeued for
-	// retry". A record accepted by Send increments Resolved exactly
-	// once, and only after the micro-batch that retired it has emitted
-	// its outputs, which makes Resolved the commit-gate watermark: when
-	// Resolved catches up with the sender's accepted count, nothing is
-	// buffered, processing, or awaiting retry.
-	Resolved uint64
 }
 
 // ErrClosed is returned by Send after Close.
@@ -232,7 +216,7 @@ var ErrClosed = errors.New("stream: engine closed")
 
 // Engine is the micro-batch engine. Configure (operator, broadcasts)
 // before Run. Send and SendBatch may be called while Run is active, from
-// one sender at a time (see SendBatch).
+// any number of goroutines.
 type Engine struct {
 	cfg  Config
 	proc ProcessFunc
@@ -248,9 +232,9 @@ type Engine struct {
 	recPool  sync.Pool
 	closed   chan struct{}
 	once     sync.Once
-	// parts is SendBatch's per-partition split scratch, owned by the one
-	// sender; every slot is nil between calls.
-	parts [][]Record
+	// partsPool holds SendBatch's per-partition split scratch
+	// (*[][]Record, every slot nil between calls).
+	partsPool sync.Pool
 
 	driver  *driver
 	workers []*worker
@@ -270,30 +254,16 @@ type Engine struct {
 	// liveness probe reads it through Running.
 	running atomic.Bool
 
-	// barrierMu is the merged commit frontier: each worker takes it at
-	// its own micro-batch barrier to drain its outputs (sink calls stay
-	// serialized, in per-partition order) and advance the shared
-	// resolved watermark, so OnBarrier observes monotone, post-sink
-	// values no matter which partitions are active.
+	// barrierMu serializes the barriers: each worker takes it at its own
+	// micro-batch barrier to drain its outputs (sink calls stay
+	// serialized, in per-partition order), publish what it retired and
+	// run OnBarrier, so the hook's commits never interleave.
 	barrierMu sync.Mutex
-	// seqCtr assigns acceptance sequence numbers (Record.seq); the
-	// sender bumps the target workers' enq counters before taking seqs,
-	// so any seq visible to a frontier snapshot is already reflected in
-	// its owner's pending count.
-	seqCtr atomic.Uint64
-	// frontierHi (guarded by barrierMu) is the high-water frontier
-	// reported to OnBarrier. Retirement is irreversible, so once a
-	// prefix was certified resolved it stays certified even when an
-	// idle worker's stale per-worker watermark would momentarily drag
-	// the instantaneous minimum back down.
-	frontierHi uint64
 
 	// The counts Metrics reports that have no registry instrument:
-	// resolved (see Metrics.Resolved), broadcast pulls, and the
-	// update lock-step time in nanoseconds.
-	resolved atomic.Uint64
-	pulls    atomic.Uint64
-	blocked  atomic.Int64
+	// broadcast pulls and the update lock-step time in nanoseconds.
+	pulls   atomic.Uint64
+	blocked atomic.Int64
 
 	// instr holds the engine's registry instruments, which keep every
 	// other count.
@@ -374,16 +344,15 @@ type worker struct {
 	outBuf   []any
 	seenSeq  uint64
 
-	// Frontier bookkeeping. enq counts records assigned to this worker
-	// (bumped by the sender before the seqs are even taken); done counts
-	// records the worker has retired post-sink (dropped ones included).
-	// While they differ the worker constrains the engine frontier to
-	// front — the highest seq with every lower-or-equal seq this worker
-	// owns retired. front is only meaningful while the worker is
-	// constrained, which sidesteps staleness when it sat idle.
-	enq   atomic.Uint64
-	done  atomic.Uint64
-	front atomic.Uint64
+	// Progress, in queued records (heartbeat copies included). enq counts
+	// every record handed to this worker, bumped by the sender before the
+	// hand-off enters the queue; done (worker-owned) counts those retired
+	// after the sink, dropped ones included; retired publishes done for
+	// Reached at each barrier where no record awaits a PanicHook retry.
+	// The queue is FIFO, so retired always counts a prefix of it.
+	enq     atomic.Uint64
+	done    uint64
+	retired atomic.Uint64
 
 	// inval lists broadcast IDs whose cached copies this worker must
 	// drop: appended by whichever worker installs a rebroadcast and
@@ -412,10 +381,13 @@ func New(cfg Config, proc ProcessFunc) *Engine {
 		batchSem: make(chan struct{}, 16),
 		closed:   make(chan struct{}),
 		driver:   &driver{blocks: make(map[string]block)},
-		parts:    make([][]Record, cfg.Partitions),
 		instr:    newEngineInstr(cfg.Ops.Metrics, cfg.Name, cfg.Partitions),
 		spans:    cfg.Ops.Spans,
 		events:   cfg.Ops.Events,
+	}
+	e.partsPool.New = func() any {
+		parts := make([][]Record, cfg.Partitions)
+		return &parts
 	}
 	e.driverTid = e.spans.Thread(cfg.Name + " driver")
 	queueCap := max(queueRecords/cfg.Partitions, 64)
@@ -455,7 +427,6 @@ func (e *Engine) Metrics() Metrics {
 		OperatorPanics: e.instr.panics.Value(),
 		RecordsDropped: e.instr.droppedAbandoned.Value(),
 		Retried:        e.instr.retried.Value(),
-		Resolved:       e.resolved.Load(),
 	}
 }
 
@@ -632,88 +603,61 @@ func (e *Engine) dropWorker(w *worker, batch []Record) {
 			drained = true
 		}
 	}
-	var dropped, copies uint64
+	var dropped uint64
 	for i := range batch {
-		if batch[i].seq != 0 {
-			copies++
-		}
 		if batch[i].resolveCopy() {
 			dropped++
 		}
 	}
-	// Dropped copies retire for frontier purposes: with its pending count
-	// settled the worker stops constraining the frontier.
-	w.done.Add(copies)
+	w.retire(uint64(len(batch)))
 	if dropped == 0 {
 		return
 	}
-	e.resolved.Add(dropped)
 	e.instr.droppedAbandoned.Add(dropped)
 	e.events.Record(obs.EventRecordsDropped, e.cfg.Name, "abandoned at cancellation", int64(dropped))
 }
 
 // processWorkerBatch runs one partition's micro-batch through the
-// operator serially, then takes the barrier lock to drain outputs and
-// advance the shared commit frontier.
+// operator serially, then takes the barrier lock to drain outputs,
+// retire the batch and run OnBarrier.
 func (e *Engine) processWorkerBatch(w *worker, batch []Record) {
 	start := e.cfg.Clock.Now()
 	span := e.spans.Start(e.cfg.Name, w.procLabel, w.tid)
 	c := &Context{engine: e, worker: w, batchStart: start}
 	outs := w.outBuf[:0]
-	retriesBefore := len(w.retries)
-	var counted, seqCopies, lastSeq uint64
+	var counted uint64
 	for i := range batch {
 		outs = append(outs, e.process(c, batch[i])...)
 		// Heartbeat fan-out copies share one count: only the copy that
-		// retires the token counts, so the subtraction below stays exact
-		// in input-record units.
+		// retires the token counts, so Records stays exact in input-record
+		// units.
 		if batch[i].resolveCopy() {
 			counted++
 		}
-		// Frontier bookkeeping tracks seq-bearing records only; the
-		// batch is in ascending seq order, so the running value is this
-		// worker's high seq.
-		if s := batch[i].seq; s != 0 {
-			seqCopies++
-			lastSeq = s
-		}
 	}
 	span.End()
-	requeued := uint64(len(w.retries) - retriesBefore)
-	// This worker's frontier contribution: with requeued records the
-	// oldest retry pins it (batches process in seq order, so everything
-	// below the oldest retry is retired); otherwise the whole batch
-	// retired through its last seq. An all-heartbeat batch leaves the
-	// watermark untouched.
-	fw := lastSeq
-	if len(w.retries) > retriesBefore {
-		fw = w.retries[retriesBefore].seq - 1
-	}
+	// runWorker emptied the retry queue into this batch, so every retry
+	// now queued is a record of it.
+	requeued := uint64(len(w.retries))
 
-	// The merged commit frontier: outputs drain inside the barrier lock
-	// (sink calls stay serialized, each partition's outputs in order) and
-	// only then do the shared resolved count and this worker's frontier
-	// watermark advance — a commit gated on this batch can never run
-	// before its outputs have landed, and OnBarrier frontiers are
-	// monotone across partitions.
+	// Outputs drain inside the barrier lock (sink calls stay serialized,
+	// each partition's outputs in order) and only then does the batch
+	// retire, so a commit gated on it never runs before its outputs
+	// have landed.
 	e.barrierMu.Lock()
 	retired := false
 	retire := func() {
 		retired = true
 		e.instr.batches.Inc()
 		e.instr.records.Add(counted)
-		e.resolved.Add(counted - requeued)
-		w.done.Add(seqCopies - requeued)
-		if fw > 0 {
-			w.front.Store(fw)
-		}
+		w.retire(uint64(len(batch)) - requeued)
 	}
 	func() {
 		defer func() {
 			// A sink or hook panic unwinds toward the restart supervisor:
 			// release the barrier and retire the batch anyway (the paid
 			// price is the pre-sink advance the old engine always had) so
-			// conservation and the drain watermark survive the restart.
+			// conservation and the drain marks survive the restart.
 			if !retired {
 				retire()
 			}
@@ -728,7 +672,7 @@ func (e *Engine) processWorkerBatch(w *worker, batch []Record) {
 		}
 		retire()
 		if e.cfg.OnBarrier != nil {
-			e.cfg.OnBarrier(e.frontierLocked())
+			e.cfg.OnBarrier()
 		}
 	}()
 
@@ -743,7 +687,7 @@ func (e *Engine) processWorkerBatch(w *worker, batch []Record) {
 }
 
 // emptyBarrier fires OnBarrier for a window that collected nothing, so a
-// commit gated on a batch that resolved just before registration is
+// commit gated on a batch that retired just before registration is
 // flushed at the next barrier instead of waiting for traffic, and
 // freshness gauges keep re-aging.
 func (e *Engine) emptyBarrier() {
@@ -752,31 +696,18 @@ func (e *Engine) emptyBarrier() {
 	}
 	e.barrierMu.Lock()
 	defer e.barrierMu.Unlock()
-	e.cfg.OnBarrier(e.frontierLocked())
+	e.cfg.OnBarrier()
 }
 
-// frontierLocked (barrierMu held) certifies the resolved frontier: the
-// highest seq S such that every accepted record with seq ≤ S is retired.
-// A worker whose pending count is zero has retired everything it owns;
-// one with pending work bounds S by its own watermark. Reading done
-// before enq keeps a concurrent enqueue conservative (it can only make
-// the worker look busier), and the high-water clamp keeps the reported
-// value monotone when an idle worker with a stale watermark becomes busy
-// again — retirement is irreversible, so an earlier certification stays
-// true.
-func (e *Engine) frontierLocked() uint64 {
-	f := e.seqCtr.Load()
-	for _, w := range e.workers {
-		if w.done.Load() != w.enq.Load() {
-			if wf := w.front.Load(); wf < f {
-				f = wf
-			}
-		}
+// retire counts n more of the worker's queued records as retired and,
+// unless a record awaits a PanicHook retry, publishes the count. With a
+// retry pending, records queued behind the retried one have retired but
+// it has not, so done no longer counts a prefix of the queue.
+func (w *worker) retire(n uint64) {
+	w.done += n
+	if len(w.retries) == 0 {
+		w.retired.Store(w.done)
 	}
-	if f > e.frontierHi {
-		e.frontierHi = f
-	}
-	return e.frontierHi
 }
 
 // process runs the operator on one record, containing panics so a
